@@ -15,11 +15,12 @@ from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import Example, RunRecord
+from .corpus import RunRecord
 from .errors import HarnessError
 from .metrics import DegenerateInputError, Scorer, bleu_scorer, pearson, spearman
-from .pylex import Category, Role, RoleToken, classify_roles, lex
-from .subtok import Tokenizer
+# Not used here; perfbench/selftest.py checks that the tracer wraps this alias.
+from .pylex import lex  # noqa: F401
+from .subtok import ATTRIBUTION_CATEGORIES, CodeSubwords
 from .svgplot import grouped_bars
 from .transform import Variant
 
@@ -46,18 +47,6 @@ def bucket_label_from_counts(matched: int, total: int) -> str:
     raise ValueError(f"copy rate {matched}/{total} outside [0, 1]")
 
 
-def bucket_label(value: float) -> str:
-    """Float variant of bucket_label_from_counts for pre-divided rates."""
-    if value < 0 or value > 1:
-        raise ValueError(f"copy rate {value} outside [0, 1]")
-    if value == 0:
-        return ZERO_BUCKET
-    for low in range(0, 100, 10):
-        if low < value * 100 <= low + 10:
-            return f"({low},{low + 10}]"
-    return BUCKET_LABELS[-1]
-
-
 @dataclass(frozen=True)
 class Bucket:
     label: str
@@ -72,107 +61,35 @@ def bucketize(records: Sequence[RunRecord]) -> list[Bucket]:
     }
     for rec in records:
         m = rec.metrics
-        if m is None or m.p_copy_reference is None:
-            raise ValueError(f"record {rec.key} has no reference copy rate")
-        if m.p_copy_reference_matched is not None and m.p_copy_reference_total:
-            label = bucket_label_from_counts(
-                m.p_copy_reference_matched, m.p_copy_reference_total
-            )
-        else:
-            label = bucket_label(m.p_copy_reference)
+        if m is None or m.p_copy_reference_matched is None:
+            raise ValueError(f"record {rec.key} has no reference copy counts")
+        label = bucket_label_from_counts(
+            m.p_copy_reference_matched, m.p_copy_reference_total
+        )
         members[label].append(rec.key)
     return [Bucket(label, tuple(members[label])) for label in BUCKET_LABELS]
 
 
-ATTRIBUTION_CATEGORIES = (
-    "function_name",
-    "identifier",
-    "keyword",
-    "comment",
-    "string",
-    "number",
-    "operator_delimiter",
-)
-
-# When a description subword could have come from several kinds of code
-# token, attribute it to the first of these that applies.
-_SOURCE_PRIORITY = (
-    "function_name",
-    "identifier",
-    "comment",
-    "string",
-    "keyword",
-    "number",
-    "operator_delimiter",
-)
-
-
-@dataclass(frozen=True)
-class CopyAttribution:
-    """Subword counts per token type: everything in the code, the subset
-    copied into the reference, and the subset copied into the generation."""
-
-    code_tokens: dict
-    copied_to_reference: dict
-    copied_to_generated: dict
-
-
-def _attribution_category(rt: RoleToken) -> str | None:
-    cat = rt.base.category
-    if cat in (Category.WHITESPACE, Category.NEWLINE):
-        return None
-    if rt.role is Role.FUNCTION_NAME:
-        return "function_name"
-    if cat is Category.IDENTIFIER:
-        return "identifier"
-    if cat is Category.KEYWORD:
-        return "keyword"
-    if cat is Category.COMMENT:
-        return "comment"
-    if cat is Category.STRING:
-        return "string"
-    if cat is Category.NUMBER:
-        return "number"
-    return "operator_delimiter"
-
-
 def attribute_copies(
-    ex: Example,
-    generated: str,
-    tokenize: Tokenizer,
-    roles: Sequence[RoleToken] | None = None,
-) -> CopyAttribution:
-    """Attribute each copied description subword to the token type of a code
-    token whose own subword decomposition contains it."""
-    if roles is None:
-        roles = classify_roles(lex(ex.code))
-    code_counts: Counter = Counter({c: 0 for c in ATTRIBUTION_CATEGORIES})
-    source_category: dict[str, str] = {}
-    rank = {c: i for i, c in enumerate(_SOURCE_PRIORITY)}
-    for rt in roles:
-        category = _attribution_category(rt)
-        if category is None:
-            continue
-        subwords = tokenize(rt.base.lexeme)
-        code_counts[category] += len(subwords)
-        for sw in subwords:
-            best = source_category.get(sw)
-            if best is None or rank[category] < rank[best]:
-                source_category[sw] = category
+    code: CodeSubwords, reference: Sequence[str], generated: Sequence[str]
+) -> list[list[int]]:
+    """Subword counts per ATTRIBUTION_CATEGORIES entry: the code's own
+    subwords, the reference subwords found in the code, and the generated
+    subwords found in the code (the EvalRecord.copy_attribution layout).
 
-    def copied(text: str) -> Counter:
-        counts: Counter = Counter({c: 0 for c in ATTRIBUTION_CATEGORIES})
-        for sw in tokenize(text):
-            category = source_category.get(sw)
+    A copied subword counts under the category split_code attributed it
+    to, so each copied list sums to the p_copy match count of its text.
+    """
+
+    def copied(description: Sequence[str]) -> list[int]:
+        counts = [0] * len(ATTRIBUTION_CATEGORIES)
+        for sw in description:
+            category = code.source.get(sw)
             if category is not None:
                 counts[category] += 1
         return counts
 
-    return CopyAttribution(
-        code_tokens=dict(code_counts),
-        copied_to_reference=dict(copied(ex.reference)),
-        copied_to_generated=dict(copied(generated)),
-    )
+    return [code.per_category, copied(reference), copied(generated)]
 
 
 class PairingMode(str, Enum):
@@ -278,6 +195,8 @@ def correlate(
 
 _VARIANT_ORDER = {v.value: i for i, v in enumerate(Variant)}
 
+_CORRELATED_PAIRS = (("p_copy_reference", "bleu4"), ("bleu4", "bertscore_f1"))
+
 
 def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", text)
@@ -293,17 +212,18 @@ def _mean_of(values: list[float]) -> float | None:
 
 def emit_report(
     records: Sequence[RunRecord],
-    examples: Mapping[tuple[str, str], Example],
+    references: Mapping[str, str],
     out_dir: str | Path,
-    tokenize: Tokenizer,
     seed: int,
     extra_scorers: Mapping[str, Scorer] | None = None,
 ) -> list[Path]:
-    """Write summary/bucket/attribution CSVs and SVG histograms.
+    """Write summary/bucket/attribution/correlation CSVs and SVG histograms.
 
-    `examples` maps (variant, example_id) to the Example whose code the
-    model saw. Output is a pure function of (records, examples, seed), so
-    identical runs produce byte-identical files.
+    Every record must carry its scores, copy attribution included.
+    `references` maps each example id of the original variant to its
+    reference description, for the re-paired score distributions. Output
+    is a pure function of (records, references, seed), so identical runs
+    produce byte-identical files.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -380,33 +300,33 @@ def emit_report(
     # attribution.csv: copied token types, summed over examples
     rows = []
     for model_id, variant in group_keys:
-        totals = {
-            field: Counter({c: 0 for c in ATTRIBUTION_CATEGORIES})
-            for field in ("code", "reference", "generated")
-        }
+        totals = [[0] * len(ATTRIBUTION_CATEGORIES) for _ in range(3)]
         for rec in groups[(model_id, variant)]:
-            ex = examples.get((rec.variant, rec.example_id))
-            if ex is None:
-                continue
-            attribution = attribute_copies(ex, rec.generated, tokenize)
-            totals["code"].update(attribution.code_tokens)
-            totals["reference"].update(attribution.copied_to_reference)
-            totals["generated"].update(attribution.copied_to_generated)
-        for category in ATTRIBUTION_CATEGORIES:
-            rows.append(
-                [
-                    model_id,
-                    variant,
-                    category,
-                    str(totals["code"][category]),
-                    str(totals["reference"][category]),
-                    str(totals["generated"][category]),
-                ]
-            )
+            for total, counts in zip(totals, rec.metrics.copy_attribution):
+                for i, count in enumerate(counts):
+                    total[i] += count
+        for i, category in enumerate(ATTRIBUTION_CATEGORIES):
+            rows.append([model_id, variant, category] + [str(t[i]) for t in totals])
     write_csv(
         "attribution.csv",
         ["model_id", "variant", "category", "code_subwords",
          "copied_to_reference", "copied_to_generated"],
+        rows,
+    )
+
+    # correlations.csv: does the copy rate track BLEU-4, and BLEU-4 BERTScore?
+    rows = []
+    for model_id, variant in group_keys:
+        for metric_a, metric_b in _CORRELATED_PAIRS:
+            try:
+                pair = correlate(groups[(model_id, variant)], metric_a, metric_b)
+                cells = [_fnum(v) for v in pair]
+            except DegenerateInputError:
+                cells = ["", ""]
+            rows.append([model_id, variant, metric_a, metric_b] + cells)
+    write_csv(
+        "correlations.csv",
+        ["model_id", "variant", "metric_a", "metric_b", "pearson", "spearman"],
         rows,
     )
 
@@ -419,9 +339,9 @@ def emit_report(
     for model_id in models:
         recs = groups.get((model_id, Variant.ORIGINAL.value), [])
         pairs = [
-            (examples[(r.variant, r.example_id)].reference, r.generated)
+            (references[r.example_id], r.generated)
             for r in recs
-            if (r.variant, r.example_id) in examples
+            if r.example_id in references
         ]
         if len(pairs) < 2:
             continue
@@ -474,14 +394,11 @@ def emit_report(
             ref_hist[bucket_idx] = ref_counts.get(label, 0)
         for rec in recs:
             m = rec.metrics
-            if m.p_copy_generated is None:
+            if m.p_copy_generated_matched is None:
                 continue
-            if m.p_copy_generated_matched is not None and m.p_copy_generated_total:
-                label = bucket_label_from_counts(
-                    m.p_copy_generated_matched, m.p_copy_generated_total
-                )
-            else:
-                label = bucket_label(m.p_copy_generated)
+            label = bucket_label_from_counts(
+                m.p_copy_generated_matched, m.p_copy_generated_total
+            )
             gen_hist[BUCKET_LABELS.index(label)] += 1
         name = f"pcopy_{_slug(model_id)}_{_slug(variant)}.svg"
         path = out_dir / name

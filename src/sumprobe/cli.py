@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import logging
 import os
 import sys
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import llmgen, metrics
-from .analysis import bucket_label_from_counts, emit_report
+from .analysis import attribute_copies, bucket_label_from_counts, emit_report
 from .corpus import (
     EvalRecord,
     Example,
@@ -37,10 +36,11 @@ from .corpus import (
     load_corpus,
     load_run,
     save_run,
+    write_jsonl,
 )
 from .errors import HarnessError
 from .metrics import HashedOneHotProvider, RemoteEmbeddingProvider, bertscore_scorer
-from .subtok import code_subwords, tokenizer_from_spec
+from .subtok import split_code, tokenizer_from_spec
 from .transform import Variant, apply_variant, donor_assignment
 
 log = logging.getLogger(__name__)
@@ -159,15 +159,6 @@ def _parse_variants(names: list[str]) -> list[Variant]:
     return out
 
 
-def _write_jsonl(path: Path, rows: list[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows),
-        encoding="utf-8",
-        newline="\n",
-    )
-
-
 def _record_sort_key(rec: RunRecord):
     return (rec.model_id, _VARIANT_ORDER.get(rec.variant, 99), rec.variant, rec.example_id)
 
@@ -180,7 +171,7 @@ def cmd_transform(config: RunConfig) -> int:
     examples, line_errors = load_corpus(config.corpus_path, config.split)
     accepted, rejected = filter_corpus(examples, config.min_tokens, config.max_tokens)
     config.out.mkdir(parents=True, exist_ok=True)
-    _write_jsonl(
+    write_jsonl(
         config.out / "rejects.jsonl",
         [{"id": ex.id, "reason": decision.reason.value} for ex, decision in rejected],
     )
@@ -211,8 +202,8 @@ def cmd_transform(config: RunConfig) -> int:
             rows.append(
                 {"id": transformed.id, "code": transformed.code, "docstring": transformed.reference}
             )
-        _write_jsonl(config.variants_dir / f"{variant.value}.jsonl", rows)
-    _write_jsonl(config.out / "errors_transform.jsonl", errors)
+        write_jsonl(config.variants_dir / f"{variant.value}.jsonl", rows)
+    write_jsonl(config.out / "errors_transform.jsonl", errors)
     for err in errors:
         log.warning("transform error at %s: %s", err["where"], err["error"])
     print(f"transform: {len(accepted)} accepted, {len(rejected)} rejected, "
@@ -253,7 +244,9 @@ def cmd_generate(config: RunConfig) -> int:
     elif not config.mock:
         log.warning("no [corpus] train_path configured; prompting zero-shot")
 
-    cache = llmgen.GenerationCache(config.cache_dir)
+    # The echo mock answers by example id, which the cache key leaves out,
+    # and costs nothing to recompute, so it runs uncached.
+    cache = None if config.mock else llmgen.GenerationCache(config.cache_dir)
     new_records: list[RunRecord] = []
     errors: list[dict] = []
     for variant_value in _present_variants(config):
@@ -309,7 +302,7 @@ def cmd_generate(config: RunConfig) -> int:
         merged[rec.key] = rec
     ordered = sorted(merged.values(), key=_record_sort_key)
     save_run(ordered, config.runs_path)
-    _write_jsonl(config.out / "errors_generate.jsonl", errors)
+    write_jsonl(config.out / "errors_generate.jsonl", errors)
     for err in errors:
         log.warning("generate error at %s: %s", err["where"], err["error"])
     print(f"generate: {len(new_records)} generations for model {config.model_id}, "
@@ -356,7 +349,7 @@ def cmd_score(config: RunConfig) -> int:
             scored.append(rec)
     scored.sort(key=_record_sort_key)
     save_run(scored, config.runs_path)
-    _write_jsonl(config.out / "errors_score.jsonl", errors)
+    write_jsonl(config.out / "errors_score.jsonl", errors)
     for err in errors:
         log.warning("score error at %s: %s", err["where"], err["error"])
     print(f"score: {len(scored)} records scored with tokenizer "
@@ -377,20 +370,21 @@ def _score_record(
         metrics.split_description(generated, lowercase_bleu),
         metrics.split_description(reference, lowercase_bleu),
     )
-    code_sw = code_subwords(ex.code, tokenize)
+    code = split_code(ex.code, tokenize)
     ref_sw = tokenize(reference)
     gen_sw = tokenize(generated)
-    ref_copy = metrics.p_copy(code_sw, ref_sw, tokenize.tokenizer_id)
+    ref_copy = metrics.p_copy(code.subwords, ref_sw, tokenize.tokenizer_id)
     eval_rec = EvalRecord(
         bleu4=bleu.value,
         p_copy_reference=ref_copy.value,
         p_copy_reference_matched=ref_copy.matched,
         p_copy_reference_total=ref_copy.total,
+        copy_attribution=attribute_copies(code, ref_sw, gen_sw),
         tokenizer_id=tokenize.tokenizer_id,
         bucket=bucket_label_from_counts(ref_copy.matched, ref_copy.total),
     )
     if gen_sw:
-        gen_copy = metrics.p_copy(code_sw, gen_sw, tokenize.tokenizer_id)
+        gen_copy = metrics.p_copy(code.subwords, gen_sw, tokenize.tokenizer_id)
         eval_rec.p_copy_generated = gen_copy.value
         eval_rec.p_copy_generated_matched = gen_copy.matched
         eval_rec.p_copy_generated_total = gen_copy.total
@@ -424,22 +418,34 @@ def cmd_analyze(config: RunConfig) -> int:
         raise PrerequisiteError(
             f"{config.runs_path} is empty; run `sumprobe generate` first"
         )
-    unscored = [rec for rec in records if rec.metrics is None]
+    unscored = [
+        rec for rec in records
+        if rec.metrics is None or rec.metrics.copy_attribution is None
+    ]
     if unscored:
         raise PrerequisiteError(
-            f"{len(unscored)} record(s) have no scores; run `sumprobe score` first"
+            f"{len(unscored)} record(s) have no scores or no copy-attribution "
+            "counts; run `sumprobe score` first"
         )
     tokenize = tokenizer_from_spec(config.tokenizer)
+    scored_with = sorted({rec.metrics.tokenizer_id for rec in records})
+    if scored_with != [tokenize.tokenizer_id]:
+        raise HarnessError(
+            f"records were scored with tokenizer {', '.join(map(repr, scored_with))} "
+            f"but analyze was given {tokenize.tokenizer_id!r}; pass the tokenizer "
+            "that `sumprobe score` used"
+        )
     provider = HashedOneHotProvider(config.embedding_dim)
-    examples: dict[tuple[str, str], Example] = {}
-    for variant_value in sorted({rec.variant for rec in records}):
-        for ex in _load_variant_examples(config, variant_value):
-            examples[(variant_value, ex.id)] = ex
+    references: dict[str, str] = {}
+    if any(rec.variant == Variant.ORIGINAL.value for rec in records):
+        references = {
+            ex.id: ex.reference
+            for ex in _load_variant_examples(config, Variant.ORIGINAL.value)
+        }
     written = emit_report(
         records,
-        examples,
+        references,
         config.report,
-        tokenize,
         seed,
         extra_scorers={"bertscore_f1": bertscore_scorer(provider, tokenize)},
     )
@@ -468,9 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-tokens", type=int, help="min description tokens (default 3)")
     p.add_argument("--max-tokens", type=int, help="max description tokens (default 256)")
     p.add_argument("--max-errors", type=int, help="tolerated record errors (default 0)")
-    p.add_argument("--skip-lang-filter", action="store_true",
-                   help="accepted for compatibility; language detection is not "
-                        "implemented, so non-English descriptions always pass")
 
     p = sub.add_parser("generate", help="elicit summaries from an LLM endpoint")
     p.add_argument("--model", help="model id recorded in run records")

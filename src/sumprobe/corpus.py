@@ -8,7 +8,8 @@ JSON Lines of per-(example, variant, model) records.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import os
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -81,6 +82,9 @@ class EvalRecord:
     p_copy_generated: float | None = None
     p_copy_generated_matched: int | None = None
     p_copy_generated_total: int | None = None
+    # Subword counts per subtok.ATTRIBUTION_CATEGORIES entry: in the code,
+    # copied into the reference, copied into the generation.
+    copy_attribution: list[list[int]] | None = None
     tokenizer_id: str = ""
     bucket: str | None = None
 
@@ -98,7 +102,11 @@ class RunRecord:
         return (self.example_id, self.variant, self.model_id)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        # A shallow copy: dataclasses.asdict deep-copies every field, which
+        # costs more than the JSON encoding. Key order is declaration order.
+        out = dict(vars(self))
+        if self.metrics is not None:
+            out["metrics"] = dict(vars(self.metrics))
         return out
 
     @classmethod
@@ -211,19 +219,32 @@ def filter_corpus(
     return accepted, rejected
 
 
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
+    """Write one JSON object per line to a temporary file beside `path`,
+    then move it over `path`: a write that fails part-way leaves the
+    previous file as it was."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="\n") as fh:
+            for row in rows:
+                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_run(records: Sequence[RunRecord], path: str | Path) -> None:
     """Write run records as JSONL; duplicate keys are refused up front."""
-    path = Path(path)
     seen: set[tuple[str, str, str]] = set()
     for rec in records:
         if rec.key in seen:
             raise DuplicateRunKeyError(rec.key)
         seen.add(rec.key)
-    lines = [json.dumps(rec.to_dict(), ensure_ascii=False) for rec in records]
     try:
-        path.write_text(
-            "".join(line + "\n" for line in lines), encoding="utf-8", newline="\n"
-        )
+        write_jsonl(path, (rec.to_dict() for rec in records))
     except OSError as exc:
         raise CorpusError(f"cannot write run file {path}: {exc}") from exc
 

@@ -6,9 +6,8 @@ well-formedness only (strings terminated, brackets closed); it happily
 tokenizes code no parser would accept, which is what the downstream code
 transformations need -- their outputs are often not valid Python.
 
-Besides raw tokens, the module classifies identifier roles (function name,
-parameter, attribute, ...) and locates the span of the first function
-signature.
+Besides raw tokens, the module marks the snippet's function name and
+locates the span of the first function signature.
 """
 
 from __future__ import annotations
@@ -35,10 +34,7 @@ class Category(str, Enum):
 
 class Role(str, Enum):
     FUNCTION_NAME = "function_name"
-    PARAMETER = "parameter"
-    CALLEE_OF_DEFINED_NAME = "callee_of_defined_name"
     PLAIN_IDENTIFIER = "plain_identifier"
-    ATTRIBUTE_NAME = "attribute_name"
     NONE = "none"
 
 
@@ -263,99 +259,42 @@ def lex(source: str) -> TokenStream:
     return make_stream(parts)
 
 
-def _next_index(tokens: Sequence[LexToken], start: int, skip: frozenset) -> int:
-    i = start
-    while i < len(tokens) and tokens[i].category in skip:
-        i += 1
-    return i
-
-
-_SKIP_WS = frozenset({Category.WHITESPACE})
-_SKIP_LAYOUT = frozenset({Category.WHITESPACE, Category.NEWLINE, Category.COMMENT})
-
-
-def _def_name_indices(tokens: Sequence[LexToken]) -> list[tuple[int, int]]:
-    """(def keyword index, name index) pairs, in stream order."""
-    pairs = []
+def function_name_indices(tokens: Sequence[LexToken]) -> set[int]:
+    """Indices of the snippet's function name: the first def's name and
+    every later identifier with that lexeme (call sites and attribute
+    positions included, so renaming transforms touch all of them)."""
+    name = None
+    indices: set[int] = set()
+    after_def = False
     for i, tok in enumerate(tokens):
-        if tok.category is Category.KEYWORD and tok.lexeme == "def":
-            j = _next_index(tokens, i + 1, _SKIP_WS)
-            if j < len(tokens) and tokens[j].category is Category.IDENTIFIER:
-                pairs.append((i, j))
-    return pairs
-
-
-def _parameter_indices(tokens: Sequence[LexToken], name_idx: int) -> set[int]:
-    """Indices of parameter-name identifiers in one def's parenthesis list."""
-    open_idx = _next_index(tokens, name_idx + 1, _SKIP_LAYOUT)
-    if open_idx >= len(tokens) or tokens[open_idx].lexeme != "(":
-        return set()
-    params: set[int] = set()
-    depth = 1
-    prev_significant = "("
-    i = open_idx + 1
-    while i < len(tokens) and depth > 0:
-        tok = tokens[i]
-        if tok.category in _SKIP_LAYOUT:
-            i += 1
+        category = tok.category
+        if name is not None:
+            if category is Category.IDENTIFIER and tok.lexeme == name:
+                indices.add(i)
+        elif category is Category.WHITESPACE:
             continue
-        if tok.lexeme in _OPENERS:
-            depth += 1
-        elif tok.lexeme in _CLOSERS:
-            depth -= 1
-        elif (
-            depth == 1
-            and tok.category is Category.IDENTIFIER
-            and prev_significant in ("(", ",", "*", "**")
-        ):
-            params.add(i)
-        prev_significant = tok.lexeme
-        i += 1
-    return params
+        elif after_def and category is Category.IDENTIFIER:
+            name = tok.lexeme
+            indices.add(i)
+        else:
+            after_def = category is Category.KEYWORD and tok.lexeme == "def"
+    return indices
 
 
 def classify_roles(tokens: Sequence[LexToken]) -> list[RoleToken]:
-    """Assign a role to every token (non-identifiers get Role.NONE).
-
-    The first def's name is the snippet's function name; every later
-    identifier with that lexeme is treated as the same name, call sites and
-    attribute positions included, so renaming transforms touch all of them.
-    """
-    defs = _def_name_indices(tokens)
-    outer_name = tokens[defs[0][1]].lexeme if defs else None
-    outer_name_idx = defs[0][1] if defs else -1
-    inner_name_indices = {name_i for _, name_i in defs[1:]}
-    inner_names = {tokens[i].lexeme for i in inner_name_indices}
-
-    param_indices: set[int] = set()
-    for _, name_i in defs:
-        param_indices |= _parameter_indices(tokens, name_i)
-
+    """Assign a role to every token: the function name (see
+    function_name_indices), a plain identifier, or Role.NONE for
+    non-identifiers."""
+    name_indices = function_name_indices(tokens)
     roles = []
-    prev_significant = ""
     for i, tok in enumerate(tokens):
         if tok.category is not Category.IDENTIFIER:
             roles.append(RoleToken(tok, Role.NONE))
-        elif outer_name is not None and tok.lexeme == outer_name and i >= outer_name_idx:
+        elif i in name_indices:
             roles.append(RoleToken(tok, Role.FUNCTION_NAME))
-        elif prev_significant == ".":
-            roles.append(RoleToken(tok, Role.ATTRIBUTE_NAME))
-        elif i in param_indices:
-            roles.append(RoleToken(tok, Role.PARAMETER))
-        elif i in inner_name_indices:
-            roles.append(RoleToken(tok, Role.PLAIN_IDENTIFIER))
-        elif tok.lexeme in inner_names and _is_call_site(tokens, i):
-            roles.append(RoleToken(tok, Role.CALLEE_OF_DEFINED_NAME))
         else:
             roles.append(RoleToken(tok, Role.PLAIN_IDENTIFIER))
-        if tok.category not in _SKIP_LAYOUT:
-            prev_significant = tok.lexeme
     return roles
-
-
-def _is_call_site(tokens: Sequence[LexToken], idx: int) -> bool:
-    nxt = _next_index(tokens, idx + 1, _SKIP_LAYOUT)
-    return nxt < len(tokens) and tokens[nxt].lexeme == "("
 
 
 def signature_span(tokens: Sequence[LexToken]) -> SignatureSpan:

@@ -5,6 +5,9 @@ merges/vocabulary file, and a vocabulary-free fallback that splits on
 underscores, camelCase and letter/digit boundaries. Overlap numbers from
 different tokenizers are not comparable, so every tokenizer carries an id
 that is recorded alongside the scores it produced.
+
+Code snippets are split one lexer token at a time, in a single walk that
+also records which kind of code token each subword came from.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from pathlib import Path
 from typing import Protocol
 
 from .errors import HarnessError
+from .pylex import Category, function_name_indices, lex
 
 
 class VocabError(HarnessError):
@@ -154,18 +158,82 @@ def tokenizer_from_spec(spec: str) -> Tokenizer:
     return BpeTokenizer(load_vocab(spec), name=f"bpe:{Path(spec).name}")
 
 
-def code_subwords(code: str, tokenize: Tokenizer) -> list[str]:
-    """Subword tokens of a code snippet, for overlap metrics.
+ATTRIBUTION_CATEGORIES = (
+    "function_name",
+    "identifier",
+    "keyword",
+    "comment",
+    "string",
+    "number",
+    "operator_delimiter",
+)
 
-    Tokenization respects lexical token boundaries (each lexer token is
-    tokenized on its own) so copy attribution and the copy rate agree on
-    what counts as a code subword.
+_FUNCTION_NAME = ATTRIBUTION_CATEGORIES.index("function_name")
+_CATEGORY_INDEX = {
+    lexical: ATTRIBUTION_CATEGORIES.index(name)
+    for lexical, name in (
+        (Category.IDENTIFIER, "identifier"),
+        (Category.KEYWORD, "keyword"),
+        (Category.COMMENT, "comment"),
+        (Category.STRING, "string"),
+        (Category.NUMBER, "number"),
+        (Category.OPERATOR, "operator_delimiter"),
+        (Category.DELIMITER, "operator_delimiter"),
+    )
+}
+# When a subword occurs in several kinds of code token, it is attributed to
+# the first of these kinds that applies.
+_SOURCE_PRIORITY = (
+    "function_name",
+    "identifier",
+    "comment",
+    "string",
+    "keyword",
+    "number",
+    "operator_delimiter",
+)
+_RANK = tuple(_SOURCE_PRIORITY.index(c) for c in ATTRIBUTION_CATEGORIES)
+
+
+@dataclass(frozen=True)
+class CodeSubwords:
+    """A snippet's subwords as the copy rate and copy attribution see them."""
+
+    subwords: list[str]  # in code order
+    per_category: list[int]  # subword count per ATTRIBUTION_CATEGORIES entry
+    source: dict[str, int]  # distinct subword -> index of its category
+
+
+def split_code(code: str, tokenize: Tokenizer) -> CodeSubwords:
+    """Lex `code` once and tokenize each lexer token on its own.
+
+    This is the one place that decides which lexer tokens yield code
+    subwords (all but whitespace and newlines) and under which attribution
+    category: the function name (pylex.function_name_indices), else the
+    token's lexical category.
     """
-    from .pylex import Category, lex
-
-    out: list[str] = []
-    for tok in lex(code):
-        if tok.category in (Category.WHITESPACE, Category.NEWLINE):
+    tokens = lex(code)
+    name_indices = function_name_indices(tokens)
+    subwords: list[str] = []
+    per_category = [0] * len(ATTRIBUTION_CATEGORIES)
+    source: dict[str, int] = {}
+    for i, tok in enumerate(tokens):
+        category = _CATEGORY_INDEX.get(tok.category)
+        if category is None:
             continue
-        out.extend(tokenize(tok.lexeme))
-    return out
+        if i in name_indices:
+            category = _FUNCTION_NAME
+        pieces = tokenize(tok.lexeme)
+        subwords.extend(pieces)
+        per_category[category] += len(pieces)
+        rank = _RANK[category]
+        for sw in pieces:
+            best = source.get(sw)
+            if best is None or rank < _RANK[best]:
+                source[sw] = category
+    return CodeSubwords(subwords, per_category, source)
+
+
+def code_subwords(code: str, tokenize: Tokenizer) -> list[str]:
+    """Subword tokens of a code snippet, for overlap metrics."""
+    return split_code(code, tokenize).subwords

@@ -47,10 +47,6 @@ class DonorCollisionError(HarnessError):
         self.donor = donor
 
 
-class NoDonorAvailableError(HarnessError):
-    """No other function name in the corpus is usable for this target."""
-
-
 _SHIFT_FWD = str.maketrans(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ",
     "bcdefghijklmnopqrstuvwxyzaBCDEFGHIJKLMNOPQRSTUVWXYZA",
@@ -250,13 +246,3 @@ def donor_assignment(corpus: Sequence[Example], seed: int) -> dict[str, str]:
             assignment[ex_id] = choice
     return assignment
 
-
-def pick_donor(corpus: Sequence[Example], target_id: str, seed: int) -> str:
-    """Donor name for one target under the corpus-wide seeded assignment."""
-    assignment = donor_assignment(corpus, seed)
-    try:
-        return assignment[target_id]
-    except KeyError:
-        raise NoDonorAvailableError(
-            f"no usable donor name for example {target_id!r}"
-        ) from None

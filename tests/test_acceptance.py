@@ -398,3 +398,28 @@ def test_criterion_10_throughput(clean_corpus):
     assert processed == 1000
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     print(f"  (throughput: {processed} snippets in {elapsed:.1f}s)")
+
+
+@criterion(11, "echo pipeline scores exactly 100 when snippets repeat")
+def test_criterion_11_echo_duplicate_snippets(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, 12, seed=1111)
+    rows = [json.loads(line) for line in corpus.read_text().splitlines()]
+    # same snippets, other descriptions: identical prompts, different echoes
+    for i, row in enumerate(rows[:3]):
+        rows.append({"id": f"dup{i}", "code": row["code"],
+                     "docstring": f"another account of snippet {i} and its result"})
+    corpus.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    out = tmp_path / "out"
+    for args in (
+        ["transform", "--corpus", str(corpus)],
+        ["generate", "--model", "echo-model", "--mock", "echo"],
+        ["score", "--tokenizer", "fallback"],
+    ):
+        assert cli_main(["--seed", "17", "--out", str(out)] + args) == 0
+
+    records = load_run(out / "runs.jsonl")
+    assert len(records) == 15 * len(Variant)
+    for rec in records:
+        assert rec.metrics.bleu4 == 100.0, rec.key
+        assert rec.metrics.bertscore_f1 == 100.0, rec.key

@@ -1,3 +1,4 @@
+import csv
 import random
 import statistics
 from fractions import Fraction
@@ -10,7 +11,6 @@ from sumprobe.analysis import (
     PairingMode,
     TooFewRecordsError,
     attribute_copies,
-    bucket_label,
     bucket_label_from_counts,
     bucketize,
     correlate,
@@ -19,9 +19,9 @@ from sumprobe.analysis import (
     paired_vs_random,
     summarize_scores,
 )
-from sumprobe.corpus import EvalRecord, Example, RunRecord
+from sumprobe.corpus import EvalRecord, RunRecord
 from sumprobe.metrics import DegenerateInputError, bleu4
-from sumprobe.subtok import FallbackTokenizer
+from sumprobe.subtok import FallbackTokenizer, code_subwords, split_code
 
 
 def record(example_id, matched, total, bleu=50.0, variant="original", model="m"):
@@ -42,12 +42,6 @@ def record(example_id, matched, total, bleu=50.0, variant="original", model="m")
 
 
 # --- buckets -----------------------------------------------------------------
-
-
-def test_bucket_boundary_examples():
-    assert bucket_label(0.0) == "=0"
-    assert bucket_label(0.05) == "(0,10]"
-    assert bucket_label(1.0) == "(90,100]"
 
 
 def test_bucket_exact_edges_via_counts():
@@ -90,52 +84,56 @@ def test_bucketize_partitions_records():
 # --- attribution ---------------------------------------------------------------
 
 
-def test_attribution_priority_function_name_first():
-    ex = Example(
-        id="e",
-        code="def from_url(url2):\n    return url2\n",
-        reference="builds a url from parts",
+def attribution(code, reference, generated, tokenize=FallbackTokenizer()):
+    """(code, reference, generated) subword counts, each keyed by category."""
+    counts = attribute_copies(
+        split_code(code, tokenize), tokenize(reference), tokenize(generated)
     )
-    result = attribute_copies(ex, "the url value", FallbackTokenizer())
+    assert [len(c) for c in counts] == [len(ATTRIBUTION_CATEGORIES)] * 3
+    return [dict(zip(ATTRIBUTION_CATEGORIES, c)) for c in counts]
+
+
+def test_attribution_priority_function_name_first():
+    _, ref, gen = attribution(
+        "def from_url(url2):\n    return url2\n", "builds a url from parts", "the url value"
+    )
     # "url" decomposes from both the function name and the identifier url2;
     # the function name wins the attribution
-    assert result.copied_to_reference["function_name"] >= 1
-    assert result.copied_to_generated["function_name"] >= 1
+    assert ref["function_name"] >= 1
+    assert gen["function_name"] >= 1
 
 
 def test_attribution_absent_token_not_attributed():
-    ex = Example(id="e", code="def add(a):\n    return a\n", reference="totally unrelated words")
-    result = attribute_copies(ex, "nothing shared here", FallbackTokenizer())
-    assert sum(result.copied_to_reference.values()) == 0
-    assert sum(result.copied_to_generated.values()) == 0
+    _, ref, gen = attribution(
+        "def add(a):\n    return a\n", "totally unrelated words", "nothing shared here"
+    )
+    assert sum(ref.values()) == 0
+    assert sum(gen.values()) == 0
 
 
 def test_attribution_keyword_only_match():
-    ex = Example(id="e", code="def f(a):\n    return a\n", reference="will return the result")
-    result = attribute_copies(ex, "only return here", FallbackTokenizer())
-    assert result.copied_to_reference["keyword"] == 1
-    assert result.copied_to_generated["keyword"] == 1
+    _, ref, gen = attribution(
+        "def f(a):\n    return a\n", "will return the result", "only return here"
+    )
+    assert ref["keyword"] == 1
+    assert gen["keyword"] == 1
 
 
 def test_attribution_totals_agree_with_copy_rate():
     import random as rnd
 
     from sumprobe.metrics import p_copy
-    from sumprobe.subtok import code_subwords
 
     from corpusgen import sample_pairs
 
     tokenize = FallbackTokenizer()
     rng = rnd.Random(17)
     for code, reference in sample_pairs(40, seed=23):
-        ex = Example(id="e", code=code, reference=reference)
         generated = " ".join(rng.sample(reference.split(), len(reference.split())))
-        result = attribute_copies(ex, generated, tokenize)
+        code_counts, ref, gen = attribution(code, reference, generated, tokenize)
         sw = code_subwords(code, tokenize)
-        for text, counts in (
-            (reference, result.copied_to_reference),
-            (generated, result.copied_to_generated),
-        ):
+        assert sum(code_counts.values()) == len(sw)
+        for text, counts in ((reference, ref), (generated, gen)):
             copied = sum(counts.values())
             rate = p_copy(sw, tokenize(text))
             assert copied == rate.matched
@@ -144,16 +142,12 @@ def test_attribution_totals_agree_with_copy_rate():
 
 
 def test_attribution_counts_cover_all_categories():
-    ex = Example(
-        id="e",
-        code='def pack(a):\n    # note\n    return "x" + str(2)\n',
-        reference="pack a value",
+    code, _, gen = attribution(
+        'def pack(a):\n    # note\n    return "x" + str(2)\n', "pack a value", "pack 2 x"
     )
-    result = attribute_copies(ex, "pack 2 x", FallbackTokenizer())
-    assert set(result.code_tokens) == set(ATTRIBUTION_CATEGORIES)
-    assert result.code_tokens["comment"] > 0
-    assert result.code_tokens["operator_delimiter"] > 0
-    assert result.copied_to_generated["number"] == 1
+    assert code["comment"] > 0
+    assert code["operator_delimiter"] > 0
+    assert gen["number"] == 1
 
 
 # --- paired distributions --------------------------------------------------------
@@ -271,17 +265,12 @@ def test_correlate_skips_missing_and_requires_two():
 
 
 def build_report_inputs():
-    examples = {}
+    references = {}
     records = []
     rng = random.Random(5)
     for variant in ("original", "no_function_body"):
         for i in range(6):
-            ex = Example(
-                id=f"e{i}",
-                code=f"def fetch_{i}(x):\n    return x + {i}\n",
-                reference=f"fetch item {i} from the store",
-            )
-            examples[(variant, ex.id)] = ex
+            references[f"e{i}"] = f"fetch item {i} from the store"
             total = rng.randint(2, 9)
             matched = rng.randint(0, total)
             rec = record(f"e{i}", matched, total, bleu=float(rng.randint(0, 100)), variant=variant)
@@ -289,16 +278,18 @@ def build_report_inputs():
             rec.metrics.p_copy_generated = 0.5
             rec.metrics.p_copy_generated_matched = 2
             rec.metrics.p_copy_generated_total = 4
+            code = [rng.randint(0, 5) for _ in ATTRIBUTION_CATEGORIES]
+            rec.metrics.copy_attribution = [code, [matched, 0, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0, 0]]
             records.append(rec)
-    return records, examples
+    return records, references
 
 
 def test_emit_report_layout_and_determinism(tmp_path):
-    records, examples = build_report_inputs()
+    records, references = build_report_inputs()
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    emit_report(records, examples, out_a, FallbackTokenizer(), seed=3)
-    emit_report(records, examples, out_b, FallbackTokenizer(), seed=3)
+    emit_report(records, references, out_a, seed=3)
+    emit_report(records, references, out_b, seed=3)
     names_a = sorted(p.name for p in out_a.iterdir())
     names_b = sorted(p.name for p in out_b.iterdir())
     assert names_a == names_b
@@ -313,8 +304,30 @@ def test_emit_report_layout_and_determinism(tmp_path):
     assert len(buckets) == 1 + 2 * len(BUCKET_LABELS)  # every bucket row present
     assert any(",0," in line or line.endswith(",0,,") for line in buckets[1:])
 
-    attribution = (out_a / "attribution.csv").read_text().splitlines()
-    assert len(attribution) == 1 + 2 * len(ATTRIBUTION_CATEGORIES)
+    with (out_a / "attribution.csv").open() as fh:
+        attribution = list(csv.DictReader(fh))
+    assert len(attribution) == 2 * len(ATTRIBUTION_CATEGORIES)
+    for variant in ("original", "no_function_body"):
+        recs = [r for r in records if r.variant == variant]
+        rows = [r for r in attribution if r["variant"] == variant]
+        for side, column in enumerate(("code_subwords", "copied_to_reference",
+                                       "copied_to_generated")):
+            assert [int(r[column]) for r in rows] == [
+                sum(r.metrics.copy_attribution[side][i] for r in recs)
+                for i in range(len(ATTRIBUTION_CATEGORIES))
+            ]
+
+    with (out_a / "correlations.csv").open() as fh:
+        correlations = list(csv.DictReader(fh))
+    assert [(r["variant"], r["metric_a"], r["metric_b"]) for r in correlations] == [
+        (variant, a, b)
+        for variant in ("original", "no_function_body")
+        for a, b in (("p_copy_reference", "bleu4"), ("bleu4", "bertscore_f1"))
+    ]
+    # record() sets BERTScore F1 equal to BLEU-4
+    assert all(float(r["pearson"]) == pytest.approx(1.0) for r in correlations
+               if r["metric_a"] == "bleu4")
+    assert all(r["pearson"] and r["spearman"] for r in correlations)
 
     svgs = [n for n in names_a if n.endswith(".svg")]
     assert svgs, "expected SVG histograms"
@@ -329,10 +342,8 @@ def test_emit_report_layout_and_determinism(tmp_path):
 
 
 def test_emit_report_empty_bucket_rows_have_count_zero(tmp_path):
-    import csv
-
-    records, examples = build_report_inputs()
-    emit_report(records, examples, tmp_path, FallbackTokenizer(), seed=3)
+    records, references = build_report_inputs()
+    emit_report(records, references, tmp_path, seed=3)
     with (tmp_path / "buckets.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     counts = {(r["variant"], r["bucket"]): int(r["count"]) for r in rows}

@@ -1,12 +1,15 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import sumprobe.pylex
 from sumprobe.cli import main
+from sumprobe.subtok import FallbackTokenizer, code_subwords
 
 from corpusgen import write_corpus
 
@@ -20,6 +23,16 @@ def corpus5(tmp_path):
     path = tmp_path / "corpus.jsonl"
     write_corpus(path, 5, seed=21)
     return path
+
+
+@pytest.fixture()
+def bpe_vocab(tmp_path):
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(json.dumps({
+        "merges": ["r e", "re t", "ret u", "retu r", "retur n"],
+        "vocab": ["r", "e", "t", "u", "n", "re", "ret", "retu", "retur", "return"],
+    }))
+    return vocab
 
 
 def read_summary(out_dir):
@@ -80,6 +93,105 @@ def test_analyze_without_score_names_prerequisite(tmp_path, corpus5, capsys):
     code = run_cli("--seed", 1, "--out", out, "analyze")
     assert code == 2
     assert "sumprobe score" in capsys.readouterr().err
+
+    # a run file scored before copy attribution was stored
+    run_cli("--seed", 1, "--out", out, "score")
+    runs = out / "runs.jsonl"
+    records = [json.loads(line) for line in runs.read_text().splitlines()]
+    for rec in records:
+        del rec["metrics"]["copy_attribution"]
+    runs.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    code = run_cli("--seed", 1, "--out", out, "analyze")
+    assert code == 2
+    assert "sumprobe score" in capsys.readouterr().err
+
+
+def test_analyze_refuses_another_tokenizer(tmp_path, corpus5, bpe_vocab, capsys):
+    out = tmp_path / "out"
+    run_cli("--seed", 1, "--out", out, "transform", "--corpus", corpus5, "--variant", "original")
+    run_cli("--seed", 1, "--out", out, "generate", "--model", "m", "--mock", "echo")
+    assert run_cli("--seed", 1, "--out", out, "score", "--tokenizer", bpe_vocab) == 0
+    assert run_cli("--seed", 1, "--out", out, "analyze") == 2
+    err = capsys.readouterr().err
+    assert "'bpe:vocab.json'" in err and "'fallback'" in err
+    assert run_cli("--seed", 1, "--out", out, "analyze", "--tokenizer", bpe_vocab) == 0
+
+
+def test_analyze_does_no_lexing(tmp_path, corpus5, monkeypatch):
+    out = tmp_path / "out"
+    for args in (
+        ["transform", "--corpus", corpus5],
+        ["generate", "--model", "m", "--mock", "echo"],
+        ["score"],
+    ):
+        assert run_cli("--seed", 1, "--out", out, *args) == 0
+
+    def no_lex(source):
+        raise AssertionError("analyze lexed code")
+
+    lex = sumprobe.pylex.lex
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if name == "sumprobe" or name.startswith("sumprobe."):
+            for alias, value in list(vars(module).items()):
+                if value is lex:
+                    monkeypatch.setattr(module, alias, no_lex)
+                    patched += 1
+    assert patched >= 2
+    assert run_cli("--seed", 1, "--out", out, "analyze") == 0
+    assert (out / "report" / "attribution.csv").exists()
+
+
+def test_score_stores_copy_attribution_counts(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, 40, seed=3)
+    out = tmp_path / "out"
+    for args in (
+        ["transform", "--corpus", corpus],
+        ["generate", "--model", "m", "--mock", "echo"],
+        ["score"],
+    ):
+        assert run_cli("--seed", 3, "--out", out, *args) == 0
+    codes = {}
+    for path in (out / "variants").iterdir():
+        for line in path.read_text().splitlines():
+            row = json.loads(line)
+            codes[(path.stem, row["id"])] = row["code"]
+    records = [json.loads(line) for line in (out / "runs.jsonl").read_text().splitlines()]
+    assert len(records) == len(codes) == 200
+    tokenize = FallbackTokenizer()
+    for rec in records:
+        m = rec["metrics"]
+        code, reference, generated = m["copy_attribution"]
+        assert sum(reference) == m["p_copy_reference_matched"]
+        assert sum(generated) == (m["p_copy_generated_matched"] if m["p_copy_generated_total"] else 0)
+        code_sw = code_subwords(codes[(rec["variant"], rec["example_id"])], tokenize)
+        assert sum(code) == len(code_sw)
+
+
+def test_failed_rewrite_keeps_previous_run_file(tmp_path, corpus5):
+    out = tmp_path / "out"
+    run_cli("--seed", 3, "--out", out, "transform", "--corpus", corpus5, "--variant", "original")
+    run_cli("--seed", 3, "--out", out, "generate", "--model", "m", "--mock", "echo")
+    runs = out / "runs.jsonl"
+    before = runs.read_bytes()
+    # score rewrites runs.jsonl with the scores added, so a file-size limit
+    # of the current size makes that write fail part-way, as a full disk would
+    child = (
+        "import resource, signal, sys\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, ({len(before)}, {len(before)}))\n"
+        "from sumprobe.cli import main\n"
+        f"sys.exit(main(['--seed', '3', '--out', {str(out)!r}, 'score']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "cannot write run file" in proc.stderr
+    assert runs.read_bytes() == before
+    assert not list(out.glob("*.tmp"))
 
 
 def test_seed_is_mandatory(tmp_path, corpus5, capsys):
@@ -147,11 +259,6 @@ def test_config_file_with_flag_override(tmp_path, corpus5):
     assert (override / "variants" / "original.jsonl").exists()
 
 
-def test_skip_lang_filter_flag_accepted(tmp_path, corpus5):
-    assert run_cli("--seed", 1, "--out", tmp_path / "out", "transform",
-                   "--corpus", corpus5, "--variant", "original", "--skip-lang-filter") == 0
-
-
 def test_console_entry_point(tmp_path, corpus5):
     out = tmp_path / "out"
     proc = subprocess.run(
@@ -163,16 +270,11 @@ def test_console_entry_point(tmp_path, corpus5):
     assert "transform:" in proc.stdout
 
 
-def test_score_with_bpe_vocab_file(tmp_path, corpus5):
-    vocab = tmp_path / "vocab.json"
-    vocab.write_text(json.dumps({
-        "merges": ["r e", "re t", "ret u", "retu r", "retur n"],
-        "vocab": ["r", "e", "t", "u", "n", "re", "ret", "retu", "retur", "return"],
-    }))
+def test_score_with_bpe_vocab_file(tmp_path, corpus5, bpe_vocab):
     out = tmp_path / "out"
     run_cli("--seed", 4, "--out", out, "transform", "--corpus", corpus5, "--variant", "original")
     run_cli("--seed", 4, "--out", out, "generate", "--model", "m", "--mock", "echo")
-    assert run_cli("--seed", 4, "--out", out, "score", "--tokenizer", vocab) == 0
+    assert run_cli("--seed", 4, "--out", out, "score", "--tokenizer", bpe_vocab) == 0
     records = [json.loads(line) for line in (out / "runs.jsonl").read_text().splitlines()]
     assert all(r["metrics"]["tokenizer_id"] == "bpe:vocab.json" for r in records)
     assert all(r["metrics"]["bleu4"] == 100.0 for r in records)

@@ -4,14 +4,12 @@ from sumprobe.corpus import Example
 from sumprobe.pylex import Category, NoFunctionError, Role, classify_roles, lex
 from sumprobe.transform import (
     DonorCollisionError,
-    NoDonorAvailableError,
     Variant,
     adversarialize,
     apply_variant,
     deobfuscate_function_names,
     donor_assignment,
     obfuscate_function_names,
-    pick_donor,
     remove_code_structure,
     remove_function_body,
     shift_name,
@@ -143,22 +141,21 @@ def two_example_corpus():
 
 def test_two_example_corpus_swaps_names():
     corpus = two_example_corpus()
-    assert pick_donor(corpus, "a", seed=1) == "save_item"
-    assert pick_donor(corpus, "b", seed=1) == "load_user"
+    assert donor_assignment(corpus, seed=1) == {"a": "save_item", "b": "load_user"}
 
 
-def test_pick_donor_deterministic():
+def test_donor_assignment_deterministic():
     corpus = [ex(f"def name_{i}(x):\n    return x\n", id=f"e{i}") for i in range(8)]
-    first = {e.id: pick_donor(corpus, e.id, seed=42) for e in corpus}
-    second = {e.id: pick_donor(corpus, e.id, seed=42) for e in corpus}
+    first = donor_assignment(corpus, seed=42)
+    second = donor_assignment(corpus, seed=42)
     assert first == second
+    assert set(first) == {e.id for e in corpus}
     assert all(first[e.id] != f"name_{i}" for i, e in enumerate(corpus))
 
 
 def test_all_names_identical_has_no_donor():
     corpus = [ex("def same(x):\n    return x\n", id=f"e{i}") for i in range(3)]
-    with pytest.raises(NoDonorAvailableError):
-        pick_donor(corpus, "e0", seed=0)
+    assert donor_assignment(corpus, seed=0) == {}
 
 
 def test_assignment_avoids_in_snippet_collisions():
