@@ -290,7 +290,9 @@ def cmd_generate(config: RunConfig) -> int:
             for ex, future in futures:
                 try:
                     new_records.append(future.result())
-                except HarnessError as exc:
+                except (HarnessError, OSError) as exc:
+                    # An OSError (say, from a cache write) costs only its
+                    # record, like an endpoint failure.
                     errors.append(
                         {"stage": "generate", "where": f"{ex.id}/{variant_value}", "error": str(exc)}
                     )
@@ -329,6 +331,30 @@ def cmd_score(config: RunConfig) -> int:
         for ex in _load_variant_examples(config, variant_value):
             examples[(variant_value, ex.id)] = ex
 
+    # Pass 1: tokenize each distinct description once (references repeat
+    # across variants, and echoes equal them) and collect the distinct
+    # subwords of every record that needs BERTScore.
+    subwords: dict[str, list[str]] = {}
+    needed: dict[str, None] = {}
+    for rec in records:
+        ex = examples.get((rec.variant, rec.example_id))
+        if ex is None:
+            continue
+        for text in (ex.reference, rec.generated):
+            if text not in subwords:
+                subwords[text] = tokenize(text)
+        if subwords[rec.generated]:
+            needed.update(dict.fromkeys(subwords[ex.reference]))
+            needed.update(dict.fromkeys(subwords[rec.generated]))
+    table = metrics.EmbeddingTable(provider)
+    try:
+        table.fetch(needed)
+    except HarnessError as exc:
+        # The table keeps the error; each record that needs BERTScore
+        # reports it below.
+        log.warning("embedding fetch failed: %s", exc)
+
+    # Pass 2: score each record from the cached subwords and vectors.
     errors: list[dict] = []
     scored: list[RunRecord] = []
     for rec in records:
@@ -341,7 +367,10 @@ def cmd_score(config: RunConfig) -> int:
             scored.append(rec)
             continue
         try:
-            scored.append(_score_record(rec, ex, tokenize, provider, config.lowercase_bleu))
+            scored.append(_score_record(
+                rec, ex, tokenize, subwords[ex.reference], subwords[rec.generated],
+                table, config.lowercase_bleu,
+            ))
         except HarnessError as exc:
             errors.append(
                 {"stage": "score", "where": f"{rec.example_id}/{rec.variant}", "error": str(exc)}
@@ -361,7 +390,9 @@ def _score_record(
     rec: RunRecord,
     ex: Example,
     tokenize,
-    provider: metrics.EmbeddingProvider,
+    ref_sw: list[str],
+    gen_sw: list[str],
+    table: metrics.EmbeddingTable,
     lowercase_bleu: bool,
 ) -> RunRecord:
     reference = ex.reference
@@ -371,8 +402,6 @@ def _score_record(
         metrics.split_description(reference, lowercase_bleu),
     )
     code = split_code(ex.code, tokenize)
-    ref_sw = tokenize(reference)
-    gen_sw = tokenize(generated)
     ref_copy = metrics.p_copy(code.subwords, ref_sw, tokenize.tokenizer_id)
     eval_rec = EvalRecord(
         bleu4=bleu.value,
@@ -388,9 +417,7 @@ def _score_record(
         eval_rec.p_copy_generated = gen_copy.value
         eval_rec.p_copy_generated_matched = gen_copy.matched
         eval_rec.p_copy_generated_total = gen_copy.total
-        bert = metrics.bertscore(
-            metrics.embed(ref_sw, provider), metrics.embed(gen_sw, provider)
-        )
+        bert = metrics.bertscore(table.vectors(ref_sw), table.vectors(gen_sw))
         eval_rec.bertscore_precision = bert.precision
         eval_rec.bertscore_recall = bert.recall
         eval_rec.bertscore_f1 = bert.f1

@@ -43,6 +43,10 @@ class MalformedResponseError(HarnessError):
     pass
 
 
+class RequestRejectedError(EndpointError):
+    """The endpoint refused the request (a 4xx other than 429)."""
+
+
 @dataclass(frozen=True)
 class PromptSpec:
     instruction: str
@@ -121,7 +125,8 @@ class ChatCompletionsClient:
 
     Transient failures (connection errors, 5xx, 429) are retried with
     exponential backoff; after `max_retries` attempts an EndpointError is
-    raised. Other HTTP errors and unparseable bodies fail immediately.
+    raised. Other HTTP errors (RequestRejectedError) and well-formed JSON of
+    the wrong shape fail immediately.
     """
 
     def __init__(
@@ -163,7 +168,8 @@ class ChatCompletionsClient:
                 )
                 if resp.status_code >= 500 or resp.status_code == 429:
                     raise EndpointError(f"endpoint returned {resp.status_code}")
-                resp.raise_for_status()
+                if resp.status_code >= 400:
+                    raise RequestRejectedError(f"endpoint returned {resp.status_code}")
                 payload = resp.json()
                 try:
                     text = payload["choices"][0]["message"]["content"]
@@ -176,7 +182,7 @@ class ChatCompletionsClient:
                 latency = time.monotonic() - start
                 usage = payload.get("usage") or {}
                 return text, latency, usage if isinstance(usage, dict) else {}
-            except MalformedResponseError:
+            except (MalformedResponseError, RequestRejectedError):
                 raise
             except (requests.RequestException, EndpointError, ValueError) as exc:
                 last = exc

@@ -11,7 +11,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 import requests
@@ -139,7 +139,13 @@ def p_copy(
 
 
 class EmbeddingProvider(Protocol):
-    """Maps a token sequence to one vector per token, deterministically."""
+    """Maps a token sequence to one vector per token, deterministically.
+
+    A token's vector depends only on the token, never on its neighbours or
+    on the other tokens of the request. Callers rely on this: they may ask
+    for any set of distinct tokens, in any order and in any grouping, and
+    reuse each vector wherever its token occurs.
+    """
 
     provider_id: str
 
@@ -166,9 +172,16 @@ class HashedOneHotProvider:
         return out
 
 
+class ProviderRejectedError(ProviderUnavailableError):
+    """The embedding service refused the request (a 4xx other than 429)."""
+
+
 class RemoteEmbeddingProvider:
     """Client for an HTTP embedding service: POST {"tokens": [...]} and get
-    back {"vectors": [[...], ...]}, one vector per token."""
+    back {"vectors": [[...], ...]}, one vector per token.
+
+    Connection errors, 429 and 5xx are retried with exponential backoff, up
+    to `max_retries` attempts; any other 4xx fails at once."""
 
     def __init__(
         self,
@@ -196,11 +209,14 @@ class RemoteEmbeddingProvider:
                 resp = requests.post(
                     self.url, data=payload, headers=headers, timeout=self.timeout
                 )
-                if resp.status_code >= 500:
+                if resp.status_code >= 500 or resp.status_code == 429:
                     raise ProviderUnavailableError(
                         f"embedding service returned {resp.status_code}"
                     )
-                resp.raise_for_status()
+                if resp.status_code >= 400:
+                    raise ProviderRejectedError(
+                        f"embedding service returned {resp.status_code}"
+                    )
                 data = resp.json()
                 vectors = data.get("vectors") if isinstance(data, dict) else None
                 if vectors is None or len(vectors) != len(tokens):
@@ -208,7 +224,7 @@ class RemoteEmbeddingProvider:
                         "embedding service returned a wrong-length vector list"
                     )
                 return np.asarray(vectors, dtype=float)
-            except DimensionMismatchError:
+            except (DimensionMismatchError, ProviderRejectedError):
                 raise
             except (requests.RequestException, ProviderUnavailableError) as exc:
                 last = exc
@@ -219,19 +235,91 @@ class RemoteEmbeddingProvider:
         )
 
 
+# Most tokens one `EmbeddingTable` asks its provider for in a single call.
+EMBED_BATCH_TOKENS = 512
+
+
+class EmbeddingTable:
+    """Token -> L2-normalized vector, fetched from `provider` once per
+    distinct token, in calls of at most EMBED_BATCH_TOKENS tokens.
+
+    Holds one matrix with a row per token and a token -> row index. A token
+    whose vector is zero fails only the lookups that contain it. The first
+    failed provider call is kept: every later lookup raises it again
+    without calling the provider, so a dead service costs one call's
+    retries, not one per lookup.
+    """
+
+    def __init__(self, provider: EmbeddingProvider) -> None:
+        self.provider = provider
+        self._rows: dict[str, int] = {}
+        self._matrix = np.zeros((0, 0))
+        self._zero: set[str] = set()
+        self._error: HarnessError | None = None
+
+    def fetch(self, tokens: Iterable[str]) -> None:
+        """Embed every token the table does not hold yet."""
+        if self._error is not None:
+            raise self._error
+        new = [tok for tok in dict.fromkeys(tokens) if tok not in self._rows]
+        for start in range(0, len(new), EMBED_BATCH_TOKENS):
+            batch = new[start : start + EMBED_BATCH_TOKENS]
+            try:
+                self._add(batch, len(new) - start, self.provider.embed(batch))
+            except HarnessError as exc:
+                self._error = exc
+                raise
+
+    def _add(self, batch: list[str], pending: int, vectors) -> None:
+        vectors = np.asarray(vectors, dtype=float)
+        if vectors.ndim != 2 or vectors.shape[0] != len(batch):
+            raise DimensionMismatchError(
+                f"provider returned shape {vectors.shape} for {len(batch)} tokens"
+            )
+        size = len(self._rows)
+        if size and vectors.shape[1] != self._matrix.shape[1]:
+            raise DimensionMismatchError(
+                f"provider returned {vectors.shape[1]}-dimensional vectors "
+                f"after {self._matrix.shape[1]}-dimensional ones"
+            )
+        if size + len(batch) > self._matrix.shape[0]:
+            # Room for the rest of this fetch at once; doubling keeps many
+            # small fetches linear.
+            grown = np.empty((max(size + pending, 2 * size), vectors.shape[1]))
+            if size:
+                grown[:size] = self._matrix[:size]
+            self._matrix = grown
+        block = self._matrix[size : size + len(batch)]
+        block[:] = vectors
+        norms = np.linalg.norm(block, axis=1, keepdims=True)
+        nonzero = norms != 0
+        np.divide(block, norms, out=block, where=nonzero)
+        for i, tok in enumerate(batch):
+            self._rows[tok] = size + i
+            if not nonzero[i, 0]:
+                self._zero.add(tok)
+
+    def vectors(self, tokens: Sequence[str]) -> np.ndarray:
+        """One unit vector per token, in order; fetches the tokens the
+        table lacks."""
+        if self._error is not None:
+            raise self._error
+        if not tokens:
+            return np.zeros((0, 0))
+        rows = self._rows
+        try:
+            index = [rows[tok] for tok in tokens]
+        except KeyError:
+            self.fetch(tokens)
+            index = [rows[tok] for tok in tokens]
+        if self._zero and not self._zero.isdisjoint(tokens):
+            raise DimensionMismatchError("provider returned a zero vector")
+        return self._matrix[index]
+
+
 def embed(tokens: Sequence[str], provider: EmbeddingProvider) -> np.ndarray:
     """One L2-normalized vector per token."""
-    if not tokens:
-        return np.zeros((0, 0))
-    vectors = np.asarray(provider.embed(tokens), dtype=float)
-    if vectors.ndim != 2 or vectors.shape[0] != len(tokens):
-        raise DimensionMismatchError(
-            f"provider returned shape {vectors.shape} for {len(tokens)} tokens"
-        )
-    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise DimensionMismatchError("provider returned a zero vector")
-    return vectors / norms
+    return EmbeddingTable(provider).vectors(tokens)
 
 
 def bertscore(x: np.ndarray, x_hat: np.ndarray) -> BertScoreResult:
@@ -298,11 +386,22 @@ def bleu_scorer(candidate_text: str, reference_text: str) -> float:
 
 
 def bertscore_scorer(provider: EmbeddingProvider, tokenize) -> Scorer:
+    """BERTScore F1 of two texts; each distinct text is tokenized once and
+    each distinct subword embedded once, on first use."""
+    table = EmbeddingTable(provider)
+    subwords: dict[str, list[str]] = {}
+
+    def tokens_of(text: str) -> list[str]:
+        found = subwords.get(text)
+        if found is None:
+            found = subwords[text] = tokenize(text)
+        return found
+
     def score(candidate_text: str, reference_text: str) -> float:
-        ref_tokens = tokenize(reference_text)
-        cand_tokens = tokenize(candidate_text)
+        ref_tokens = tokens_of(reference_text)
+        cand_tokens = tokens_of(candidate_text)
         if not ref_tokens or not cand_tokens:
             return 0.0
-        return bertscore(embed(ref_tokens, provider), embed(cand_tokens, provider)).f1
+        return bertscore(table.vectors(ref_tokens), table.vectors(cand_tokens)).f1
 
     return score

@@ -10,6 +10,8 @@ import itertools
 import json
 import math
 import random
+import re
+import shutil
 import statistics
 import time
 from collections import Counter
@@ -29,7 +31,9 @@ from sumprobe.corpus import (
     filter_example,
     load_corpus,
     load_run,
+    save_run,
 )
+from sumprobe import metrics
 from sumprobe.metrics import bertscore, bleu4, p_copy, pearson, spearman
 from sumprobe.pylex import Category, Role, UnlexableError, classify_roles, lex, signature_span
 from sumprobe.transform import (
@@ -45,6 +49,7 @@ from sumprobe.transform import (
 from sumprobe.subtok import FallbackTokenizer, code_subwords
 
 from corpusgen import write_corpus
+from httpstub import serve
 
 ORACLE_PATH = Path(__file__).parent / "data" / "bleu_oracle.jsonl"
 
@@ -423,3 +428,85 @@ def test_criterion_11_echo_duplicate_snippets(tmp_path):
     for rec in records:
         assert rec.metrics.bleu4 == 100.0, rec.key
         assert rec.metrics.bertscore_f1 == 100.0, rec.key
+
+
+class DenseProvider:
+    """Context-free dense vectors: each token's vector is seeded by the
+    token alone."""
+
+    provider_id = "dense-test"
+
+    @staticmethod
+    def vector(token):
+        rng = random.Random("dense:" + token)
+        return [rng.gauss(0, 1) for _ in range(40)]
+
+    def embed(self, tokens):
+        return np.array([self.vector(t) for t in tokens])
+
+
+@criterion(12, "score embeds each distinct subword once, scores as if text by text")
+def test_criterion_12_batched_embeddings(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, 24, seed=1212)
+    filler = "return the value of a given list for each input".split()
+
+    def chat(body, hit):
+        prompt = body["messages"][-1]["content"]
+        words = re.findall(r"[A-Za-z]+", prompt.rpartition("Code:\n")[2]) + filler
+        rng = random.Random(prompt)
+        text = " ".join(rng.choice(words) for _ in range(rng.randint(3, 10)))
+        return 200, {"choices": [{"message": {"content": f"Returns {text}."}}]}
+
+    def embeddings(body, hit):
+        return 200, {"vectors": [DenseProvider.vector(t) for t in body["tokens"]]}
+
+    out = tmp_path / "out"
+    with serve(chat) as (chat_url, _), serve(embeddings) as (embed_url, hits):
+        for args in (
+            ["transform", "--corpus", str(corpus)],
+            ["generate", "--model", "chat-model", "--endpoint", chat_url],
+            ["score", "--embedding-endpoint", embed_url],
+            ["analyze"],
+        ):
+            assert cli_main(["--seed", "19", "--out", str(out)] + args) == 0
+
+    # the same records, with BERTScore computed text by text
+    tokenize = FallbackTokenizer()
+    provider = DenseProvider()
+    references = {}
+    for path in (out / "variants").iterdir():
+        for ex in load_corpus(path)[0]:
+            references[(path.stem, ex.id)] = ex.reference
+    records = load_run(out / "runs.jsonl")
+    assert len(records) == 24 * len(Variant)
+    distinct = set()
+    for rec in records:
+        ref_sw = tokenize(references[(rec.variant, rec.example_id)])
+        gen_sw = tokenize(rec.generated)
+        assert gen_sw and rec.generated != references[(rec.variant, rec.example_id)]
+        distinct.update(ref_sw, gen_sw)
+        x, x_hat = metrics.embed(ref_sw, provider), metrics.embed(gen_sw, provider)
+        for sw, vectors in ((ref_sw, x), (gen_sw, x_hat)):
+            raw = provider.embed(sw)
+            assert np.array_equal(vectors, raw / np.linalg.norm(raw, axis=1, keepdims=True))
+        bert = metrics.bertscore(x, x_hat)
+        rec.metrics.bertscore_precision = bert.precision
+        rec.metrics.bertscore_recall = bert.recall
+        rec.metrics.bertscore_f1 = bert.f1
+    expected = tmp_path / "expected"
+    shutil.copytree(out, expected)
+    shutil.rmtree(expected / "report")
+    save_run(records, expected / "runs.jsonl")
+    assert cli_main(["--seed", "19", "--out", str(expected), "analyze"]) == 0
+    assert (out / "runs.jsonl").read_bytes() == (expected / "runs.jsonl").read_bytes()
+    names = sorted(p.name for p in (out / "report").iterdir())
+    assert names == sorted(p.name for p in (expected / "report").iterdir())
+    for name in names:
+        assert (out / "report" / name).read_bytes() == \
+            (expected / "report" / name).read_bytes(), name
+
+    assert len(hits) <= math.ceil(len(distinct) / metrics.EMBED_BATCH_TOKENS)
+    sent = [t for body in hits for t in body["tokens"]]
+    assert sorted(sent) == sorted(distinct)
+    print(f"  ({len(distinct)} distinct subwords in {len(hits)} request(s))")

@@ -1,17 +1,23 @@
 import csv
 import json
+import math
 import os
+import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import sumprobe.metrics
 import sumprobe.pylex
 from sumprobe.cli import main
+from sumprobe.llmgen import GenerationCache
 from sumprobe.subtok import FallbackTokenizer, code_subwords
 
 from corpusgen import write_corpus
+from httpstub import serve
 
 
 def run_cli(*argv):
@@ -289,3 +295,136 @@ def test_generate_with_shots_corpus(tmp_path, corpus5):
                    "--mock", "echo", "--shots-corpus", train) == 0
     records = (out / "runs.jsonl").read_text().splitlines()
     assert len(records) == 5
+
+
+def dense_vector(tok):
+    rng = random.Random("v:" + tok)
+    return [rng.gauss(0, 1) for _ in range(12)]
+
+
+def echo_run(tmp_path, examples=8, seed=41):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, examples, seed=seed)
+    out = tmp_path / "out"
+    assert run_cli("--seed", 5, "--out", out, "transform", "--corpus", corpus) == 0
+    assert run_cli("--seed", 5, "--out", out, "generate", "--model", "m", "--mock", "echo") == 0
+    return out
+
+
+def record_subwords(out):
+    """(example id, variant) -> subwords of the reference plus generation."""
+    tokenize = FallbackTokenizer()
+    refs = {}
+    for path in (out / "variants").iterdir():
+        for line in path.read_text().splitlines():
+            row = json.loads(line)
+            refs[(row["id"], path.stem)] = row["docstring"]
+    subwords = {}
+    for line in (out / "runs.jsonl").read_text().splitlines():
+        rec = json.loads(line)
+        key = (rec["example_id"], rec["variant"])
+        subwords[key] = tokenize(refs[key]) + tokenize(rec["generated"])
+    return subwords
+
+
+def score_errors(out):
+    return [json.loads(line) for line in (out / "errors_score.jsonl").read_text().splitlines()]
+
+
+def test_score_against_dead_embedding_service(tmp_path, monkeypatch):
+    out = echo_run(tmp_path)
+    monkeypatch.setattr(sumprobe.metrics.time, "sleep", lambda s: None)
+
+    def script(body, hit):
+        return 500, {"error": "down"}
+
+    with serve(script) as (url, hits):
+        assert run_cli("--seed", 5, "--out", out, "score", "--embedding-endpoint", url) == 1
+        # one request's retries in all, not one per record
+        assert len(hits) == 3
+    runs = [json.loads(line) for line in (out / "runs.jsonl").read_text().splitlines()]
+    assert len(runs) == 40
+    errors = score_errors(out)
+    assert sorted(e["where"] for e in errors) == sorted(
+        f"{r['example_id']}/{r['variant']}" for r in runs
+    )
+    assert all("unavailable after 3 attempts" in e["error"] for e in errors)
+    assert all(r["metrics"] is None for r in runs)
+    assert run_cli("--seed", 5, "--out", out, "score", "--embedding-endpoint", url,
+                   "--max-errors", 40) == 0
+
+
+def test_zero_vector_fails_only_records_with_that_token(tmp_path):
+    out = echo_run(tmp_path)
+    subwords = record_subwords(out)
+    counts = {}
+    for sws in subwords.values():
+        for tok in set(sws):
+            counts[tok] = counts.get(tok, 0) + 1
+    zero = min((n, tok) for tok, n in counts.items() if n >= 2)[1]
+    assert counts[zero] < len(subwords)
+
+    def script(body, hit):
+        return 200, {"vectors": [[0.0] * 12 if tok == zero else dense_vector(tok)
+                                 for tok in body["tokens"]]}
+
+    with serve(script) as (url, hits):
+        assert run_cli("--seed", 5, "--out", out, "score", "--embedding-endpoint", url) == 1
+        assert len(hits) == 1
+    failed = {tuple(e["where"].split("/")) for e in score_errors(out)}
+    assert failed == {key for key, sws in subwords.items() if zero in sws}
+    assert all("zero vector" in e["error"] for e in score_errors(out))
+
+
+def test_score_embeds_each_subword_once_in_bounded_requests(tmp_path, monkeypatch):
+    out = echo_run(tmp_path)
+    other = tmp_path / "other"
+    shutil.copytree(out, other)
+    distinct = {tok for sws in record_subwords(out).values() for tok in sws}
+    batch = 7
+
+    def script(body, hit):
+        return 200, {"vectors": [dense_vector(tok) for tok in body["tokens"]]}
+
+    with serve(script) as (url, hits):
+        assert run_cli("--seed", 5, "--out", other, "score", "--embedding-endpoint", url) == 0
+        assert len(hits) == math.ceil(len(distinct) / sumprobe.metrics.EMBED_BATCH_TOKENS)
+        hits.clear()
+        monkeypatch.setattr(sumprobe.metrics, "EMBED_BATCH_TOKENS", batch)
+        assert run_cli("--seed", 5, "--out", out, "score", "--embedding-endpoint", url) == 0
+        sent = [tok for body in hits for tok in body["tokens"]]
+        assert len(sent) == len(set(sent))
+        assert set(sent) == distinct
+        assert all(len(body["tokens"]) <= batch for body in hits)
+        assert len(hits) == math.ceil(len(distinct) / batch)
+    # how tokens are grouped into requests does not change a single bit
+    assert (out / "runs.jsonl").read_bytes() == (other / "runs.jsonl").read_bytes()
+
+
+def test_generate_keeps_records_when_a_cache_write_fails(tmp_path, corpus5, monkeypatch):
+    out = tmp_path / "out"
+    run_cli("--seed", 2, "--out", out, "transform", "--corpus", corpus5, "--variant", "original")
+    ids = [json.loads(line)["id"]
+           for line in (out / "variants" / "original.jsonl").read_text().splitlines()]
+    put = GenerationCache.put
+
+    def failing_put(self, key, entry):
+        if entry["example_id"] == ids[2]:
+            raise OSError(28, "No space left on device")
+        put(self, key, entry)
+
+    monkeypatch.setattr(GenerationCache, "put", failing_put)
+
+    def script(body, hit):
+        return 200, {"choices": [{"message": {"content": "Does a thing."}}]}
+
+    with serve(script) as (url, _):
+        assert run_cli("--seed", 2, "--out", out, "generate", "--model", "m",
+                       "--endpoint", url) == 0
+    saved = [json.loads(line)["example_id"]
+             for line in (out / "runs.jsonl").read_text().splitlines()]
+    assert sorted(saved) == sorted(ids[:2] + ids[3:])
+    errors = [json.loads(line)
+              for line in (out / "errors_generate.jsonl").read_text().splitlines()]
+    assert [e["where"] for e in errors] == [f"{ids[2]}/original"]
+    assert "No space left on device" in errors[0]["error"]

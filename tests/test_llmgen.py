@@ -11,6 +11,7 @@ from sumprobe.llmgen import (
     GenerationCache,
     GenRequest,
     MalformedResponseError,
+    RequestRejectedError,
     TargetInShotsError,
     build_prompt,
     generate,
@@ -202,6 +203,28 @@ def test_chat_client_malformed_response_fails_fast():
         with pytest.raises(MalformedResponseError):
             client.complete(GenRequest("m", "p"))
         assert len(hits) == 1
+
+
+def test_chat_client_does_not_retry_a_rejected_request():
+    def script(body, hit):
+        return 401, {"error": "bad key"}
+
+    with serve(script) as (url, hits):
+        client = ChatCompletionsClient(url, max_retries=5, backoff=0.0)
+        with pytest.raises(RequestRejectedError, match="401"):
+            client.complete(GenRequest("m", "p"))
+        assert len(hits) == 1
+
+
+def test_chat_client_retries_rate_limit():
+    def script(body, hit):
+        return 429, {"error": "slow down"}
+
+    with serve(script) as (url, hits):
+        client = ChatCompletionsClient(url, max_retries=4, backoff=0.0)
+        with pytest.raises(EndpointError, match="after 4 attempts"):
+            client.complete(GenRequest("m", "p"))
+        assert len(hits) == 4
 
 
 def test_generate_pipeline_with_http_client(tmp_path):

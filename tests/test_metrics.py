@@ -6,12 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sumprobe.metrics
 from sumprobe.metrics import (
     DegenerateInputError,
     DimensionMismatchError,
     EmptyDescriptionError,
     EmptySequenceError,
+    EmbeddingTable,
     HashedOneHotProvider,
+    ProviderRejectedError,
     ProviderUnavailableError,
     RemoteEmbeddingProvider,
     _stable_index,
@@ -253,6 +256,101 @@ def test_remote_embedding_provider_wrong_length():
         provider = RemoteEmbeddingProvider(url, backoff=0.0)
         with pytest.raises(DimensionMismatchError):
             provider.embed(["a", "b"])
+
+
+def test_remote_embedding_provider_does_not_retry_a_rejected_request():
+    def script(body, hit):
+        return 401, {"error": "bad key"}
+
+    with serve(script) as (url, hits):
+        provider = RemoteEmbeddingProvider(url, max_retries=3, backoff=0.0)
+        with pytest.raises(ProviderRejectedError, match="401"):
+            provider.embed(["a"])
+        assert len(hits) == 1
+
+
+def test_remote_embedding_provider_retries_rate_limit():
+    def script(body, hit):
+        return 429, {"error": "slow down"}
+
+    with serve(script) as (url, hits):
+        provider = RemoteEmbeddingProvider(url, max_retries=3, backoff=0.0)
+        with pytest.raises(ProviderUnavailableError, match="after 3 attempts"):
+            provider.embed(["a"])
+        assert len(hits) == 3
+
+
+class CountingProvider:
+    """Context-free dense vectors; remembers every call's tokens."""
+
+    provider_id = "counting"
+
+    def __init__(self, zero=()):
+        self.calls = []
+        self.zero = set(zero)
+
+    def vector(self, tok):
+        if tok in self.zero:
+            return [0.0] * 6
+        rng = random.Random(tok)
+        return [rng.gauss(0, 1) for _ in range(6)]
+
+    def embed(self, tokens):
+        self.calls.append(list(tokens))
+        return np.array([self.vector(t) for t in tokens])
+
+
+def test_embedding_table_fetches_each_token_once(monkeypatch):
+    monkeypatch.setattr(sumprobe.metrics, "EMBED_BATCH_TOKENS", 3)
+    provider = CountingProvider()
+    table = EmbeddingTable(provider)
+    table.fetch(["a", "b", "a", "c", "d", "e", "b"])
+    assert provider.calls == [["a", "b", "c"], ["d", "e"]]
+    first = table.vectors(["e", "a", "e"])
+    assert provider.calls == [["a", "b", "c"], ["d", "e"]]
+    table.vectors(["f", "a", "g", "f"])  # lazily fills what is missing
+    assert provider.calls[2:] == [["f", "g"]]
+    # each row equals the one-text embedding of its token, bit for bit
+    assert np.array_equal(first, embed(["e", "a", "e"], CountingProvider()))
+    for tok in "abcdefg":
+        assert np.array_equal(table.vectors([tok]), embed([tok], CountingProvider()))
+
+
+def test_embedding_table_zero_vector_fails_only_its_lookups():
+    table = EmbeddingTable(CountingProvider(zero={"z"}))
+    table.fetch(["a", "z", "b"])
+    assert table.vectors(["a", "b"]).shape == (2, 6)
+    with pytest.raises(DimensionMismatchError, match="zero vector"):
+        table.vectors(["a", "z"])
+    assert np.allclose(np.linalg.norm(table.vectors(["b", "a"]), axis=1), 1.0)
+
+
+def test_embedding_table_remembers_a_failed_call():
+    def script(body, hit):
+        return 500, {"error": "down"}
+
+    with serve(script) as (url, hits):
+        table = EmbeddingTable(RemoteEmbeddingProvider(url, max_retries=2, backoff=0.0))
+        with pytest.raises(ProviderUnavailableError):
+            table.fetch(["a", "b"])
+        with pytest.raises(ProviderUnavailableError):
+            table.vectors(["a"])
+        with pytest.raises(ProviderUnavailableError):
+            table.fetch(["c"])
+        assert len(hits) == 2
+
+
+def test_embedding_table_rejects_a_dimension_change():
+    class Growing:
+        provider_id = "growing"
+
+        def embed(self, tokens):
+            return np.ones((len(tokens), 2 + len(tokens)))
+
+    table = EmbeddingTable(Growing())
+    table.fetch(["a"])
+    with pytest.raises(DimensionMismatchError, match="dimensional"):
+        table.fetch(["b", "c"])
 
 
 # --- correlations ----------------------------------------------------------
