@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -244,58 +244,60 @@ def cmd_generate(config: RunConfig) -> int:
     elif not config.mock:
         log.warning("no [corpus] train_path configured; prompting zero-shot")
 
+    if config.mock:
+        if config.mock != "echo":
+            raise HarnessError(f"unknown mock {config.mock!r} (only 'echo')")
+        # Filled as the variants are read; transform leaves references
+        # untouched, so one map serves every variant.
+        references: dict[str, str] = {}
+        client: llmgen.CompletionClient = llmgen.EchoClient(references)
+    else:
+        if not config.endpoint:
+            raise HarnessError(
+                "generate needs an endpoint (--endpoint or [model] endpoint) "
+                "unless --mock echo is used"
+            )
+        client = llmgen.ChatCompletionsClient(
+            config.endpoint, api_key=os.environ.get(API_KEY_ENV)
+        )
     # The echo mock answers by example id, which the cache key leaves out,
     # and costs nothing to recompute, so it runs uncached.
     cache = None if config.mock else llmgen.GenerationCache(config.cache_dir)
+
+    def request(ex: Example) -> llmgen.GenRequest:
+        return llmgen.GenRequest(
+            model_id=config.model_id,
+            prompt=llmgen.build_prompt(ex, [s for s in shots if s[0] != ex.code]).render(),
+            temperature=config.temperature,
+            max_tokens=config.gen_max_tokens,
+            example_id=ex.id,
+        )
+
+    order: list[tuple[str, str]] = []  # (example id, variant) of each request
+
+    def builds():
+        # One variant file at a time, as the dispatcher asks for requests.
+        for variant_value in _present_variants(config):
+            for ex in _load_variant_examples(config, variant_value):
+                if config.mock:
+                    references[ex.id] = ex.reference
+                order.append((ex.id, variant_value))
+                yield functools.partial(request, ex)
+
+    results = llmgen.dispatch(builds(), client, cache, config.jobs)
     new_records: list[RunRecord] = []
     errors: list[dict] = []
-    for variant_value in _present_variants(config):
-        examples = _load_variant_examples(config, variant_value)
-        if config.mock:
-            if config.mock != "echo":
-                raise HarnessError(f"unknown mock {config.mock!r} (only 'echo')")
-            client: llmgen.CompletionClient = llmgen.EchoClient(
-                {ex.id: ex.reference for ex in examples}
-            )
+    for (example_id, variant_value), result in zip(order, results):
+        if isinstance(result, Exception):
+            where = f"{example_id}/{variant_value}"
+            errors.append({"stage": "generate", "where": where, "error": str(result)})
         else:
-            if not config.endpoint:
-                raise HarnessError(
-                    "generate needs an endpoint (--endpoint or [model] endpoint) "
-                    "unless --mock echo is used"
-                )
-            client = llmgen.ChatCompletionsClient(
-                config.endpoint, api_key=os.environ.get(API_KEY_ENV)
-            )
-
-        def run_one(ex: Example) -> RunRecord:
-            usable_shots = [s for s in shots if s[0] != ex.code]
-            prompt = llmgen.build_prompt(ex, usable_shots)
-            req = llmgen.GenRequest(
-                model_id=config.model_id,
-                prompt=prompt.render(),
-                temperature=config.temperature,
-                max_tokens=config.gen_max_tokens,
-                example_id=ex.id,
-            )
-            resp = llmgen.generate(req, client, cache)
-            return RunRecord(
-                example_id=ex.id,
+            new_records.append(RunRecord(
+                example_id=example_id,
                 variant=variant_value,
                 model_id=config.model_id,
-                generated=resp.text,
-            )
-
-        with ThreadPoolExecutor(max_workers=max(1, config.jobs)) as pool:
-            futures = [(ex, pool.submit(run_one, ex)) for ex in examples]
-            for ex, future in futures:
-                try:
-                    new_records.append(future.result())
-                except (HarnessError, OSError) as exc:
-                    # An OSError (say, from a cache write) costs only its
-                    # record, like an endpoint failure.
-                    errors.append(
-                        {"stage": "generate", "where": f"{ex.id}/{variant_value}", "error": str(exc)}
-                    )
+                generated=result.text,
+            ))
 
     merged: dict[tuple[str, str, str], RunRecord] = {}
     if config.runs_path.exists():

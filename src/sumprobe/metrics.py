@@ -5,7 +5,6 @@ BERTScore over pluggable embeddings, and correlation statistics.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import time
 from collections import Counter
@@ -14,9 +13,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
-import requests
 
 from .errors import HarnessError
+from .httpjson import post_json
 
 
 class DegenerateInputError(HarnessError):
@@ -176,12 +175,21 @@ class ProviderRejectedError(ProviderUnavailableError):
     """The embedding service refused the request (a 4xx other than 429)."""
 
 
+class MalformedReplyError(ProviderUnavailableError):
+    """The embedding service answered with a body that is not JSON."""
+
+
+class _TransientProviderError(ProviderUnavailableError):
+    """One attempt failed in a way worth retrying."""
+
+
 class RemoteEmbeddingProvider:
     """Client for an HTTP embedding service: POST {"tokens": [...]} and get
     back {"vectors": [[...], ...]}, one vector per token.
 
     Connection errors, 429 and 5xx are retried with exponential backoff, up
-    to `max_retries` attempts; any other 4xx fails at once."""
+    to `max_retries` attempts; any other 4xx, a reply that is not JSON and a
+    wrong-length vector list fail at once."""
 
     def __init__(
         self,
@@ -199,37 +207,35 @@ class RemoteEmbeddingProvider:
         self.provider_id = f"remote:{url}"
 
     def embed(self, tokens: Sequence[str]) -> np.ndarray:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        payload = json.dumps({"tokens": list(tokens)})
         last: Exception | None = None
         for attempt in range(self.max_retries):
             try:
-                resp = requests.post(
-                    self.url, data=payload, headers=headers, timeout=self.timeout
+                data = post_json(
+                    self.url,
+                    {"tokens": list(tokens)},
+                    api_key=self.api_key,
+                    timeout=self.timeout,
+                    service="embedding service",
+                    transient=_TransientProviderError,
+                    rejected=ProviderRejectedError,
+                    malformed=MalformedReplyError,
                 )
-                if resp.status_code >= 500 or resp.status_code == 429:
-                    raise ProviderUnavailableError(
-                        f"embedding service returned {resp.status_code}"
-                    )
-                if resp.status_code >= 400:
-                    raise ProviderRejectedError(
-                        f"embedding service returned {resp.status_code}"
-                    )
-                data = resp.json()
-                vectors = data.get("vectors") if isinstance(data, dict) else None
-                if vectors is None or len(vectors) != len(tokens):
-                    raise DimensionMismatchError(
-                        "embedding service returned a wrong-length vector list"
-                    )
-                return np.asarray(vectors, dtype=float)
-            except (DimensionMismatchError, ProviderRejectedError):
-                raise
-            except (requests.RequestException, ProviderUnavailableError) as exc:
+            except _TransientProviderError as exc:
                 last = exc
                 if attempt + 1 < self.max_retries:
                     time.sleep(self.backoff * 2**attempt)
+                continue
+            vectors = data.get("vectors") if isinstance(data, dict) else None
+            if not isinstance(vectors, list) or len(vectors) != len(tokens):
+                raise DimensionMismatchError(
+                    "embedding service returned a wrong-length vector list"
+                )
+            try:
+                return np.asarray(vectors, dtype=float)
+            except (TypeError, ValueError):
+                raise DimensionMismatchError(
+                    "embedding service returned vectors that are not rows of numbers"
+                ) from None
         raise ProviderUnavailableError(
             f"embedding service unavailable after {self.max_retries} attempts: {last}"
         )

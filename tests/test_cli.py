@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -6,6 +7,8 @@ import random
 import shutil
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,7 @@ import pytest
 import sumprobe.metrics
 import sumprobe.pylex
 from sumprobe.cli import main
-from sumprobe.llmgen import GenerationCache
+from sumprobe.llmgen import ChatCompletionsClient, GenerationCache
 from sumprobe.subtok import FallbackTokenizer, code_subwords
 
 from corpusgen import write_corpus
@@ -428,3 +431,119 @@ def test_generate_keeps_records_when_a_cache_write_fails(tmp_path, corpus5, monk
               for line in (out / "errors_generate.jsonl").read_text().splitlines()]
     assert [e["where"] for e in errors] == [f"{ids[2]}/original"]
     assert "No space left on device" in errors[0]["error"]
+
+
+def prompt_answer(prompt):
+    """A summary that differs from prompt to prompt."""
+    return {"choices": [{"message": {"content": f"Summary {hash_text(prompt)}."}}]}
+
+
+def hash_text(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+
+
+def sent_prompts(hits):
+    return [body["messages"][0]["content"] for body in hits]
+
+
+def test_generate_retries_after_the_other_prompts_at_one_job(tmp_path, corpus5):
+    out = tmp_path / "out"
+    run_cli("--seed", 2, "--out", out, "transform", "--corpus", corpus5, "--variant", "original")
+    failing = []
+
+    def script(body, hit):
+        prompt = body["messages"][0]["content"]
+        if hit == 0:
+            failing.append(prompt)
+            return 503, {"error": "busy"}
+        return 200, prompt_answer(prompt)
+
+    with serve(script) as (url, hits):
+        assert run_cli("--seed", 2, "--jobs", 1, "--out", out, "generate", "--model", "m",
+                       "--endpoint", url) == 0
+    prompts = sent_prompts(hits)
+    # the backoff did not hold the only worker: every other prompt went first
+    assert len(prompts) == 6 and len(set(prompts)) == 5
+    assert prompts[0] == prompts[-1] == failing[0]
+    assert (out / "errors_generate.jsonl").read_text() == ""
+
+
+def test_generate_keeps_at_most_jobs_requests_in_flight(tmp_path, corpus5):
+    out = tmp_path / "out"
+    run_cli("--seed", 2, "--out", out, "transform", "--corpus", corpus5)
+    lock = threading.Lock()
+    running = [0]
+    most = [0]
+
+    def script(body, hit):
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+        time.sleep(0.01)
+        with lock:
+            running[0] -= 1
+        return 200, prompt_answer(body["messages"][0]["content"])
+
+    with serve(script) as (url, hits):
+        assert run_cli("--seed", 2, "--jobs", 3, "--out", out, "generate", "--model", "m",
+                       "--endpoint", url) == 0
+    assert len((out / "runs.jsonl").read_text().splitlines()) == 25
+    assert 1 <= most[0] <= 3
+
+
+def test_generate_gives_up_on_one_prompt_and_keeps_the_others(tmp_path, corpus5, monkeypatch):
+    out = tmp_path / "out"
+    run_cli("--seed", 2, "--out", out, "transform", "--corpus", corpus5, "--variant", "original")
+    rows = [json.loads(line)
+            for line in (out / "variants" / "original.jsonl").read_text().splitlines()]
+    dead = rows[1]
+    monkeypatch.setattr(ChatCompletionsClient, "retry_delay", lambda self, attempt: 0.0)
+
+    def script(body, hit):
+        prompt = body["messages"][0]["content"]
+        if dead["code"] in prompt:
+            return 500, {"error": "down"}
+        return 200, prompt_answer(prompt)
+
+    with serve(script) as (url, hits):
+        assert run_cli("--seed", 2, "--out", out, "generate", "--model", "m",
+                       "--endpoint", url) == 0
+    prompts = sent_prompts(hits)
+    assert sum(dead["code"] in p for p in prompts) == ChatCompletionsClient(url).max_retries
+    errors = [json.loads(line)
+              for line in (out / "errors_generate.jsonl").read_text().splitlines()]
+    assert [e["where"] for e in errors] == [f"{dead['id']}/original"]
+    assert "unavailable after 5 attempts" in errors[0]["error"]
+    saved = [json.loads(line)["example_id"]
+             for line in (out / "runs.jsonl").read_text().splitlines()]
+    assert sorted(saved) == sorted(r["id"] for r in rows if r is not dead)
+
+
+def test_generate_sends_each_distinct_prompt_once(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, 8, seed=1111)
+    rows = [json.loads(line) for line in corpus.read_text().splitlines()]
+    # each duplicate next to its original, so that two workers would take both
+    for i in (2, 1, 0):
+        rows.insert(i + 1, {"id": f"dup{i}", "code": rows[i]["code"],
+                            "docstring": f"another account {i}"})
+    corpus.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+    def script(body, hit):
+        time.sleep(0.02)
+        return 200, prompt_answer(body["messages"][0]["content"])
+
+    runs = []
+    for jobs in (4, 1):
+        out = tmp_path / f"out{jobs}"
+        assert run_cli("--seed", 17, "--out", out, "transform", "--corpus", corpus) == 0
+        codes = {json.loads(line)["code"]
+                 for path in (out / "variants").iterdir()
+                 for line in path.read_text().splitlines()}
+        with serve(script) as (url, hits):
+            assert run_cli("--seed", 17, "--jobs", jobs, "--out", out, "generate",
+                           "--model", "m", "--endpoint", url) == 0
+        assert len(hits) == len(set(sent_prompts(hits))) == len(codes)
+        assert len((out / "runs.jsonl").read_text().splitlines()) == 11 * 5
+        runs.append((out / "runs.jsonl").read_bytes())
+    assert runs[0] == runs[1]

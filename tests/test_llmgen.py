@@ -1,8 +1,15 @@
 import json
+import ssl
+import sys
+import threading
+import time
+import urllib.error
+import urllib.request
 
 import pytest
 
 from sumprobe.corpus import Example
+from sumprobe.errors import HarnessError
 from sumprobe.llmgen import (
     INSTRUCTION,
     ChatCompletionsClient,
@@ -11,9 +18,12 @@ from sumprobe.llmgen import (
     GenerationCache,
     GenRequest,
     MalformedResponseError,
+    RateLimitedError,
     RequestRejectedError,
     TargetInShotsError,
+    TransientEndpointError,
     build_prompt,
+    dispatch,
     generate,
     postprocess,
     select_shots,
@@ -216,6 +226,17 @@ def test_chat_client_does_not_retry_a_rejected_request():
         assert len(hits) == 1
 
 
+def test_chat_client_does_not_retry_a_reply_that_is_not_json():
+    def script(body, hit):
+        return 200, "<html>proxy error</html>"
+
+    with serve(script) as (url, hits):
+        client = ChatCompletionsClient(url, max_retries=5, backoff=0.0)
+        with pytest.raises(MalformedResponseError, match="not JSON"):
+            client.complete(GenRequest("m", "p"))
+        assert len(hits) == 1
+
+
 def test_chat_client_retries_rate_limit():
     def script(body, hit):
         return 429, {"error": "slow down"}
@@ -244,3 +265,171 @@ def test_generate_pipeline_with_http_client(tmp_path):
             (tmp_path / "c" / f"{req.cache_key}.json").read_text()
         )
         assert entry["raw_text"] == "Builds the cache.\n\nExtra."
+
+
+def test_chat_client_does_not_retry_an_untrusted_certificate(monkeypatch):
+    calls = []
+
+    def urlopen(request, timeout):
+        calls.append(request)
+        raise urllib.error.URLError(
+            ssl.SSLCertVerificationError(1, "certificate verify failed")
+        )
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    client = ChatCompletionsClient("https://example.invalid/v1", max_retries=5, backoff=0.0)
+    with pytest.raises(RequestRejectedError, match="certificate not trusted"):
+        client.complete(GenRequest("m", "p"))
+    assert len(calls) == 1
+
+
+# --- dispatch -------------------------------------------------------------------
+
+
+def builds(reqs):
+    return [lambda req=req: req for req in reqs]
+
+
+def test_dispatch_shares_one_call_per_cache_key_only_with_a_cache(tmp_path):
+    reqs = [GenRequest("m", "same prompt", example_id=f"e{i}") for i in range(3)]
+    client = CountingClient()
+    assert [r.text for r in dispatch(builds(reqs), client, jobs=2)] == ["a fine summary"] * 3
+    assert client.calls == 3
+    client = CountingClient()
+    results = dispatch(builds(reqs), client, GenerationCache(tmp_path / "c"), jobs=2)
+    assert [r.text for r in results] == ["a fine summary"] * 3
+    assert client.calls == 1
+    assert len(list((tmp_path / "c").iterdir())) == 1
+
+
+class FlakyClient:
+    """Answers each prompt with itself; every third prompt fails its first
+    attempt, and prompt "dead" is rate-limited on every attempt. Counts
+    attempts and the most calls in progress at once."""
+
+    max_retries = 3
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.attempts = {}
+        self.running = 0
+        self.most_running = 0
+
+    def retry_delay(self, attempt):
+        return 0.001
+
+    def attempt(self, req):
+        with self.lock:
+            n = self.attempts[req.prompt] = self.attempts.get(req.prompt, 0) + 1
+            self.running += 1
+            self.most_running = max(self.most_running, self.running)
+        try:
+            if req.prompt == "dead":
+                raise RateLimitedError("slow down")
+            if n == 1 and int(req.prompt[1:]) % 3 == 0:
+                raise TransientEndpointError("flaky")
+            return req.prompt, 0.0, {}
+        finally:
+            with self.lock:
+                self.running -= 1
+
+
+def test_dispatch_under_thread_contention():
+    prompts = [f"p{i}" for i in range(300)] + ["dead"]
+    client = FlakyClient()
+    out = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(
+            target=lambda: out.extend(
+                dispatch(builds(GenRequest("m", p) for p in prompts), client, jobs=8)
+            )
+        )
+        worker.start()
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert [r.text for r in out[:-1]] == prompts[:-1]
+    assert isinstance(out[-1], EndpointError) and "after 3 attempts" in str(out[-1])
+    assert client.attempts == {
+        p: 3 if p == "dead" else 2 if int(p[1:]) % 3 == 0 else 1 for p in prompts
+    }
+    assert client.most_running <= 8
+
+
+def test_dispatch_reads_and_builds_each_request_when_it_is_sent():
+    drawn = []
+    built = []
+    seen = []
+
+    class Recorder(CountingClient):
+        def complete(self, req):
+            seen.append((req.prompt, len(drawn), len(built)))
+            return super().complete(req)
+
+    def build(i):
+        built.append(i)
+        return GenRequest("m", f"p{i}")
+
+    def builds():
+        for i in range(4):
+            drawn.append(i)
+            yield lambda i=i: build(i)
+
+    dispatch(builds(), Recorder())
+    # no request was read or rendered before the one ahead of it was answered
+    assert seen == [(f"p{i}", i + 1, i + 1) for i in range(4)]
+
+
+def test_dispatch_raises_what_the_requests_iterable_raises():
+    class BadInput(HarnessError):
+        pass
+
+    def builds():
+        for i in range(3):
+            yield lambda i=i: GenRequest("m", f"p{i}")
+        raise BadInput("unreadable variant file")
+
+    caught = []
+
+    def run():
+        try:
+            dispatch(builds(), CountingClient(), jobs=2)
+        except BadInput as exc:
+            caught.append(exc)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert [str(e) for e in caught] == ["unreadable variant file"]
+
+
+def test_dispatch_slows_down_for_a_rate_limit():
+    """The server accepts at most 3 requests in any 50 ms and answers 429
+    above that. A 429 stops every worker for the backoff, so each record
+    is refused at most once and all of them succeed."""
+    lock = threading.Lock()
+    accepted = []
+    refused = []
+
+    def script(body, hit):
+        prompt = body["messages"][0]["content"]
+        now = time.monotonic()
+        with lock:
+            if len([t for t in accepted if now - t < 0.05]) >= 3:
+                refused.append(prompt)
+                return 429, {"error": "slow down"}
+            accepted.append(now)
+        return 200, chat_payload(f"Answer to {prompt}.")
+
+    prompts = [f"p{i}" for i in range(20)]
+    with serve(script) as (url, hits):
+        client = ChatCompletionsClient(url, backoff=0.2)
+        results = dispatch(builds(GenRequest("m", p) for p in prompts), client, jobs=2)
+    assert [str(r) for r in results if isinstance(r, Exception)] == []
+    assert [r.text for r in results] == [f"Answer to {p}." for p in prompts]
+    # without the pause, 17 are refused at once, then again in bulk
+    assert len(refused) <= len(prompts)

@@ -14,6 +14,7 @@ from sumprobe.metrics import (
     EmptySequenceError,
     EmbeddingTable,
     HashedOneHotProvider,
+    MalformedReplyError,
     ProviderRejectedError,
     ProviderUnavailableError,
     RemoteEmbeddingProvider,
@@ -278,6 +279,29 @@ def test_remote_embedding_provider_retries_rate_limit():
         with pytest.raises(ProviderUnavailableError, match="after 3 attempts"):
             provider.embed(["a"])
         assert len(hits) == 3
+
+
+def test_remote_embedding_provider_does_not_retry_a_reply_that_is_not_json():
+    def script(body, hit):
+        return 200, "<html>proxy error</html>"
+
+    with serve(script) as (url, hits):
+        provider = RemoteEmbeddingProvider(url, max_retries=3, backoff=0.0)
+        with pytest.raises(MalformedReplyError, match="not JSON"):
+            provider.embed(["a"])
+        assert len(hits) == 1
+
+
+@pytest.mark.parametrize("vectors", [5, [[1.0, 0.0], [1.0]], [["x"], ["y"]]])
+def test_remote_embedding_provider_rejects_vectors_that_are_not_a_matrix(vectors):
+    def script(body, hit):
+        return 200, {"vectors": vectors}
+
+    with serve(script) as (url, hits):
+        provider = RemoteEmbeddingProvider(url, max_retries=3, backoff=0.0)
+        with pytest.raises(DimensionMismatchError):
+            provider.embed(["a", "b"])
+        assert len(hits) == 1
 
 
 class CountingProvider:
