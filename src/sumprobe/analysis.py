@@ -172,6 +172,24 @@ def paired_vs_random(
     return summarize_scores(scores)
 
 
+_RE_PAIRINGS = (PairingMode.REF_VS_RANDOM_GEN, PairingMode.REF_VS_REF, PairingMode.GEN_VS_GEN)
+
+
+def pairing_distributions(
+    pairs: Sequence[tuple[str, str]],
+    own_scores: Sequence[float],
+    seed: int,
+    scorer: Scorer,
+) -> dict[PairingMode, DistSummary]:
+    """One metric's four score distributions over (reference, generated)
+    `pairs`: the corresponding pairs, from `own_scores` (the records'
+    stored scores, not recomputed), and each seeded re-pairing."""
+    out = {PairingMode.REF_VS_OWN_GEN: summarize_scores(own_scores)}
+    for pairing in _RE_PAIRINGS:
+        out[pairing] = paired_vs_random(pairs, pairing, seed, scorer)
+    return out
+
+
 def correlate(
     records: Sequence[RunRecord], metric_a: str, metric_b: str
 ) -> tuple[float, float]:
@@ -212,18 +230,16 @@ def _mean_of(values: list[float]) -> float | None:
 
 def emit_report(
     records: Sequence[RunRecord],
-    references: Mapping[str, str],
+    distributions: Mapping[tuple[str, str], Mapping[PairingMode, DistSummary]],
     out_dir: str | Path,
-    seed: int,
-    extra_scorers: Mapping[str, Scorer] | None = None,
 ) -> list[Path]:
-    """Write summary/bucket/attribution/correlation CSVs and SVG histograms.
+    """Write summary/bucket/attribution/correlation/distribution CSVs and
+    SVG histograms. Scores nothing.
 
     Every record must carry its scores, copy attribution included.
-    `references` maps each example id of the original variant to its
-    reference description, for the re-paired score distributions. Output
-    is a pure function of (records, references, seed), so identical runs
-    produce byte-identical files.
+    `distributions` maps (model id, metric) to the `pairing_distributions`
+    that `score` computed. Output is a pure function of the arguments, so
+    identical runs produce byte-identical files.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -331,53 +347,40 @@ def emit_report(
     )
 
     # distributions.csv + SVGs: corresponding vs randomly re-paired scores
-    scorers: dict[str, Scorer] = {"bleu4": bleu_scorer}
-    if extra_scorers:
-        scorers.update(extra_scorers)
     rows = []
-    models = sorted({model_id for model_id, _ in group_keys})
-    for model_id in models:
-        recs = groups.get((model_id, Variant.ORIGINAL.value), [])
-        pairs = [
-            (references[r.example_id], r.generated)
-            for r in recs
-            if r.example_id in references
-        ]
-        if len(pairs) < 2:
-            continue
-        for metric_name in sorted(scorers):
-            series = []
-            for pairing in (PairingMode.REF_VS_OWN_GEN, PairingMode.REF_VS_RANDOM_GEN,
-                            PairingMode.REF_VS_REF, PairingMode.GEN_VS_GEN):
-                summary = paired_vs_random(pairs, pairing, seed, scorers[metric_name])
-                rows.append(
-                    [
-                        model_id,
-                        metric_name,
-                        pairing.value,
-                        str(summary.count),
-                        _fnum(summary.mean),
-                        _fnum(summary.median),
-                        _fnum(summary.q1),
-                        _fnum(summary.q3),
-                    ]
-                )
-                if pairing in (PairingMode.REF_VS_OWN_GEN, PairingMode.REF_VS_RANDOM_GEN):
-                    series.append((pairing.value, [float(b) for b in summary.bins]))
-            svg_path = out_dir / f"{metric_name}_paired_{_slug(model_id)}.svg"
-            bin_labels = [
-                f"{i * HIST_BIN_WIDTH}-{(i + 1) * HIST_BIN_WIDTH}"
-                for i in range(HIST_BINS)
-            ]
-            svg_path.write_text(
-                grouped_bars(
-                    f"{metric_name}: corresponding vs random pairs ({model_id})",
-                    bin_labels,
-                    series,
-                ),
-                encoding="utf-8",
+    for model_id, metric_name in sorted(distributions):
+        summaries = distributions[(model_id, metric_name)]
+        series = []
+        for pairing in PairingMode:
+            summary = summaries[pairing]
+            rows.append(
+                [
+                    model_id,
+                    metric_name,
+                    pairing.value,
+                    str(summary.count),
+                    _fnum(summary.mean),
+                    _fnum(summary.median),
+                    _fnum(summary.q1),
+                    _fnum(summary.q3),
+                ]
             )
-            written.append(svg_path)
+            if pairing in (PairingMode.REF_VS_OWN_GEN, PairingMode.REF_VS_RANDOM_GEN):
+                series.append((pairing.value, [float(b) for b in summary.bins]))
+        svg_path = out_dir / f"{metric_name}_paired_{_slug(model_id)}.svg"
+        bin_labels = [
+            f"{i * HIST_BIN_WIDTH}-{(i + 1) * HIST_BIN_WIDTH}"
+            for i in range(HIST_BINS)
+        ]
+        svg_path.write_text(
+            grouped_bars(
+                f"{metric_name}: corresponding vs random pairs ({model_id})",
+                bin_labels,
+                series,
+            ),
+            encoding="utf-8",
+        )
+        written.append(svg_path)
     write_csv(
         "distributions.csv",
         ["model_id", "metric", "pairing", "count", "mean", "median", "q1", "q3"],

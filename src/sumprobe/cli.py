@@ -8,6 +8,7 @@ re-run independently and a full pipeline is reproducible byte-for-byte from
     out/rejects.jsonl              filtered-out examples with reasons
     out/errors_<stage>.jsonl       record-level errors per stage
     out/runs.jsonl                 one record per (example, variant, model)
+    out/pairings.jsonl             corresponding vs re-paired score distributions
     out/cache/                     LLM response cache
     out/report/                    CSV + SVG report
 
@@ -20,14 +21,23 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
+import hashlib
+import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import llmgen, metrics
-from .analysis import attribute_copies, bucket_label_from_counts, emit_report
+from .analysis import (
+    DistSummary,
+    PairingMode,
+    attribute_copies,
+    bucket_label_from_counts,
+    emit_report,
+    pairing_distributions,
+)
 from .corpus import (
     EvalRecord,
     Example,
@@ -39,7 +49,7 @@ from .corpus import (
     write_jsonl,
 )
 from .errors import HarnessError
-from .metrics import HashedOneHotProvider, RemoteEmbeddingProvider, bertscore_scorer
+from .metrics import HashedOneHotProvider, RemoteEmbeddingProvider
 from .subtok import split_code, tokenizer_from_spec
 from .transform import Variant, apply_variant, donor_assignment
 
@@ -94,6 +104,10 @@ class RunConfig:
     @property
     def runs_path(self) -> Path:
         return self.out / "runs.jsonl"
+
+    @property
+    def pairings_path(self) -> Path:
+        return self.out / "pairings.jsonl"
 
     @property
     def cache_dir(self) -> Path:
@@ -315,6 +329,7 @@ def cmd_generate(config: RunConfig) -> int:
 
 
 def cmd_score(config: RunConfig) -> int:
+    seed = config.require_seed()
     if not config.runs_path.exists():
         raise PrerequisiteError(
             f"missing {config.runs_path}; run `sumprobe generate` first"
@@ -335,7 +350,8 @@ def cmd_score(config: RunConfig) -> int:
 
     # Pass 1: tokenize each distinct description once (references repeat
     # across variants, and echoes equal them) and collect the distinct
-    # subwords of every record that needs BERTScore.
+    # subwords of every record that needs BERTScore, and of every original
+    # record, which the re-paired BERTScore may pair with any other.
     subwords: dict[str, list[str]] = {}
     needed: dict[str, None] = {}
     for rec in records:
@@ -345,7 +361,7 @@ def cmd_score(config: RunConfig) -> int:
         for text in (ex.reference, rec.generated):
             if text not in subwords:
                 subwords[text] = tokenize(text)
-        if subwords[rec.generated]:
+        if subwords[rec.generated] or rec.variant == Variant.ORIGINAL.value:
             needed.update(dict.fromkeys(subwords[ex.reference]))
             needed.update(dict.fromkeys(subwords[rec.generated]))
     table = metrics.EmbeddingTable(provider)
@@ -356,9 +372,25 @@ def cmd_score(config: RunConfig) -> int:
         # reports it below.
         log.warning("embedding fetch failed: %s", exc)
 
+    ngrams = metrics.NgramTable()
+
+    def bleu(candidate: str, reference: str) -> float:
+        return metrics.bleu4(
+            metrics.split_description(candidate, config.lowercase_bleu),
+            metrics.split_description(reference, config.lowercase_bleu),
+            ngrams,
+        ).value
+
+    def bertscore_f1(candidate: str, reference: str) -> float:
+        ref_sw, gen_sw = subwords[reference], subwords[candidate]
+        if not ref_sw or not gen_sw:
+            return 0.0
+        return metrics.bertscore(table.vectors(ref_sw), table.vectors(gen_sw)).f1
+
     # Pass 2: score each record from the cached subwords and vectors.
     errors: list[dict] = []
     scored: list[RunRecord] = []
+    originals: dict[tuple[str, str, str], str] = {}  # key -> reference
     for rec in records:
         ex = examples.get((rec.variant, rec.example_id))
         if ex is None:
@@ -371,15 +403,29 @@ def cmd_score(config: RunConfig) -> int:
         try:
             scored.append(_score_record(
                 rec, ex, tokenize, subwords[ex.reference], subwords[rec.generated],
-                table, config.lowercase_bleu,
+                table, bleu,
             ))
         except HarnessError as exc:
             errors.append(
                 {"stage": "score", "where": f"{rec.example_id}/{rec.variant}", "error": str(exc)}
             )
             scored.append(rec)
+            continue
+        if rec.variant == Variant.ORIGINAL.value:
+            originals[rec.key] = ex.reference
     scored.sort(key=_record_sort_key)
     save_run(scored, config.runs_path)
+    header = {
+        "seed": seed,
+        "tokenizer_id": tokenize.tokenizer_id,
+        "provider_id": provider.provider_id,
+        "lowercase_bleu": config.lowercase_bleu,
+        "records_digest": _originals_digest(scored),
+    }
+    rows = _pairing_rows(
+        scored, originals, seed, {"bleu4": bleu, "bertscore_f1": bertscore_f1}, errors
+    )
+    write_jsonl(config.pairings_path, [header] + rows)
     write_jsonl(config.out / "errors_score.jsonl", errors)
     for err in errors:
         log.warning("score error at %s: %s", err["where"], err["error"])
@@ -395,18 +441,12 @@ def _score_record(
     ref_sw: list[str],
     gen_sw: list[str],
     table: metrics.EmbeddingTable,
-    lowercase_bleu: bool,
+    bleu: metrics.Scorer,
 ) -> RunRecord:
-    reference = ex.reference
-    generated = rec.generated
-    bleu = metrics.bleu4(
-        metrics.split_description(generated, lowercase_bleu),
-        metrics.split_description(reference, lowercase_bleu),
-    )
     code = split_code(ex.code, tokenize)
     ref_copy = metrics.p_copy(code.subwords, ref_sw, tokenize.tokenizer_id)
     eval_rec = EvalRecord(
-        bleu4=bleu.value,
+        bleu4=bleu(rec.generated, ex.reference),
         p_copy_reference=ref_copy.value,
         p_copy_reference_matched=ref_copy.matched,
         p_copy_reference_total=ref_copy.total,
@@ -436,6 +476,81 @@ def _score_record(
     )
 
 
+def _originals_digest(records: list[RunRecord]) -> str:
+    """Digest of the original-variant records' generations and stored
+    scores, in run-file order: ties a pairings file to its run file."""
+    h = hashlib.sha256()
+    for rec in records:
+        if rec.variant == Variant.ORIGINAL.value:
+            m = rec.metrics
+            row = [rec.model_id, rec.example_id, rec.generated,
+                   m and m.bleu4, m and m.bertscore_f1]
+            h.update(json.dumps(row).encode() + b"\n")
+    return h.hexdigest()
+
+
+def _pairing_rows(
+    scored: list[RunRecord],
+    originals: dict[tuple[str, str, str], str],
+    seed: int,
+    scorers: dict[str, metrics.Scorer],
+    errors: list[dict],
+) -> list[dict]:
+    """pairings.jsonl rows: per model with two or more original records
+    scored in this run (`originals`: key -> reference), in run-file order,
+    and per metric, the four `pairing_distributions`."""
+    by_model: dict[str, list[RunRecord]] = {}
+    for rec in scored:
+        if rec.key in originals:
+            by_model.setdefault(rec.model_id, []).append(rec)
+    rows = []
+    for model_id, recs in sorted(by_model.items()):
+        if len(recs) < 2:
+            continue
+        pairs = [(originals[rec.key], rec.generated) for rec in recs]
+        for metric_name, scorer in sorted(scorers.items()):
+            own = [getattr(rec.metrics, metric_name) for rec in recs]
+            try:
+                summaries = pairing_distributions(pairs, own, seed, scorer)
+            except HarnessError as exc:
+                errors.append({"stage": "score", "where": f"{model_id}/{metric_name} pairings",
+                               "error": str(exc)})
+                continue
+            rows.extend(
+                {"model_id": model_id, "metric": metric_name, "pairing": pairing.value,
+                 **asdict(summary)}
+                for pairing, summary in summaries.items()
+            )
+    return rows
+
+
+def _read_pairings(
+    path: Path, expected: dict
+) -> dict[tuple[str, str], dict[PairingMode, DistSummary]]:
+    """The distributions of a pairings file whose header holds the
+    `expected` values (seed, tokenizer and records digest)."""
+    rerun = f"rerun `sumprobe score --seed {expected['seed']}`"
+    if not path.exists():
+        raise PrerequisiteError(f"missing {path}; {rerun}")
+    distributions: dict[tuple[str, str], dict[PairingMode, DistSummary]] = {}
+    try:
+        header, *rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        stale = [name for name, value in expected.items() if header.get(name) != value]
+        for row in rows:
+            key = (row.pop("model_id"), row.pop("metric"))
+            pairing = PairingMode(row.pop("pairing"))
+            distributions.setdefault(key, {})[pairing] = DistSummary(
+                **{**row, "bins": tuple(row["bins"])}
+            )
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise PrerequisiteError(f"cannot read {path} ({exc}); {rerun}") from exc
+    if stale:
+        raise PrerequisiteError(
+            f"{path} was written for another run (its {', '.join(stale)} differ); {rerun}"
+        )
+    return distributions
+
+
 def cmd_analyze(config: RunConfig) -> int:
     seed = config.require_seed()
     if not config.runs_path.exists():
@@ -456,28 +571,21 @@ def cmd_analyze(config: RunConfig) -> int:
             f"{len(unscored)} record(s) have no scores or no copy-attribution "
             "counts; run `sumprobe score` first"
         )
-    tokenize = tokenizer_from_spec(config.tokenizer)
+    # Only the tokenizer's id is compared; analyze tokenizes nothing.
+    tokenizer_id = tokenizer_from_spec(config.tokenizer).tokenizer_id
     scored_with = sorted({rec.metrics.tokenizer_id for rec in records})
-    if scored_with != [tokenize.tokenizer_id]:
+    if scored_with != [tokenizer_id]:
         raise HarnessError(
             f"records were scored with tokenizer {', '.join(map(repr, scored_with))} "
-            f"but analyze was given {tokenize.tokenizer_id!r}; pass the tokenizer "
+            f"but analyze was given {tokenizer_id!r}; pass the tokenizer "
             "that `sumprobe score` used"
         )
-    provider = HashedOneHotProvider(config.embedding_dim)
-    references: dict[str, str] = {}
-    if any(rec.variant == Variant.ORIGINAL.value for rec in records):
-        references = {
-            ex.id: ex.reference
-            for ex in _load_variant_examples(config, Variant.ORIGINAL.value)
-        }
-    written = emit_report(
-        records,
-        references,
-        config.report,
-        seed,
-        extra_scorers={"bertscore_f1": bertscore_scorer(provider, tokenize)},
-    )
+    distributions = _read_pairings(config.pairings_path, {
+        "seed": seed,
+        "tokenizer_id": tokenizer_id,
+        "records_digest": _originals_digest(records),
+    })
+    written = emit_report(records, distributions, config.report)
     print(f"analyze: wrote {len(written)} file(s) to {config.report}")
     return 0
 

@@ -9,7 +9,6 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
@@ -63,7 +62,38 @@ class BertScoreResult:
 _SMOOTH_K = 5
 
 
-def bleu4(candidate: Sequence[str], reference: Sequence[str]) -> BleuScore:
+def ngram_counts(tokens: Sequence[str]) -> tuple[Counter, ...]:
+    """Counts of the n-grams of `tokens`, one Counter per order n = 1..4.
+    Unigrams are keyed by the token itself, longer n-grams by a tuple."""
+    return (Counter(tokens),) + tuple(
+        Counter(zip(*(tokens[i:] for i in range(order)))) for order in (2, 3, 4)
+    )
+
+
+class NgramTable:
+    """Token list -> its `ngram_counts`, counted once per distinct list.
+
+    Pass one table as `bleu4(..., ngrams=table)` to every score of a batch
+    in which texts recur, as a reference does across variants. The counts
+    are integers, so a table changes no score by a single bit.
+    """
+
+    def __init__(self) -> None:
+        self._counts: dict[tuple[str, ...], tuple[Counter, ...]] = {}
+
+    def __call__(self, tokens: Sequence[str]) -> tuple[Counter, ...]:
+        key = tuple(tokens)
+        found = self._counts.get(key)
+        if found is None:
+            found = self._counts[key] = ngram_counts(key)
+        return found
+
+
+def bleu4(
+    candidate: Sequence[str],
+    reference: Sequence[str],
+    ngrams: Callable[[Sequence[str]], tuple[Counter, ...]] = ngram_counts,
+) -> BleuScore:
     """Sentence BLEU-4 with smoothing method 4, on a 0-100 scale.
 
     Modified n-gram precisions (clipped counts) for n = 1..4; a zero-match
@@ -71,35 +101,24 @@ def bleu4(candidate: Sequence[str], reference: Sequence[str]) -> BleuScore:
     ln(len(candidate)) / (2^k * 5) over that order's n-gram count, where k
     numbers the zero-match orders from 1. Brevity penalty exp(1 - r/c) when
     the candidate is shorter than the reference. No unigram match at all
-    scores 0. An empty candidate scores 0.
+    scores 0. An empty candidate scores 0. `ngrams` counts a token list's
+    n-grams; an `NgramTable` counts each distinct list once.
     """
     if not reference:
         raise DegenerateInputError("reference must be non-empty")
-    counts: list[tuple[int, int]] = []
-    for order in range(1, 5):
-        if len(candidate) >= order:
-            hyp = Counter(
-                tuple(candidate[i : i + order])
-                for i in range(len(candidate) - order + 1)
-            )
-            ref: Counter = Counter(
-                tuple(reference[i : i + order])
-                for i in range(len(reference) - order + 1)
-            )
-            clipped = sum(min(c, ref[g]) for g, c in hyp.items())
-            total = sum(hyp.values())
-        else:
-            clipped, total = 0, 0
-        counts.append((clipped, max(1, total)))
-
     c, r = len(candidate), len(reference)
     if c == 0:
         return BleuScore(0.0, (0.0, 0.0, 0.0, 0.0), 0.0)
+    counts: list[tuple[int, int]] = []
+    for order, (hyp, ref) in enumerate(zip(ngrams(candidate), ngrams(reference)), start=1):
+        clipped = sum(min(hyp[g], ref[g]) for g in hyp.keys() & ref.keys())
+        counts.append((clipped, max(1, c - order + 1)))
+
     bp = 1.0 if c > r else math.exp(1 - r / c)
     if counts[0][0] == 0:
         return BleuScore(0.0, tuple(n / d for n, d in counts), bp)
 
-    smoothed: list = []
+    smoothed: list[float] = []
     incvnt = 1
     for clipped, total in counts:
         if clipped == 0 and c > 1:
@@ -107,10 +126,10 @@ def bleu4(candidate: Sequence[str], reference: Sequence[str]) -> BleuScore:
             smoothed.append(numerator / total)
             incvnt += 1
         else:
-            smoothed.append(Fraction(clipped, total))
+            smoothed.append(clipped / total)
     s = math.fsum(0.25 * math.log(p) for p in smoothed if p > 0)
     value = bp * math.exp(s) * 100
-    return BleuScore(value, tuple(float(p) for p in smoothed), bp)
+    return BleuScore(value, tuple(smoothed), bp)
 
 
 def split_description(text: str, lowercase: bool = False) -> list[str]:
@@ -389,25 +408,3 @@ Scorer = Callable[[str, str], float]
 
 def bleu_scorer(candidate_text: str, reference_text: str) -> float:
     return bleu4(split_description(candidate_text), split_description(reference_text)).value
-
-
-def bertscore_scorer(provider: EmbeddingProvider, tokenize) -> Scorer:
-    """BERTScore F1 of two texts; each distinct text is tokenized once and
-    each distinct subword embedded once, on first use."""
-    table = EmbeddingTable(provider)
-    subwords: dict[str, list[str]] = {}
-
-    def tokens_of(text: str) -> list[str]:
-        found = subwords.get(text)
-        if found is None:
-            found = subwords[text] = tokenize(text)
-        return found
-
-    def score(candidate_text: str, reference_text: str) -> float:
-        ref_tokens = tokens_of(reference_text)
-        cand_tokens = tokens_of(candidate_text)
-        if not ref_tokens or not cand_tokens:
-            return 0.0
-        return bertscore(table.vectors(ref_tokens), table.vectors(cand_tokens)).f1
-
-    return score

@@ -7,6 +7,8 @@ import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+POLL_INTERVAL_S = 0.01
+
 
 @contextmanager
 def serve(script):
@@ -38,7 +40,11 @@ def serve(script):
             pass
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for serve_forever to wake up and see it; at the
+    # default half-second poll that is half a second per block.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": POLL_INTERVAL_S}, daemon=True
+    )
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_address[1]}/v1", hits

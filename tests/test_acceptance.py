@@ -277,13 +277,14 @@ def test_criterion_6_end_to_end_echo(tmp_path):
 
     with (out / "report" / "distributions.csv").open() as fh:
         dist = list(csv.DictReader(fh))
-    own = {r["metric"]: float(r["median"]) for r in dist
-           if r["pairing"] == "ref-vs-own-gen"}
-    rand = {r["metric"]: float(r["median"]) for r in dist
-            if r["pairing"] == "ref-vs-random-gen"}
-    assert own["bleu4"] == 100.0 and own["bertscore_f1"] == 100.0
-    assert rand["bleu4"] < 100.0
-    assert rand["bertscore_f1"] < 100.0
+    for statistic in ("median", "mean"):
+        own = {r["metric"]: float(r[statistic]) for r in dist
+               if r["pairing"] == "ref-vs-own-gen"}
+        rand = {r["metric"]: float(r[statistic]) for r in dist
+                if r["pairing"] == "ref-vs-random-gen"}
+        assert own == {"bleu4": 100.0, "bertscore_f1": 100.0}, statistic
+        assert rand["bleu4"] < 100.0, statistic
+        assert rand["bertscore_f1"] < 100.0, statistic
 
 
 @criterion(7, "every record lands in exactly one of the 11 buckets")
@@ -445,24 +446,28 @@ class DenseProvider:
         return np.array([self.vector(t) for t in tokens])
 
 
+def chat_words(body, hit):
+    """Chat server script: a seeded sentence of words from the prompt's
+    code and a fixed filler, never the reference."""
+    filler = "return the value of a given list for each input".split()
+    prompt = body["messages"][-1]["content"]
+    words = re.findall(r"[A-Za-z]+", prompt.rpartition("Code:\n")[2]) + filler
+    rng = random.Random(prompt)
+    text = " ".join(rng.choice(words) for _ in range(rng.randint(3, 10)))
+    return 200, {"choices": [{"message": {"content": f"Returns {text}."}}]}
+
+
+def dense_embeddings(body, hit):
+    """Embedding server script: `DenseProvider` vectors."""
+    return 200, {"vectors": [DenseProvider.vector(t) for t in body["tokens"]]}
+
+
 @criterion(12, "score embeds each distinct subword once, scores as if text by text")
 def test_criterion_12_batched_embeddings(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     write_corpus(corpus, 24, seed=1212)
-    filler = "return the value of a given list for each input".split()
-
-    def chat(body, hit):
-        prompt = body["messages"][-1]["content"]
-        words = re.findall(r"[A-Za-z]+", prompt.rpartition("Code:\n")[2]) + filler
-        rng = random.Random(prompt)
-        text = " ".join(rng.choice(words) for _ in range(rng.randint(3, 10)))
-        return 200, {"choices": [{"message": {"content": f"Returns {text}."}}]}
-
-    def embeddings(body, hit):
-        return 200, {"vectors": [DenseProvider.vector(t) for t in body["tokens"]]}
-
     out = tmp_path / "out"
-    with serve(chat) as (chat_url, _), serve(embeddings) as (embed_url, hits):
+    with serve(chat_words) as (chat_url, _), serve(dense_embeddings) as (embed_url, hits):
         for args in (
             ["transform", "--corpus", str(corpus)],
             ["generate", "--model", "chat-model", "--endpoint", chat_url],
@@ -510,3 +515,52 @@ def test_criterion_12_batched_embeddings(tmp_path):
     sent = [t for body in hits for t in body["tokens"]]
     assert sorted(sent) == sorted(distinct)
     print(f"  ({len(distinct)} distinct subwords in {len(hits)} request(s))")
+
+
+def own_gen_means(out):
+    """{metric: (summary.csv mean of the original rows, distributions.csv
+    ref-vs-own-gen mean)}."""
+    with (out / "report" / "summary.csv").open() as fh:
+        original = next(r for r in csv.DictReader(fh) if r["variant"] == "original")
+    with (out / "report" / "distributions.csv").open() as fh:
+        own = {r["metric"]: float(r["mean"]) for r in csv.DictReader(fh)
+               if r["pairing"] == "ref-vs-own-gen"}
+    return {metric: (float(original[f"mean_{metric}"]), own[metric])
+            for metric in ("bleu4", "bertscore_f1")}
+
+
+@criterion(13, "the ref-vs-own-gen means are the summary means, whatever scored them")
+def test_criterion_13_one_scoring_configuration(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, 16, seed=1313)
+
+    # (a) upper-cased echoes, BLEU scored case-insensitively
+    out = tmp_path / "lowercase"
+    for args in (["transform", "--corpus", str(corpus)],
+                 ["generate", "--model", "echo-model", "--mock", "echo"]):
+        assert cli_main(["--seed", "23", "--out", str(out)] + args) == 0
+    records = load_run(out / "runs.jsonl")
+    for rec in records:
+        rec.generated = rec.generated.upper()
+    save_run(records, out / "runs.jsonl")
+    for args in (["score", "--lowercase-bleu"], ["analyze"]):
+        assert cli_main(["--seed", "23", "--out", str(out)] + args) == 0
+    means = own_gen_means(out)
+    assert means["bleu4"] == (100.0, 100.0)
+    assert means["bertscore_f1"][0] == means["bertscore_f1"][1]
+
+    # (b) a remote embedding service with dense vectors
+    out = tmp_path / "remote"
+    with serve(chat_words) as (chat_url, _), serve(dense_embeddings) as (embed_url, hits):
+        for args in (
+            ["transform", "--corpus", str(corpus)],
+            ["generate", "--model", "chat-model", "--endpoint", chat_url],
+            ["score", "--embedding-endpoint", embed_url],
+            ["analyze"],
+        ):
+            assert cli_main(["--seed", "23", "--out", str(out)] + args) == 0
+    assert len(hits) == 1
+    means = own_gen_means(out)
+    for metric, (summary_mean, own_mean) in means.items():
+        assert summary_mean == own_mean, metric
+    assert means["bertscore_f1"][0] < 100.0

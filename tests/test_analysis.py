@@ -17,10 +17,11 @@ from sumprobe.analysis import (
     derangement,
     emit_report,
     paired_vs_random,
+    pairing_distributions,
     summarize_scores,
 )
 from sumprobe.corpus import EvalRecord, RunRecord
-from sumprobe.metrics import DegenerateInputError, bleu4
+from sumprobe.metrics import DegenerateInputError, bleu4, bleu_scorer
 from sumprobe.subtok import FallbackTokenizer, code_subwords, split_code
 
 
@@ -281,15 +282,22 @@ def build_report_inputs():
             code = [rng.randint(0, 5) for _ in ATTRIBUTION_CATEGORIES]
             rec.metrics.copy_attribution = [code, [matched, 0, 0, 0, 0, 0, 0], [2, 0, 0, 0, 0, 0, 0]]
             records.append(rec)
-    return records, references
+    original = [r for r in records if r.variant == "original"]
+    pairs = [(references[r.example_id], r.generated) for r in original]
+    distributions = {
+        ("m", "bleu4"): pairing_distributions(
+            pairs, [r.metrics.bleu4 for r in original], 3, bleu_scorer
+        )
+    }
+    return records, distributions
 
 
 def test_emit_report_layout_and_determinism(tmp_path):
-    records, references = build_report_inputs()
+    records, distributions = build_report_inputs()
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    emit_report(records, references, out_a, seed=3)
-    emit_report(records, references, out_b, seed=3)
+    emit_report(records, distributions, out_a)
+    emit_report(records, distributions, out_b)
     names_a = sorted(p.name for p in out_a.iterdir())
     names_b = sorted(p.name for p in out_b.iterdir())
     assert names_a == names_b
@@ -329,6 +337,15 @@ def test_emit_report_layout_and_determinism(tmp_path):
                if r["metric_a"] == "bleu4")
     assert all(r["pearson"] and r["spearman"] for r in correlations)
 
+    with (out_a / "distributions.csv").open() as fh:
+        dist = list(csv.DictReader(fh))
+    assert [(r["model_id"], r["metric"], r["pairing"]) for r in dist] == [
+        ("m", "bleu4", pairing.value) for pairing in PairingMode
+    ]
+    summaries = distributions[("m", "bleu4")]
+    assert [float(r["mean"]) for r in dist] == [summaries[p].mean for p in PairingMode]
+    assert "bleu4_paired_m.svg" in names_a
+
     svgs = [n for n in names_a if n.endswith(".svg")]
     assert svgs, "expected SVG histograms"
     import xml.etree.ElementTree as ET
@@ -342,8 +359,8 @@ def test_emit_report_layout_and_determinism(tmp_path):
 
 
 def test_emit_report_empty_bucket_rows_have_count_zero(tmp_path):
-    records, references = build_report_inputs()
-    emit_report(records, references, tmp_path, seed=3)
+    records, distributions = build_report_inputs()
+    emit_report(records, distributions, tmp_path)
     with (tmp_path / "buckets.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     counts = {(r["variant"], r["bucket"]): int(r["count"]) for r in rows}

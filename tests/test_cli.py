@@ -151,6 +151,72 @@ def test_analyze_does_no_lexing(tmp_path, corpus5, monkeypatch):
     assert (out / "report" / "attribution.csv").exists()
 
 
+def test_analyze_scores_nothing(tmp_path, monkeypatch):
+    out = echo_run(tmp_path)
+    assert run_cli("--seed", 5, "--out", out, "score") == 0
+    assert run_cli("--seed", 5, "--out", out, "analyze") == 0
+    report = {p.name: p.read_bytes() for p in (out / "report").iterdir()}
+    shutil.rmtree(out / "variants")
+    shutil.rmtree(out / "report")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze scored text")
+
+    monkeypatch.setattr(FallbackTokenizer, "__call__", refuse)
+    monkeypatch.setattr(sumprobe.metrics.HashedOneHotProvider, "embed", refuse)
+    bleu4 = sumprobe.metrics.bleu4
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if name == "sumprobe" or name.startswith("sumprobe."):
+            for alias, value in list(vars(module).items()):
+                if value is bleu4:
+                    monkeypatch.setattr(module, alias, refuse)
+                    patched += 1
+    assert patched >= 1
+    assert run_cli("--seed", 5, "--out", out, "analyze") == 0
+    assert {p.name: p.read_bytes() for p in (out / "report").iterdir()} == report
+
+
+@pytest.mark.parametrize("case", ["missing", "another seed", "another score run"])
+def test_analyze_refuses_pairings_of_another_score(tmp_path, case, capsys):
+    out = echo_run(tmp_path)
+    assert run_cli("--seed", 5, "--out", out, "score") == 0
+    pairings = out / "pairings.jsonl"
+    seed = 5
+    if case == "missing":
+        pairings.unlink()
+    elif case == "another seed":
+        seed = 6
+    else:
+        # a score killed after rewriting runs.jsonl leaves the old side file
+        old = pairings.read_bytes()
+        runs = out / "runs.jsonl"
+        records = [json.loads(line) for line in runs.read_text().splitlines()]
+        original = next(rec for rec in records if rec["variant"] == "original")
+        original["generated"] += " twice"
+        runs.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        assert run_cli("--seed", 5, "--out", out, "score") == 0
+        pairings.write_bytes(old)
+    capsys.readouterr()
+    assert run_cli("--seed", seed, "--out", out, "analyze") == 2
+    assert "sumprobe score" in capsys.readouterr().err
+    assert not (out / "report").exists()
+
+
+def test_score_logs_a_pairing_it_cannot_score(tmp_path):
+    out = echo_run(tmp_path)
+    runs = out / "runs.jsonl"
+    records = [json.loads(line) for line in runs.read_text().splitlines()]
+    next(rec for rec in records if rec["variant"] == "original")["generated"] = ""
+    runs.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    # gen-vs-gen BLEU takes an empty generation as its reference
+    assert run_cli("--seed", 5, "--out", out, "score") == 1
+    assert [e["where"] for e in score_errors(out)] == ["m/bleu4 pairings"]
+    assert run_cli("--seed", 5, "--out", out, "analyze") == 0
+    with (out / "report" / "distributions.csv").open() as fh:
+        assert {r["metric"] for r in csv.DictReader(fh)} == {"bertscore_f1"}
+
+
 def test_score_stores_copy_attribution_counts(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     write_corpus(corpus, 40, seed=3)

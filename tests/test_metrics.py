@@ -15,6 +15,7 @@ from sumprobe.metrics import (
     EmbeddingTable,
     HashedOneHotProvider,
     MalformedReplyError,
+    NgramTable,
     ProviderRejectedError,
     ProviderUnavailableError,
     RemoteEmbeddingProvider,
@@ -99,6 +100,15 @@ def test_split_description():
 
 def test_bleu_scorer_on_text():
     assert bleu_scorer("adds two small numbers", "adds two small numbers") == 100.0
+
+
+def test_bleu_with_one_ngram_table_matches_the_oracle_bit_for_bit():
+    # every case twice: the second time both sides' counts come from the table
+    table = NgramTable()
+    for case in oracle_cases() * 2:
+        plain = bleu4(case["candidate"], case["reference"])
+        assert bleu4(case["candidate"], case["reference"], table) == plain
+        assert plain.value == case["bleu"], (case["kind"], case["index"])
 
 
 # --- p_copy ----------------------------------------------------------------
