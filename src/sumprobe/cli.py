@@ -26,7 +26,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import llmgen, metrics
@@ -41,17 +41,20 @@ from .analysis import (
 from .corpus import (
     EvalRecord,
     Example,
+    FilterReason,
     RunRecord,
     filter_corpus,
     load_corpus,
     load_run,
     save_run,
+    screen_example,
     write_jsonl,
 )
 from .errors import HarnessError
 from .metrics import HashedOneHotProvider, RemoteEmbeddingProvider
+from .pylex import UnlexableError
 from .subtok import split_code, tokenizer_from_spec
-from .transform import Variant, apply_variant, donor_assignment
+from .transform import DonorEntry, Snippet, Variant, donor_assignment
 
 log = logging.getLogger(__name__)
 
@@ -183,12 +186,20 @@ def cmd_transform(config: RunConfig) -> int:
         raise HarnessError("transform needs a corpus (--corpus or [corpus] path)")
     variants = _parse_variants(config.variants)
     examples, line_errors = load_corpus(config.corpus_path, config.split)
-    accepted, rejected = filter_corpus(examples, config.min_tokens, config.max_tokens)
+    # One pass: the filter rules, then one lex per snippet for all variants.
+    accepted: list[tuple[Example, Snippet]] = []
+    rejects: list[dict] = []
+    for ex in examples:
+        reason = screen_example(ex, config.min_tokens, config.max_tokens)
+        if reason is None:
+            try:
+                accepted.append((ex, Snippet.of(ex.code, variants)))
+                continue
+            except UnlexableError:
+                reason = FilterReason.UNLEXABLE
+        rejects.append({"id": ex.id, "reason": reason.value})
     config.out.mkdir(parents=True, exist_ok=True)
-    write_jsonl(
-        config.out / "rejects.jsonl",
-        [{"id": ex.id, "reason": decision.reason.value} for ex, decision in rejected],
-    )
+    write_jsonl(config.out / "rejects.jsonl", rejects)
 
     errors = [
         {"stage": "transform", "where": f"{err.path}:{err.line_number}", "error": err.message}
@@ -196,33 +207,45 @@ def cmd_transform(config: RunConfig) -> int:
     ]
     donors: dict[str, str] = {}
     if Variant.ADVERSARIAL_NAMES in variants:
-        donors = donor_assignment(accepted, seed)
+        donors = donor_assignment([
+            DonorEntry(ex.id, snippet.name, snippet.identifiers)
+            for ex, snippet in accepted if snippet.name is not None
+        ], seed)
     for variant in variants:
-        rows = []
-        for ex in accepted:
-            try:
-                if variant is Variant.ADVERSARIAL_NAMES:
-                    donor = donors.get(ex.id)
-                    if donor is None:
-                        raise HarnessError("no usable donor name in the corpus")
-                    transformed = apply_variant(ex, variant, donor)
-                else:
-                    transformed = apply_variant(ex, variant)
-            except HarnessError as exc:
-                errors.append(
-                    {"stage": "transform", "where": f"{ex.id}/{variant.value}", "error": str(exc)}
-                )
-                continue
-            rows.append(
-                {"id": transformed.id, "code": transformed.code, "docstring": transformed.reference}
-            )
-        write_jsonl(config.variants_dir / f"{variant.value}.jsonl", rows)
+        write_jsonl(
+            config.variants_dir / f"{variant.value}.jsonl",
+            _variant_rows(accepted, variant, donors, errors),
+        )
     write_jsonl(config.out / "errors_transform.jsonl", errors)
     for err in errors:
         log.warning("transform error at %s: %s", err["where"], err["error"])
-    print(f"transform: {len(accepted)} accepted, {len(rejected)} rejected, "
+    print(f"transform: {len(accepted)} accepted, {len(rejects)} rejected, "
           f"{len(errors)} errors, {len(variants)} variant file(s)")
     return 0 if len(errors) <= config.max_errors else 1
+
+
+def _variant_rows(
+    accepted: list[tuple[Example, Snippet]],
+    variant: Variant,
+    donors: dict[str, str],
+    errors: list[dict],
+):
+    """One variant file's rows; a snippet the variant fails on is an
+    error row instead."""
+    for ex, snippet in accepted:
+        try:
+            donor = None
+            if variant is Variant.ADVERSARIAL_NAMES:
+                donor = donors.get(ex.id)
+                if donor is None:
+                    raise HarnessError("no usable donor name in the corpus")
+            code = snippet.text(variant, donor)
+        except HarnessError as exc:
+            errors.append(
+                {"stage": "transform", "where": f"{ex.id}/{variant.value}", "error": str(exc)}
+            )
+            continue
+        yield {"id": ex.id, "code": code, "docstring": ex.reference}
 
 
 def _load_variant_examples(config: RunConfig, variant_value: str) -> list[Example]:
@@ -375,9 +398,14 @@ def cmd_score(config: RunConfig) -> int:
     ngrams = metrics.NgramTable()
 
     def bleu(candidate: str, reference: str) -> float:
+        ref_words = metrics.split_description(reference, config.lowercase_bleu)
+        if not ref_words:
+            # Only a re-pairing puts a generation on the reference side;
+            # an empty one scores 0, as in bertscore_f1.
+            return 0.0
         return metrics.bleu4(
             metrics.split_description(candidate, config.lowercase_bleu),
-            metrics.split_description(reference, config.lowercase_bleu),
+            ref_words,
             ngrams,
         ).value
 
@@ -398,7 +426,7 @@ def cmd_score(config: RunConfig) -> int:
                 {"stage": "score", "where": f"{rec.example_id}/{rec.variant}",
                  "error": "example missing from variant corpus"}
             )
-            scored.append(rec)
+            scored.append(replace(rec, metrics=None))
             continue
         try:
             scored.append(_score_record(
@@ -409,7 +437,9 @@ def cmd_score(config: RunConfig) -> int:
             errors.append(
                 {"stage": "score", "where": f"{rec.example_id}/{rec.variant}", "error": str(exc)}
             )
-            scored.append(rec)
+            # Not the scores of an earlier run, which may have used another
+            # tokenizer or embedding provider.
+            scored.append(replace(rec, metrics=None))
             continue
         if rec.variant == Variant.ORIGINAL.value:
             originals[rec.key] = ex.reference

@@ -180,29 +180,36 @@ def load_corpus(
     return examples, errors
 
 
+def screen_example(
+    ex: Example, min_tokens: int = 3, max_tokens: int = 256
+) -> FilterReason | None:
+    """The rejection rules that need no lexing: empty code or description,
+    an "http://" marker in the description, or a description outside
+    [min_tokens, max_tokens] whitespace tokens (bounds inclusive)."""
+    if not ex.reference.strip() or not ex.code.strip():
+        return FilterReason.EMPTY
+    if "http://" in ex.reference:
+        return FilterReason.HAS_URL
+    count = len(ex.reference.split())
+    if count < min_tokens:
+        return FilterReason.TOO_SHORT
+    if count > max_tokens:
+        return FilterReason.TOO_LONG
+    return None
+
+
 def filter_example(
     ex: Example, min_tokens: int = 3, max_tokens: int = 256
 ) -> FilterDecision:
-    """Accept or reject one example.
-
-    Rejections: empty code or description, an "http://" marker in the
-    description, a description outside [min_tokens, max_tokens] whitespace
-    tokens (bounds inclusive), or code the lexer refuses.
-    """
-    if not ex.reference.strip() or not ex.code.strip():
-        return FilterDecision(False, FilterReason.EMPTY)
-    if "http://" in ex.reference:
-        return FilterDecision(False, FilterReason.HAS_URL)
-    count = len(ex.reference.split())
-    if count < min_tokens:
-        return FilterDecision(False, FilterReason.TOO_SHORT)
-    if count > max_tokens:
-        return FilterDecision(False, FilterReason.TOO_LONG)
-    try:
-        lex(ex.code)
-    except UnlexableError:
-        return FilterDecision(False, FilterReason.UNLEXABLE)
-    return FilterDecision(True)
+    """Accept or reject one example: `screen_example`'s rules, then code
+    the lexer refuses."""
+    reason = screen_example(ex, min_tokens, max_tokens)
+    if reason is None:
+        try:
+            lex(ex.code)
+        except UnlexableError:
+            reason = FilterReason.UNLEXABLE
+    return FilterDecision(reason is None, reason)
 
 
 def filter_corpus(

@@ -1,17 +1,22 @@
 """Code variants: token-stream rewrites that hide or distort one kind of
 information (function names, code structure, the whole body, comments).
 
-All transforms consume a lexed stream and return a fresh TokenStream with
-recomputed spans; the input is never mutated.
+Each rewrite rule is written once, over a lexed stream. The stream helpers
+(`strip_comments`, `obfuscate_function_names`, ...) return a fresh
+TokenStream with recomputed spans; `Snippet` lexes a snippet once and joins
+the same rules' output into the text of every variant. The input is never
+mutated.
 """
 
 from __future__ import annotations
 
 import logging
 import random
-from dataclasses import replace
+import sys
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Example
 from .errors import HarnessError
@@ -19,10 +24,9 @@ from .pylex import (
     Category,
     LexToken,
     NoFunctionError,
-    Role,
     TokenStream,
     UnlexableError,
-    classify_roles,
+    function_name_indices,
     lex,
     make_stream,
     signature_span,
@@ -66,9 +70,13 @@ def unshift_name(name: str) -> str:
     return name.translate(_SHIFT_REV)
 
 
-def strip_comments(tokens: Sequence[LexToken]) -> TokenStream:
-    """Drop comments plus the whitespace that separated them from code; a
-    comment alone on its line takes the line's newline with it."""
+# --- the rules ------------------------------------------------------------
+
+
+def _comment_free(tokens: Sequence[LexToken]) -> list[LexToken]:
+    """The tokens left once comments are dropped, with the whitespace that
+    separated them from code; a comment alone on its line takes the line's
+    newline with it. Spans are those of the input."""
     drop: set[int] = set()
     for i, tok in enumerate(tokens):
         if tok.category is not Category.COMMENT:
@@ -81,60 +89,46 @@ def strip_comments(tokens: Sequence[LexToken]) -> TokenStream:
         whole_line = j < 0 or tokens[j].category is Category.NEWLINE
         if whole_line and i + 1 < len(tokens) and tokens[i + 1].category is Category.NEWLINE:
             drop.add(i + 1)
-    return make_stream(
-        (t.lexeme, t.category) for i, t in enumerate(tokens) if i not in drop
-    )
+    return [t for i, t in enumerate(tokens) if i not in drop]
 
 
-def _rename_function(tokens: Sequence[LexToken], rename) -> TokenStream:
-    roled = classify_roles(tokens)
-    if not any(rt.role is Role.FUNCTION_NAME for rt in roled):
+def _name_segments(tokens: Sequence[LexToken]) -> tuple[str | None, list[list[LexToken]]]:
+    """The defined function name (pylex.function_name_indices), None
+    without a def, and the runs of tokens between its occurrences."""
+    names = function_name_indices(tokens)
+    segments: list[list[LexToken]] = [[]]
+    for i, tok in enumerate(tokens):
+        if i in names:
+            segments.append([])
+        else:
+            segments[-1].append(tok)
+    return (tokens[min(names)].lexeme if names else None), segments
+
+
+def _defined(name: str | None) -> str:
+    if name is None:
         raise NoFunctionError("no def in token stream")
-    return make_stream(
-        (rename(rt.base.lexeme) if rt.role is Role.FUNCTION_NAME else rt.base.lexeme,
-         rt.base.category)
-        for rt in roled
-    )
+    return name
 
 
-def obfuscate_function_names(tokens: Sequence[LexToken]) -> TokenStream:
-    """Rewrite every occurrence of the defined name with the +1 letter shift."""
-    return _rename_function(tokens, shift_name)
+def _adversarial_name(donor: str, name: str | None, identifiers: frozenset[str]) -> str:
+    """The name the adversarial variant writes in place of `name`: the
+    donor, or `name` itself when the donor is that name."""
+    if not donor.isidentifier():
+        raise ValueError(f"donor name {donor!r} is not a valid identifier")
+    if donor == _defined(name):
+        log.info("donor equals original name %r; snippet left unchanged", name)
+        return name
+    if donor in identifiers:
+        raise DonorCollisionError(donor)
+    return donor
 
 
-def deobfuscate_function_names(tokens: Sequence[LexToken]) -> TokenStream:
-    """Inverse of obfuscate_function_names (the -1 letter shift)."""
-    return _rename_function(tokens, unshift_name)
+_STRUCTURE_KEPT = (Category.IDENTIFIER, Category.NUMBER, Category.STRING, Category.COMMENT)
 
 
-def adversarialize(tokens: Sequence[LexToken], donor_name: str) -> TokenStream:
-    """Replace the defined function name (all occurrences) with donor_name."""
-    if not donor_name.isidentifier():
-        raise ValueError(f"donor name {donor_name!r} is not a valid identifier")
-    roled = classify_roles(tokens)
-    function_tokens = [rt for rt in roled if rt.role is Role.FUNCTION_NAME]
-    if not function_tokens:
-        raise NoFunctionError("no def in token stream")
-    original = function_tokens[0].base.lexeme
-    if donor_name == original:
-        log.info("donor equals original name %r; snippet left unchanged", original)
-        return make_stream((t.lexeme, t.category) for t in tokens)
-    for rt in roled:
-        if rt.role is not Role.FUNCTION_NAME and (
-            rt.base.category is Category.IDENTIFIER and rt.base.lexeme == donor_name
-        ):
-            raise DonorCollisionError(donor_name)
-    return _rename_function(tokens, lambda _: donor_name)
-
-
-def remove_code_structure(tokens: Sequence[LexToken]) -> TokenStream:
-    """Drop keywords, operators and delimiters; keep everything else.
-
-    Within each line the survivors are joined by single spaces and the
-    original indentation is kept, so the output still looks like the code's
-    silhouette. Lines left empty keep their newline only.
-    """
-    keep = (Category.IDENTIFIER, Category.NUMBER, Category.STRING, Category.COMMENT)
+def _structure_parts(tokens: Sequence[LexToken]) -> list[tuple[str, Category]]:
+    """Keywords, operators and delimiters dropped; see remove_code_structure."""
     parts: list[tuple[str, Category]] = []
     line: list[LexToken] = []
 
@@ -142,7 +136,7 @@ def remove_code_structure(tokens: Sequence[LexToken]) -> TokenStream:
         indent = ""
         if line and line[0].category is Category.WHITESPACE:
             indent = line[0].lexeme
-        kept = [t for t in line if t.category in keep]
+        kept = [t for t in line if t.category in _STRUCTURE_KEPT]
         if kept:
             if indent:
                 parts.append((indent, Category.WHITESPACE))
@@ -160,16 +154,132 @@ def remove_code_structure(tokens: Sequence[LexToken]) -> TokenStream:
         else:
             line.append(tok)
     flush(None)
+    return parts
+
+
+def _signature_tokens(tokens: Sequence[LexToken]) -> Sequence[LexToken]:
+    span = signature_span(tokens)
+    return tokens[span.first_token : span.last_token + 1]
+
+
+def _identifiers(tokens: Iterable[LexToken]) -> frozenset[str]:
+    # Interned: the same names recur across a corpus's snippets.
+    return frozenset(sys.intern(t.lexeme) for t in tokens if t.category is Category.IDENTIFIER)
+
+
+# --- stream helpers -------------------------------------------------------
+
+
+def _stream(tokens: Iterable[LexToken]) -> TokenStream:
+    return make_stream((t.lexeme, t.category) for t in tokens)
+
+
+def strip_comments(tokens: Sequence[LexToken]) -> TokenStream:
+    """Drop comments plus the whitespace that separated them from code; a
+    comment alone on its line takes the line's newline with it."""
+    return _stream(_comment_free(tokens))
+
+
+def _renamed(segments: list[list[LexToken]], new_name: str) -> TokenStream:
+    parts: list[tuple[str, Category]] = []
+    for k, segment in enumerate(segments):
+        if k:
+            parts.append((new_name, Category.IDENTIFIER))
+        parts.extend((t.lexeme, t.category) for t in segment)
     return make_stream(parts)
+
+
+def _rename_function(tokens: Sequence[LexToken], rename) -> TokenStream:
+    name, segments = _name_segments(tokens)
+    return _renamed(segments, rename(_defined(name)))
+
+
+def obfuscate_function_names(tokens: Sequence[LexToken]) -> TokenStream:
+    """Rewrite every occurrence of the defined name with the +1 letter shift."""
+    return _rename_function(tokens, shift_name)
+
+
+def deobfuscate_function_names(tokens: Sequence[LexToken]) -> TokenStream:
+    """Inverse of obfuscate_function_names (the -1 letter shift)."""
+    return _rename_function(tokens, unshift_name)
+
+
+def adversarialize(tokens: Sequence[LexToken], donor_name: str) -> TokenStream:
+    """Replace the defined function name (all occurrences) with donor_name."""
+    name, segments = _name_segments(tokens)
+    return _renamed(segments, _adversarial_name(donor_name, name, _identifiers(tokens)))
+
+
+def remove_code_structure(tokens: Sequence[LexToken]) -> TokenStream:
+    """Drop keywords, operators and delimiters; keep everything else.
+
+    Within each line the survivors are joined by single spaces and the
+    original indentation is kept, so the output still looks like the code's
+    silhouette. Lines left empty keep their newline only.
+    """
+    return make_stream(_structure_parts(tokens))
 
 
 def remove_function_body(tokens: Sequence[LexToken]) -> TokenStream:
     """Keep exactly the first def's signature (through its colon)."""
-    span = signature_span(tokens)
-    return make_stream(
-        (t.lexeme, t.category)
-        for t in tokens[span.first_token : span.last_token + 1]
-    )
+    return _stream(_signature_tokens(tokens))
+
+
+# --- one lex per snippet --------------------------------------------------
+
+
+def _text(tokens: Iterable[LexToken]) -> str:
+    return "".join(t.lexeme for t in tokens)
+
+
+@dataclass(slots=True)
+class Snippet:
+    """One snippet, lexed once and reduced to what its variants need.
+
+    It keeps no tokens: the defined name and identifiers (the donor entry),
+    the comment-stripped text split at each occurrence of the name (which
+    the two renaming variants join with their new name), and the finished
+    text, or the failure, of each other requested variant.
+    """
+
+    code: str
+    name: str | None
+    identifiers: frozenset[str]
+    segments: tuple[str, ...]
+    texts: dict[Variant, str] = field(default_factory=dict)
+    failures: dict[Variant, str] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, code: str, variants: Iterable[Variant] = tuple(Variant)) -> "Snippet":
+        """Raises UnlexableError; every other failure is kept per variant."""
+        stripped = _comment_free(lex(code))
+        name, segments = _name_segments(stripped)
+        snippet = cls(code, name, _identifiers(stripped), tuple(map(_text, segments)))
+        if Variant.NO_CODE_STRUCTURE in variants:
+            snippet.texts[Variant.NO_CODE_STRUCTURE] = "".join(
+                lexeme for lexeme, _ in _structure_parts(stripped)
+            )
+        if Variant.NO_FUNCTION_BODY in variants:
+            try:
+                snippet.texts[Variant.NO_FUNCTION_BODY] = _text(_signature_tokens(stripped))
+            except NoFunctionError as exc:
+                snippet.failures[Variant.NO_FUNCTION_BODY] = str(exc)
+        return snippet
+
+    def text(self, variant: Variant, donor: str | None = None) -> str:
+        """The variant's code; raises what the variant's stream helper
+        raises on the comment-stripped stream."""
+        if variant is Variant.ORIGINAL:
+            return self.code
+        if variant in self.failures:
+            raise NoFunctionError(self.failures[variant])
+        if variant is Variant.OBFUSCATED_NAMES:
+            return shift_name(_defined(self.name)).join(self.segments)
+        if variant is Variant.ADVERSARIAL_NAMES:
+            if donor is None:
+                raise ValueError("adversarial_names requires a donor name")
+            return _adversarial_name(donor, self.name, self.identifiers).join(self.segments)
+        return self.texts[variant]
 
 
 def apply_variant(ex: Example, variant: Variant, donor: str | None = None) -> Example:
@@ -181,68 +291,114 @@ def apply_variant(ex: Example, variant: Variant, donor: str | None = None) -> Ex
     """
     if variant is Variant.ORIGINAL:
         return ex
-    stream = strip_comments(lex(ex.code))
-    if variant is Variant.OBFUSCATED_NAMES:
-        out = obfuscate_function_names(stream)
-    elif variant is Variant.ADVERSARIAL_NAMES:
-        if donor is None:
-            raise ValueError("adversarial_names requires a donor name")
-        out = adversarialize(stream, donor)
-    elif variant is Variant.NO_CODE_STRUCTURE:
-        out = remove_code_structure(stream)
-    elif variant is Variant.NO_FUNCTION_BODY:
-        out = remove_function_body(stream)
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown variant {variant}")
-    return replace(ex, code=out.text)
+    return replace(ex, code=Snippet.of(ex.code, (variant,)).text(variant, donor))
 
 
-def defined_name(tokens: Sequence[LexToken]) -> str:
-    """Lexeme of the first def's name."""
-    for rt in classify_roles(tokens):
-        if rt.role is Role.FUNCTION_NAME:
-            return rt.base.lexeme
-    raise NoFunctionError("no def in token stream")
+# --- donor assignment -----------------------------------------------------
 
 
-def donor_assignment(corpus: Sequence[Example], seed: int) -> dict[str, str]:
-    """Deterministically assign each eligible example a donor function name.
+class DonorEntry(NamedTuple):
+    """A donor-pool slot and target: an example's own defined name and the
+    identifiers of its code."""
 
-    Names are handed out without replacement while possible; when no unused
-    name fits a target (its own name, or one already appearing in its code),
-    the draw falls back to reuse and logs it. Targets for which no other
-    name exists at all are simply absent from the result.
-    """
-    entries = []  # (id, own name, identifier lexemes)
-    for ex in corpus:
+    id: str
+    name: str
+    identifiers: frozenset[str]
+
+
+def donor_entries(examples: Iterable[Example]) -> list[DonorEntry]:
+    """The donor entry of each example whose code lexes and defines a
+    function, in order."""
+    entries = []
+    for ex in examples:
         try:
-            stream = lex(ex.code)
-            name = defined_name(stream)
-        except (UnlexableError, NoFunctionError):
+            snippet = Snippet.of(ex.code, ())
+        except UnlexableError:
             continue
-        idents = {
-            t.lexeme for t in stream if t.category is Category.IDENTIFIER
-        }
-        entries.append((ex.id, name, idents))
+        if snippet.name is not None:
+            entries.append(DonorEntry(ex.id, snippet.name, snippet.identifiers))
+    return entries
 
+
+class _UnusedSlots:
+    """Fenwick tree (Fenwick 1994) over pool positions, 1 while unused."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.count = size
+        self.tree = [i & -i for i in range(size + 1)]
+        self.top = 1 << size.bit_length() >> 1  # highest power of 2 <= size
+
+    def remove(self, pos: int) -> None:
+        self.count -= 1
+        i = pos + 1
+        while i <= self.size:
+            self.tree[i] -= 1
+            i += i & -i
+
+    def kth_outside(self, k: int, excluded: list[list[int]]) -> int:
+        """Position of the k-th (from 0) unused slot not in any of the
+        `excluded` ascending lists of unused positions."""
+        pos = 0  # the answer is past the first `pos` positions
+        rank = k + 1
+        step = self.top
+        while step:
+            nxt = pos + step
+            if nxt <= self.size:
+                # fitting unused slots among positions pos .. nxt - 1
+                fitting = self.tree[nxt] - sum(
+                    bisect_left(xs, nxt) - bisect_left(xs, pos) for xs in excluded
+                )
+                if fitting < rank:
+                    pos = nxt
+                    rank -= fitting
+            step >>= 1
+        return pos
+
+
+def donor_assignment(entries: Sequence[DonorEntry], seed: int) -> dict[str, str]:
+    """Deterministically assign each target a donor function name.
+
+    The pool holds one slot per entry's name. Names are handed out without
+    replacement while possible; when no unused name fits a target (its own
+    name, or one already appearing in its code), the draw falls back to
+    reuse and logs it. Targets for which no other name exists at all are
+    simply absent from the result.
+
+    Each draw picks the k-th fitting slot in pool order, with k drawn by
+    `rng.choice` over the number of fitting slots, so it consumes the same
+    randomness as a choice from the list of fitting slots would. A Fenwick
+    tree over unused slots and each name's unused positions find that slot
+    in O(log n) steps; the reuse fallback skips the excluded names in the
+    sorted distinct names.
+    """
     rng = random.Random(seed)
-    pool = [name for _, name, _ in entries]
-    used = [False] * len(pool)
+    pool = [entry.name for entry in entries]
+    unused = _UnusedSlots(len(pool))
+    positions: dict[str, list[int]] = {}  # name -> its unused slots, ascending
+    for k, name in enumerate(pool):
+        positions.setdefault(name, []).append(k)
+    names = sorted(positions)
     assignment: dict[str, str] = {}
     for ex_id, own, idents in entries:
-        def fits(name: str) -> bool:
-            return name != own and name not in idents
-
-        fresh = [k for k, name in enumerate(pool) if not used[k] and fits(name)]
-        if fresh:
-            k = rng.choice(fresh)
-            used[k] = True
+        unfit = idents if own in idents else idents | {own}
+        excluded = [positions[name] for name in unfit if positions.get(name)]
+        count = unused.count - sum(map(len, excluded))
+        if count:
+            k = unused.kth_outside(rng.choice(range(count)), excluded)
+            unused.remove(k)
+            slots = positions[pool[k]]
+            del slots[bisect_left(slots, k)]
             assignment[ex_id] = pool[k]
             continue
-        reusable = sorted({name for j, (_, name, _) in enumerate(entries) if fits(name)})
-        if reusable:
-            choice = rng.choice(reusable)
-            log.info("donor pool exhausted for %s; reusing %r", ex_id, choice)
-            assignment[ex_id] = choice
+        skipped = sorted(bisect_left(names, name) for name in unfit if name in positions)
+        count = len(names) - len(skipped)
+        if count:
+            k = rng.choice(range(count))
+            for i in skipped:
+                if i > k:
+                    break
+                k += 1
+            log.info("donor pool exhausted for %s; reusing %r", ex_id, names[k])
+            assignment[ex_id] = names[k]
     return assignment
-

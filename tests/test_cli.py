@@ -5,6 +5,7 @@ import math
 import os
 import random
 import shutil
+import socket
 import subprocess
 import sys
 import threading
@@ -18,6 +19,7 @@ import sumprobe.pylex
 from sumprobe.cli import main
 from sumprobe.llmgen import ChatCompletionsClient, GenerationCache
 from sumprobe.subtok import FallbackTokenizer, code_subwords
+from sumprobe.transform import Variant
 
 from corpusgen import write_corpus
 from httpstub import serve
@@ -151,6 +153,42 @@ def test_analyze_does_no_lexing(tmp_path, corpus5, monkeypatch):
     assert (out / "report" / "attribution.csv").exists()
 
 
+def test_transform_lexes_each_snippet_once(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, 30, seed=3, unlexable_every=7)
+    rows = [json.loads(line) for line in corpus.read_text().splitlines()]
+    rows.append({"id": "short", "code": "def f(x):\n    return x\n", "docstring": "too short"})
+    rows.append({"id": "url", "code": "def g(x):\n    return x\n",
+                 "docstring": "see http://example.com for it"})
+    corpus.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+    lexed = []
+    lex = sumprobe.pylex.lex
+
+    def counting_lex(source):
+        lexed.append(source)
+        return lex(source)
+
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if name == "sumprobe" or name.startswith("sumprobe."):
+            for alias, value in list(vars(module).items()):
+                if value is lex:
+                    monkeypatch.setattr(module, alias, counting_lex)
+                    patched += 1
+    assert patched >= 2
+    out = tmp_path / "out"
+    assert run_cli("--seed", 3, "--out", out, "transform", "--corpus", corpus) == 0
+    rejects = [json.loads(line) for line in (out / "rejects.jsonl").read_text().splitlines()]
+    unlexable = [f"ex{i:04d}" for i in range(6, 30, 7)]
+    assert rejects == [{"id": i, "reason": "unlexable"} for i in unlexable] + [
+        {"id": "short", "reason": "too_short"}, {"id": "url", "reason": "has_url"},
+    ]
+    # every example that reaches the lexability rule, once: all but the two
+    # the description rules reject
+    assert sorted(lexed) == sorted(row["code"] for row in rows[:30])
+
+
 def test_analyze_scores_nothing(tmp_path, monkeypatch):
     out = echo_run(tmp_path)
     assert run_cli("--seed", 5, "--out", out, "score") == 0
@@ -203,18 +241,54 @@ def test_analyze_refuses_pairings_of_another_score(tmp_path, case, capsys):
     assert not (out / "report").exists()
 
 
-def test_score_logs_a_pairing_it_cannot_score(tmp_path):
-    out = echo_run(tmp_path)
+def blank_generations(out, variants=("original",)):
+    """Empty the generations of the first example's records of `variants`;
+    returns the example's id."""
     runs = out / "runs.jsonl"
     records = [json.loads(line) for line in runs.read_text().splitlines()]
-    next(rec for rec in records if rec["variant"] == "original")["generated"] = ""
+    example_id = records[0]["example_id"]
+    for rec in records:
+        if rec["example_id"] == example_id and rec["variant"] in variants:
+            rec["generated"] = ""
     runs.write_text("".join(json.dumps(rec) + "\n" for rec in records))
-    # gen-vs-gen BLEU takes an empty generation as its reference
-    assert run_cli("--seed", 5, "--out", out, "score") == 1
-    assert [e["where"] for e in score_errors(out)] == ["m/bleu4 pairings"]
+    return example_id
+
+
+def test_score_logs_a_pairing_it_cannot_score(tmp_path):
+    out = echo_run(tmp_path)
+    blanked = blank_generations(out, [v.value for v in Variant])
+    subwords = record_subwords(out)
+    # a token of only that example's reference: its records' own scores
+    # need no vectors, but a re-pairing of the reference with another
+    # generation does
+    zero = next(tok for tok in subwords[(blanked, "original")]
+                if all(tok not in sws for (ex_id, _), sws in subwords.items() if ex_id != blanked))
+
+    def script(body, hit):
+        return 200, {"vectors": [[0.0] * 12 if tok == zero else dense_vector(tok)
+                                 for tok in body["tokens"]]}
+
+    with serve(script) as (url, hits):
+        assert run_cli("--seed", 5, "--out", out, "score", "--embedding-endpoint", url,
+                       "--max-errors", 100) == 0
+    assert [e["where"] for e in score_errors(out)] == ["m/bertscore_f1 pairings"]
+    assert run_cli("--seed", 5, "--out", out, "analyze", "--tokenizer", "fallback") == 0
+    with (out / "report" / "distributions.csv").open() as fh:
+        assert {r["metric"] for r in csv.DictReader(fh)} == {"bleu4"}
+
+
+def test_score_pairs_an_empty_generation_with_bleu_zero(tmp_path):
+    out = echo_run(tmp_path)
+    blank_generations(out)
+    # gen-vs-gen BLEU takes the empty generation as its reference
+    assert run_cli("--seed", 5, "--out", out, "score") == 0
+    assert score_errors(out) == []
     assert run_cli("--seed", 5, "--out", out, "analyze") == 0
     with (out / "report" / "distributions.csv").open() as fh:
-        assert {r["metric"] for r in csv.DictReader(fh)} == {"bertscore_f1"}
+        rows = [r for r in csv.DictReader(fh) if r["metric"] == "bleu4"]
+    assert sorted(r["pairing"] for r in rows) == [
+        "gen-vs-gen", "ref-vs-own-gen", "ref-vs-random-gen", "ref-vs-ref",
+    ]
 
 
 def test_score_stores_copy_attribution_counts(tmp_path):
@@ -267,6 +341,50 @@ def test_failed_rewrite_keeps_previous_run_file(tmp_path, corpus5):
     assert "cannot write run file" in proc.stderr
     assert runs.read_bytes() == before
     assert not list(out.glob("*.tmp"))
+
+
+GOLDEN_EDGE_ROWS = [
+    {"id": "edge_unicode", "code": "def größe_von(maß):\n    return maß * größe_von(maß - 1)\n",
+     "docstring": "Return the size of the given measure."},
+    {"id": "edge_comment",
+     "code": "def clamp_value(v):\n    # keep v in range\n    return min(v, 10)  # upper bound\n",
+     "docstring": "Clamp the value to at most ten."},
+    {"id": "edge_decorator",
+     "code": "@register('pick_item')\n@wraps(pick_item)\ndef pick_item(items):\n    return items[0]\n",
+     "docstring": "Pick the first of the given items."},
+    {"id": "edge_no_def", "code": "total = sum(values)\nprint(total)\n",
+     "docstring": "Print the total of the values."},
+    {"id": "edge_no_colon", "code": "def broken_sig(a, b)\n    return a + b\n",
+     "docstring": "Add two numbers without a colon."},
+    {"id": "edge_unterminated", "code": "def say_hi():\n    return 'hi\n",
+     "docstring": "Say hi with an unterminated string."},
+]
+
+# sha256 of each transform output: every variant text, donor draw, reject
+# and error row is pinned byte for byte
+GOLDEN_TRANSFORM_DIGESTS = {
+    "errors_transform.jsonl": "966f048c2e57d15798cfa5c230d8ad289c845dd64dbf6e025f4e3ec1c5775b3a",
+    "rejects.jsonl": "90c8b75a410dfe4c5c57dc975db583d8b3e907192deba30e346b56f287d26278",
+    "variants/adversarial_names.jsonl": "d38e140b8baa147f5704c328ee767e31f936423adfe87edbe6fbc9ae8daa2607",
+    "variants/no_code_structure.jsonl": "e1e40eeae149b8b094777fe1c98eb8995183e648c03cb580a414698dc3b42767",
+    "variants/no_function_body.jsonl": "8eed72aaa07a88dcd98c61588166d381bec1c297171746e146442e1c609264a9",
+    "variants/obfuscated_names.jsonl": "817af01b7a8e418b1edab22658ab97127aa230a6635b8ab7770b020e2a15cb9c",
+    "variants/original.jsonl": "1101822ad0676efe118f7d877ced4236c73081ced495abdcc0e31e07b3cae2fd",
+}
+
+
+def test_transform_outputs_match_golden_digests(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, 300, seed=3)
+    with corpus.open("a", encoding="utf-8") as fh:
+        for row in GOLDEN_EDGE_ROWS:
+            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    out = tmp_path / "out"
+    assert run_cli("--seed", 3, "--out", out, "transform", "--corpus", corpus,
+                   "--max-errors", 100) == 0
+    digests = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.rglob("*.jsonl")}
+    assert digests == GOLDEN_TRANSFORM_DIGESTS
 
 
 def test_seed_is_mandatory(tmp_path, corpus5, capsys):
@@ -421,6 +539,29 @@ def test_score_against_dead_embedding_service(tmp_path, monkeypatch):
     assert all(r["metrics"] is None for r in runs)
     assert run_cli("--seed", 5, "--out", out, "score", "--embedding-endpoint", url,
                    "--max-errors", 40) == 0
+
+
+def closed_port_url():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}/embed"
+
+
+def test_failed_rescore_keeps_no_earlier_scores(tmp_path, monkeypatch, capsys):
+    out = echo_run(tmp_path)
+    assert run_cli("--seed", 5, "--out", out, "score") == 0
+    runs = [json.loads(line) for line in (out / "runs.jsonl").read_text().splitlines()]
+    assert all(r["metrics"]["bertscore_f1"] is not None for r in runs)
+    monkeypatch.setattr(sumprobe.metrics.time, "sleep", lambda s: None)
+    assert run_cli("--seed", 5, "--out", out, "score", "--embedding-endpoint",
+                   closed_port_url(), "--max-errors", 100) == 0
+    assert len(score_errors(out)) == len(runs)
+    runs = [json.loads(line) for line in (out / "runs.jsonl").read_text().splitlines()]
+    assert not [r for r in runs if r["metrics"] and r["metrics"]["bertscore_f1"] is not None]
+    capsys.readouterr()
+    assert run_cli("--seed", 5, "--out", out, "analyze") == 2
+    assert "sumprobe score" in capsys.readouterr().err
 
 
 def test_zero_vector_fails_only_records_with_that_token(tmp_path):

@@ -1,7 +1,10 @@
+import logging
+import random
+
 import pytest
 
 from sumprobe.corpus import Example
-from sumprobe.pylex import Category, NoFunctionError, Role, classify_roles, lex
+from sumprobe.pylex import Category, NoFunctionError, Role, UnlexableError, classify_roles, lex
 from sumprobe.transform import (
     DonorCollisionError,
     Variant,
@@ -9,6 +12,7 @@ from sumprobe.transform import (
     apply_variant,
     deobfuscate_function_names,
     donor_assignment,
+    donor_entries,
     obfuscate_function_names,
     remove_code_structure,
     remove_function_body,
@@ -17,7 +21,7 @@ from sumprobe.transform import (
     unshift_name,
 )
 
-from corpusgen import sample_pairs
+from corpusgen import UNLEXABLE_SNIPPETS, sample_pairs
 
 
 def ex(code, reference="does a thing with words", id="e0"):
@@ -141,13 +145,13 @@ def two_example_corpus():
 
 def test_two_example_corpus_swaps_names():
     corpus = two_example_corpus()
-    assert donor_assignment(corpus, seed=1) == {"a": "save_item", "b": "load_user"}
+    assert donor_assignment(donor_entries(corpus), seed=1) == {"a": "save_item", "b": "load_user"}
 
 
 def test_donor_assignment_deterministic():
     corpus = [ex(f"def name_{i}(x):\n    return x\n", id=f"e{i}") for i in range(8)]
-    first = donor_assignment(corpus, seed=42)
-    second = donor_assignment(corpus, seed=42)
+    first = donor_assignment(donor_entries(corpus), seed=42)
+    second = donor_assignment(donor_entries(corpus), seed=42)
     assert first == second
     assert set(first) == {e.id for e in corpus}
     assert all(first[e.id] != f"name_{i}" for i, e in enumerate(corpus))
@@ -155,7 +159,7 @@ def test_donor_assignment_deterministic():
 
 def test_all_names_identical_has_no_donor():
     corpus = [ex("def same(x):\n    return x\n", id=f"e{i}") for i in range(3)]
-    assert donor_assignment(corpus, seed=0) == {}
+    assert donor_assignment(donor_entries(corpus), seed=0) == {}
 
 
 def test_assignment_avoids_in_snippet_collisions():
@@ -164,9 +168,107 @@ def test_assignment_avoids_in_snippet_collisions():
         ex("def beta(x):\n    return x\n", id="b"),
         ex("def gamma(x):\n    return x\n", id="c"),
     ]
-    assignment = donor_assignment(corpus, seed=5)
+    assignment = donor_assignment(donor_entries(corpus), seed=5)
     # alpha's code already mentions beta, so beta can never be its donor
     assert assignment["a"] == "gamma"
+
+
+def lexed_entries(corpus):
+    """(id, own name, identifier lexemes) of each example that lexes and
+    defines a function, read from its full token stream and roles."""
+    entries = []
+    for ex in corpus:
+        try:
+            stream = lex(ex.code)
+            name = next(rt.base.lexeme for rt in classify_roles(stream)
+                        if rt.role is Role.FUNCTION_NAME)
+        except (UnlexableError, StopIteration):
+            continue
+        idents = {
+            t.lexeme for t in stream if t.category is Category.IDENTIFIER
+        }
+        entries.append((ex.id, name, idents))
+    return entries
+
+
+def quadratic_donor_assignment(entries, seed):
+    """Reference for donor_assignment: it lists the fitting unused slots
+    for every target, in O(n) each, and draws from that list."""
+    rng = random.Random(seed)
+    pool = [name for _, name, _ in entries]
+    used = [False] * len(pool)
+    assignment = {}
+    for ex_id, own, idents in entries:
+        def fits(name):
+            return name != own and name not in idents
+
+        fresh = [k for k, name in enumerate(pool) if not used[k] and fits(name)]
+        if fresh:
+            k = rng.choice(fresh)
+            used[k] = True
+            assignment[ex_id] = pool[k]
+            continue
+        reusable = sorted({name for j, (_, name, _) in enumerate(entries) if fits(name)})
+        if reusable:
+            assignment[ex_id] = rng.choice(reusable)
+    return assignment
+
+
+def crowded_corpus(n, names, seed):
+    """Snippets sharing a few names, each calling a random subset of them;
+    one in five calls every name."""
+    rng = random.Random(seed)
+    corpus = []
+    for i in range(n):
+        called = names if i % 5 == 0 else rng.sample(names, rng.randint(0, len(names) - 1))
+        body = " + ".join(f"{name}(x)" for name in called) or "x"
+        corpus.append(ex(f"def {rng.choice(names)}(x):\n    return {body}\n", id=f"c{i}"))
+    return corpus
+
+
+def edge_corpora():
+    yield two_example_corpus()
+    yield [ex(f"def name_{i}(x):\n    return x\n", id=f"e{i}") for i in range(8)]
+    yield [ex("def same(x):\n    return x\n", id=f"e{i}") for i in range(3)]
+    yield [
+        ex("def alpha(x):\n    return beta(x)\n", id="a"),
+        ex("def beta(x):\n    return x\n", id="b"),
+        ex("def gamma(x):\n    return x\n", id="c"),
+    ]
+    yield [ex(code, id=f"u{i}") for i, code in enumerate(
+        UNLEXABLE_SNIPPETS + ["x = 1\n", "def (x):\n    pass\n", "def f(x):\n    return g(x)\n",
+                              "def g(y):\n    return f(y)\n", "# def h(z):\ndef h(z): pass\n"]
+    )]
+    yield []
+
+
+def test_donor_assignment_matches_the_quadratic_oracle(caplog):
+    corpora = [(corpus, 9) for corpus in edge_corpora()]
+    for seed in (3, 4, 5):
+        corpora.append((crowded_corpus(300, ["load", "save", "scan"], seed), seed))
+        corpora.append((crowded_corpus(200, [f"name_{i}" for i in range(12)], seed), seed))
+    with caplog.at_level(logging.INFO, logger="sumprobe.transform"):
+        for corpus, seed in corpora:
+            entries = donor_entries(corpus)
+            expected = lexed_entries(corpus)
+            assert [(e.id, e.name, set(e.identifiers)) for e in entries] == expected
+            assert donor_assignment(entries, seed) == quadratic_donor_assignment(expected, seed)
+    # the crowded corpora reach the reuse fallback, and leave targets
+    # without any donor
+    assert "donor pool exhausted" in caplog.text
+    crowded = crowded_corpus(300, ["load", "save", "scan"], 3)
+    assert len(donor_assignment(donor_entries(crowded), 3)) < len(crowded)
+
+
+def test_donor_assignment_matches_the_oracle_on_generated_corpora():
+    for seed in (3, 4, 5):
+        corpus = [ex(code, id=f"s{i}") for i, (code, _) in enumerate(sample_pairs(2000, seed))]
+        entries = donor_entries(corpus)
+        expected = lexed_entries(corpus)
+        assert [(e.id, e.name, set(e.identifiers)) for e in entries] == expected
+        for n in (1000, 2000):
+            got = donor_assignment(entries[:n], seed)
+            assert got == quadratic_donor_assignment(expected[:n], seed)
 
 
 # --- structure removal ----------------------------------------------------
