@@ -164,16 +164,17 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def _parse_variants(names: list[str]) -> list[Variant]:
+    """The named variants, each once, in first-named order."""
     if not names or "all" in names:
         return list(Variant)
-    out = []
+    out: dict[Variant, None] = {}
     for name in names:
         try:
-            out.append(Variant(name))
+            out[Variant(name)] = None
         except ValueError:
             valid = ", ".join(v.value for v in Variant)
             raise HarnessError(f"unknown variant {name!r} (expected one of: {valid})")
-    return out
+    return list(out)
 
 
 def _record_sort_key(rec: RunRecord):
@@ -375,6 +376,8 @@ def cmd_score(config: RunConfig) -> int:
     # across variants, and echoes equal them) and collect the distinct
     # subwords of every record that needs BERTScore, and of every original
     # record, which the re-paired BERTScore may pair with any other.
+    # `subwords` is also split_code's memo in pass 2, so each distinct code
+    # lexeme is tokenized once too.
     subwords: dict[str, list[str]] = {}
     needed: dict[str, None] = {}
     for rec in records:
@@ -429,10 +432,7 @@ def cmd_score(config: RunConfig) -> int:
             scored.append(replace(rec, metrics=None))
             continue
         try:
-            scored.append(_score_record(
-                rec, ex, tokenize, subwords[ex.reference], subwords[rec.generated],
-                table, bleu,
-            ))
+            scored.append(_score_record(rec, ex, tokenize, subwords, table, bleu))
         except HarnessError as exc:
             errors.append(
                 {"stage": "score", "where": f"{rec.example_id}/{rec.variant}", "error": str(exc)}
@@ -468,13 +468,16 @@ def _score_record(
     rec: RunRecord,
     ex: Example,
     tokenize,
-    ref_sw: list[str],
-    gen_sw: list[str],
+    subwords: dict[str, list[str]],
     table: metrics.EmbeddingTable,
     bleu: metrics.Scorer,
 ) -> RunRecord:
-    code = split_code(ex.code, tokenize)
-    ref_copy = metrics.p_copy(code.subwords, ref_sw, tokenize.tokenizer_id)
+    """Score one record; `subwords` holds its descriptions' subwords and is
+    the code split's memo."""
+    ref_sw, gen_sw = subwords[ex.reference], subwords[rec.generated]
+    code = split_code(ex.code, tokenize, subwords)
+    code_set = code.source.keys()  # the code's distinct subwords
+    ref_copy = metrics.p_copy(code_set, ref_sw, tokenize.tokenizer_id)
     eval_rec = EvalRecord(
         bleu4=bleu(rec.generated, ex.reference),
         p_copy_reference=ref_copy.value,
@@ -485,7 +488,7 @@ def _score_record(
         bucket=bucket_label_from_counts(ref_copy.matched, ref_copy.total),
     )
     if gen_sw:
-        gen_copy = metrics.p_copy(code.subwords, gen_sw, tokenize.tokenizer_id)
+        gen_copy = metrics.p_copy(code_set, gen_sw, tokenize.tokenizer_id)
         eval_rec.p_copy_generated = gen_copy.value
         eval_rec.p_copy_generated_matched = gen_copy.matched
         eval_rec.p_copy_generated_total = gen_copy.total

@@ -8,8 +8,9 @@ import hashlib
 import math
 import time
 from collections import Counter
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Collection, Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -138,15 +139,16 @@ def split_description(text: str, lowercase: bool = False) -> list[str]:
 
 
 def p_copy(
-    code_subwords: Sequence[str],
+    code_subwords: Collection[str],
     desc_subwords: Sequence[str],
     tokenizer_id: str = "fallback",
 ) -> PCopy:
     """Fraction of description subword tokens whose strings also occur among
-    the code's subword tokens."""
+    the code's subword tokens. A set of the code's subwords (or a dict's
+    keys) is used as it is; any other collection is made into one."""
     if not desc_subwords:
         raise EmptyDescriptionError("description has no subword tokens")
-    code_set = set(code_subwords)
+    code_set = code_subwords if isinstance(code_subwords, AbstractSet) else set(code_subwords)
     matched = sum(1 for tok in desc_subwords if tok in code_set)
     return PCopy(
         value=matched / len(desc_subwords),

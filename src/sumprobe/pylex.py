@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import HarnessError
 
@@ -38,12 +38,16 @@ class Role(str, Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class LexToken:
+class LexToken(NamedTuple):
     lexeme: str
     category: Category
     start: int  # byte offset into the UTF-8 encoding of the source
     end: int
+
+
+# LexToken(*fields) without the Python-level __new__ frame: the lexer and
+# make_stream build one per token.
+_new_token = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -177,7 +181,7 @@ def make_stream(parts: Iterable[tuple[str, Category]]) -> TokenStream:
         if not lexeme:
             continue
         nbytes = len(lexeme) if lexeme.isascii() else len(lexeme.encode("utf-8"))
-        tokens.append(LexToken(lexeme, category, offset, offset + nbytes))
+        tokens.append(_new_token(LexToken, (lexeme, category, offset, offset + nbytes)))
         offset += nbytes
     return TokenStream(tokens)
 
@@ -214,49 +218,63 @@ def _scan_string(source: str, start: int, after_prefix: int) -> int:
     )
 
 
+# The category of each _TOKEN_RE group whose lexeme does not decide it;
+# `other` is not part of Python's lexical grammar (stray $, ?, lone \, ...)
+# and is kept permissively as an operator so arbitrary text round-trips.
+_GROUP_CATEGORY = {
+    "ws": Category.WHITESPACE,
+    "contline": Category.WHITESPACE,
+    "nl": Category.NEWLINE,
+    "comment": Category.COMMENT,
+    "number": Category.NUMBER,
+    "other": Category.OPERATOR,
+}
+_PUNCT_CATEGORY = {
+    p: Category.OPERATOR if p in _OPERATORS else Category.DELIMITER for p in _PUNCT
+}
+
+
 def lex(source: str) -> TokenStream:
     """Tokenize `source`; concat of the lexemes reproduces it exactly."""
-    parts: list[tuple[str, Category]] = []
+    tokens: list[LexToken] = []
     open_brackets: list[int] = []  # code-point offsets of unclosed openers
+    ascii_source = source.isascii()  # then byte offsets are code-point offsets
+    match_at = _TOKEN_RE.match
     pos = 0
+    offset = 0  # byte offset of `pos`
     n = len(source)
     while pos < n:
-        match = _TOKEN_RE.match(source, pos)
+        match = match_at(source, pos)
         kind = match.lastgroup
+        end = match.end()
         if kind == "strstart":
-            end = _scan_string(source, pos, match.end())
-            parts.append((source[pos:end], Category.STRING))
-            pos = end
-            continue
-        text = match.group()
-        if kind == "ws" or kind == "contline":
-            parts.append((text, Category.WHITESPACE))
-        elif kind == "nl":
-            parts.append((text, Category.NEWLINE))
-        elif kind == "comment":
-            parts.append((text, Category.COMMENT))
-        elif kind == "number":
-            parts.append((text, Category.NUMBER))
-        elif kind == "ident":
-            category = Category.KEYWORD if text in KEYWORDS else Category.IDENTIFIER
-            parts.append((text, category))
-        elif kind == "punct":
-            if text in _OPENERS:
-                open_brackets.append(pos)
-            elif text in _CLOSERS and open_brackets:
-                open_brackets.pop()
-            category = Category.OPERATOR if text in _OPERATORS else Category.DELIMITER
-            parts.append((text, category))
+            end = _scan_string(source, pos, end)
+            text = source[pos:end]
+            category = Category.STRING
         else:
-            # Not part of Python's lexical grammar (stray $, ?, lone \, ...).
-            # Kept permissively as an operator so arbitrary bytes round-trip.
-            parts.append((text, Category.OPERATOR))
-        pos = match.end()
+            text = match.group()
+            if kind == "ident":
+                category = Category.KEYWORD if text in KEYWORDS else Category.IDENTIFIER
+            elif kind == "punct":
+                if text in _OPENERS:
+                    open_brackets.append(pos)
+                elif text in _CLOSERS and open_brackets:
+                    open_brackets.pop()
+                category = _PUNCT_CATEGORY[text]
+            else:
+                category = _GROUP_CATEGORY[kind]
+        if ascii_source or text.isascii():
+            stop = offset + end - pos
+        else:
+            stop = offset + len(text.encode("utf-8"))
+        tokens.append(_new_token(LexToken, (text, category, offset, stop)))
+        offset = stop
+        pos = end
     if open_brackets:
         raise UnterminatedBracketError(
             "unclosed bracket", _byte_offset(source, open_brackets[0])
         )
-    return make_stream(parts)
+    return TokenStream(tokens)
 
 
 def function_name_indices(tokens: Sequence[LexToken]) -> set[int]:

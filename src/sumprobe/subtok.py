@@ -7,7 +7,8 @@ different tokenizers are not comparable, so every tokenizer carries an id
 that is recorded alongside the scores it produced.
 
 Code snippets are split one lexer token at a time, in a single walk that
-also records which kind of code token each subword came from.
+also records which kind of code token each subword came from; a memo
+shared across the snippets of a batch tokenizes each distinct lexeme once.
 """
 
 from __future__ import annotations
@@ -204,14 +205,24 @@ class CodeSubwords:
     source: dict[str, int]  # distinct subword -> index of its category
 
 
-def split_code(code: str, tokenize: Tokenizer) -> CodeSubwords:
+def split_code(
+    code: str, tokenize: Tokenizer, memo: dict[str, list[str]] | None = None
+) -> CodeSubwords:
     """Lex `code` once and tokenize each lexer token on its own.
 
     This is the one place that decides which lexer tokens yield code
     subwords (all but whitespace and newlines) and under which attribution
     category: the function name (pylex.function_name_indices), else the
     token's lexical category.
+
+    `memo` maps a text to its subwords under `tokenize`; pass one dict to
+    every split of a batch and each distinct lexeme is tokenized once. A
+    tokenizer maps a text to subwords without looking at any context, so
+    the memo changes no subword, count or attribution. Its lists are
+    shared, so no caller may change one.
     """
+    if memo is None:
+        memo = {}
     tokens = lex(code)
     name_indices = function_name_indices(tokens)
     subwords: list[str] = []
@@ -223,7 +234,9 @@ def split_code(code: str, tokenize: Tokenizer) -> CodeSubwords:
             continue
         if i in name_indices:
             category = _FUNCTION_NAME
-        pieces = tokenize(tok.lexeme)
+        pieces = memo.get(tok.lexeme)
+        if pieces is None:
+            pieces = memo[tok.lexeme] = tokenize(tok.lexeme)
         subwords.extend(pieces)
         per_category[category] += len(pieces)
         rank = _RANK[category]

@@ -18,7 +18,8 @@ import sumprobe.metrics
 import sumprobe.pylex
 from sumprobe.cli import main
 from sumprobe.llmgen import ChatCompletionsClient, GenerationCache
-from sumprobe.subtok import FallbackTokenizer, code_subwords
+from sumprobe.pylex import Category
+from sumprobe.subtok import BpeTokenizer, FallbackTokenizer, code_subwords
 from sumprobe.transform import Variant
 
 from corpusgen import write_corpus
@@ -385,6 +386,110 @@ def test_transform_outputs_match_golden_digests(tmp_path):
     digests = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in out.rglob("*.jsonl")}
     assert digests == GOLDEN_TRANSFORM_DIGESTS
+
+
+def golden_bpe_vocab(path):
+    """A small BPE vocabulary: each word below merged left to right, in
+    this order, so pieces of common code and description words compete."""
+    words = ("in", "er", "re", "return", "self", "value", "item", "items",
+             "limit", "parts", "the", "and", "for", "load", "user", "count")
+    merges: dict[str, None] = {}
+    vocab: dict[str, None] = {}
+    for word in words:
+        vocab.update(dict.fromkeys(word))
+        for i in range(1, len(word)):
+            merges[f"{word[:i]} {word[i]}"] = None
+            vocab[word[:i + 1]] = None
+    path.write_text(json.dumps({"merges": list(merges), "vocab": list(vocab)}))
+    return path
+
+
+# sha256 of score's outputs over the golden transform corpus: every stored
+# score, copy count and attribution, and every re-paired score
+GOLDEN_SCORE_DIGESTS = {
+    "bpe": {
+        "pairings.jsonl": "cd6e47590c42d4016bfa607143fe6f4b8d6b40de58fa55243c12ca34fdfc4dc3",
+        "runs.jsonl": "bad70a6c16147d88ffcc02600f5904a72d26e38e272bd79ad45c9432d787d262",
+    },
+    "fallback": {
+        "pairings.jsonl": "c9524eab5acdb599b65a5fba063663853a9b86332423bc2a69a3cf6e4f722f94",
+        "runs.jsonl": "9b4d3269f07fb42d029326bf6ec3efab830519d2cd883e20ed956c6adfe451b0",
+    },
+}
+
+
+@pytest.mark.parametrize("tokenizer", sorted(GOLDEN_SCORE_DIGESTS))
+def test_score_outputs_match_golden_digests(tmp_path, tokenizer):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, 300, seed=3)
+    with corpus.open("a", encoding="utf-8") as fh:
+        for row in GOLDEN_EDGE_ROWS:
+            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    spec = "fallback" if tokenizer == "fallback" else golden_bpe_vocab(tmp_path / "vocab.json")
+    out = tmp_path / "out"
+    for args in (
+        ["transform", "--corpus", corpus, "--max-errors", 100],
+        ["generate", "--model", "m", "--mock", "echo"],
+        ["score", "--tokenizer", spec],
+    ):
+        assert run_cli("--seed", 3, "--out", out, *args) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("runs.jsonl", "pairings.jsonl")}
+    assert digests == GOLDEN_SCORE_DIGESTS[tokenizer]
+
+
+@pytest.mark.parametrize("tokenizer", ["fallback", "bpe"])
+def test_score_tokenizes_each_distinct_text_once(tmp_path, monkeypatch, tokenizer):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, 60, seed=3)
+    out = tmp_path / "out"
+    for args in (["transform", "--corpus", corpus], ["generate", "--model", "m", "--mock", "echo"]):
+        assert run_cli("--seed", 3, "--out", out, *args) == 0
+
+    calls = []
+    for cls in (FallbackTokenizer, BpeTokenizer):
+        call = cls.__call__
+
+        def counting(self, text, call=call):
+            calls.append(text)
+            return call(self, text)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "sumprobe" or module_name.startswith("sumprobe."):
+                for owner in [module] + [v for v in vars(module).values() if isinstance(v, type)]:
+                    for alias, value in list(vars(owner).items()):
+                        if value is call:
+                            monkeypatch.setattr(owner, alias, counting)
+    spec = "fallback" if tokenizer == "fallback" else golden_bpe_vocab(tmp_path / "vocab.json")
+    assert run_cli("--seed", 3, "--out", out, "score", "--tokenizer", spec) == 0
+
+    lexemes, descriptions = set(), set()
+    for path in (out / "variants").iterdir():
+        for line in path.read_text().splitlines():
+            row = json.loads(line)
+            descriptions.add(row["docstring"])
+            lexemes.update(tok.lexeme for tok in sumprobe.pylex.lex(row["code"])
+                           if tok.category not in (Category.WHITESPACE, Category.NEWLINE))
+    for line in (out / "runs.jsonl").read_text().splitlines():
+        descriptions.add(json.loads(line)["generated"])
+    assert calls and len(calls) == len(set(calls))
+    assert len(calls) <= len(lexemes) + len(descriptions)
+
+
+def test_repeated_variant_is_transformed_once(tmp_path, corpus5, capsys):
+    with corpus5.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"id": "no_def", "code": "total = sum(values)\nprint(total)\n",
+                             "docstring": "Print the total of the values."}) + "\n")
+    out = tmp_path / "out"
+    assert run_cli("--seed", 1, "--out", out, "transform", "--corpus", corpus5,
+                   "--variant", "obfuscated_names", "--variant", "obfuscated_names",
+                   "--max-errors", 1) == 0
+    assert "1 variant file(s)" in capsys.readouterr().out
+    assert [p.name for p in (out / "variants").iterdir()] == ["obfuscated_names.jsonl"]
+    rows = (out / "variants" / "obfuscated_names.jsonl").read_text().splitlines()
+    assert [json.loads(line)["id"] for line in rows] == [f"ex{i:04d}" for i in range(5)]
+    errors = [json.loads(line) for line in (out / "errors_transform.jsonl").read_text().splitlines()]
+    assert [e["where"] for e in errors] == ["no_def/obfuscated_names"]
 
 
 def test_seed_is_mandatory(tmp_path, corpus5, capsys):

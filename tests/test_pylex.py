@@ -252,8 +252,13 @@ def test_unlexable_snippets_raise():
             lex(code)
 
 
+# Any text, and Python-like text that mixes ASCII with 2-, 3- and 4-byte
+# UTF-8 characters, so both the all-ASCII and the per-lexeme byte counts run.
+_PYTHONISH = st.text(alphabet=st.sampled_from(list("def x_(1):\n\t'\"#.+äßé€中😀")), max_size=80)
+
+
 @settings(max_examples=300, derandomize=True)
-@given(st.text(max_size=80))
+@given(st.text(max_size=80) | _PYTHONISH)
 def test_lex_never_mangles_arbitrary_text(text):
     try:
         stream = lex(text)
@@ -261,3 +266,10 @@ def test_lex_never_mangles_arbitrary_text(text):
         return
     assert stream.text == text
     assert list(lex(stream.text)) == list(stream)
+    data = text.encode("utf-8")
+    offset = 0
+    for tok in stream:
+        assert tok.start == offset < tok.end
+        assert data[tok.start:tok.end].decode("utf-8") == tok.lexeme
+        offset = tok.end
+    assert offset == len(data)

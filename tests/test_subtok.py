@@ -12,8 +12,11 @@ from sumprobe.subtok import (
     encode,
     fallback_split,
     load_vocab,
+    split_code,
     tokenizer_from_spec,
 )
+
+from corpusgen import sample_pairs
 
 
 def make_vocab(merges, extra_vocab=(), boundary=""):
@@ -156,3 +159,13 @@ def test_code_subwords_respects_lexical_tokens():
     sw = code_subwords("def from_url(x):\n    return x\n", FallbackTokenizer())
     assert "from" in sw and "_" in sw and "url" in sw and "def" in sw
     assert " " not in sw and "\n" not in sw
+
+
+def test_split_code_with_a_shared_memo_equals_split_code_without_one():
+    vocab = make_vocab([("r", "e"), ("re", "t"), ("i", "n"), ("v", "a"), ("va", "l"),
+                        ("s", "e"), ("se", "l"), ("sel", "f"), ("_", "v")])
+    for tokenize in (FallbackTokenizer(), BpeTokenizer(vocab)):
+        memo: dict[str, list[str]] = {}
+        for code, _ in sample_pairs(300, seed=3):
+            assert split_code(code, tokenize, memo) == split_code(code, tokenize)
+        assert memo and all(memo[text] == tokenize(text) for text in memo)
