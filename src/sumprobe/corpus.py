@@ -50,16 +50,6 @@ class Example:
 
 
 @dataclass(frozen=True)
-class FilterDecision:
-    accepted: bool
-    reason: FilterReason | None = None
-
-    def __post_init__(self) -> None:
-        if self.accepted == (self.reason is not None):
-            raise ValueError("accepted must be true iff reason is absent")
-
-
-@dataclass(frozen=True)
 class LineError:
     """A corpus line that could not be turned into an Example."""
 
@@ -198,31 +188,23 @@ def screen_example(
     return None
 
 
-def filter_example(
-    ex: Example, min_tokens: int = 3, max_tokens: int = 256
-) -> FilterDecision:
-    """Accept or reject one example: `screen_example`'s rules, then code
-    the lexer refuses."""
-    reason = screen_example(ex, min_tokens, max_tokens)
-    if reason is None:
-        try:
-            lex(ex.code)
-        except UnlexableError:
-            reason = FilterReason.UNLEXABLE
-    return FilterDecision(reason is None, reason)
-
-
 def filter_corpus(
     examples: Iterable[Example], min_tokens: int = 3, max_tokens: int = 256
-) -> tuple[list[Example], list[tuple[Example, FilterDecision]]]:
+) -> tuple[list[Example], list[tuple[Example, FilterReason]]]:
+    """Split examples into accepted and rejected: `screen_example`'s rules,
+    then code the lexer refuses."""
     accepted: list[Example] = []
-    rejected: list[tuple[Example, FilterDecision]] = []
+    rejected: list[tuple[Example, FilterReason]] = []
     for ex in examples:
-        decision = filter_example(ex, min_tokens, max_tokens)
-        if decision.accepted:
-            accepted.append(ex)
-        else:
-            rejected.append((ex, decision))
+        reason = screen_example(ex, min_tokens, max_tokens)
+        if reason is None:
+            try:
+                lex(ex.code)
+                accepted.append(ex)
+                continue
+            except UnlexableError:
+                reason = FilterReason.UNLEXABLE
+        rejected.append((ex, reason))
     return accepted, rejected
 
 

@@ -6,8 +6,11 @@ well-formedness only (strings terminated, brackets closed); it happily
 tokenizes code no parser would accept, which is what the downstream code
 transformations need -- their outputs are often not valid Python.
 
-Besides raw tokens, the module marks the snippet's function name and
-locates the span of the first function signature.
+`lex` returns a plain tuple of tokens. `transform.Snippet` lexes each
+snippet once and builds every variant's text from that tuple; `score`'s
+`subtok.split_code` lexes the code of each record it scores. Besides the
+tokens, the module marks the snippet's function name and locates the span
+of the first function signature.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import HarnessError
 
@@ -45,8 +48,8 @@ class LexToken(NamedTuple):
     end: int
 
 
-# LexToken(*fields) without the Python-level __new__ frame: the lexer and
-# make_stream build one per token.
+# LexToken(*fields) without the Python-level __new__ frame: the lexer builds
+# one per token.
 _new_token = tuple.__new__
 
 
@@ -62,7 +65,7 @@ class SignatureSpan:
 
     start: int  # byte offsets, like LexToken spans
     end: int
-    first_token: int  # index of the `def` token in the stream
+    first_token: int  # index of the `def` token
     last_token: int  # index of the closing `:` token, inclusive
 
 
@@ -138,54 +141,6 @@ _TOKEN_RE = re.compile(
 )
 
 
-class TokenStream(Sequence[LexToken]):
-    """Immutable token sequence whose lexemes tile the source text."""
-
-    __slots__ = ("_tokens",)
-
-    def __init__(self, tokens: Iterable[LexToken]) -> None:
-        self._tokens = tuple(tokens)
-
-    def __len__(self) -> int:
-        return len(self._tokens)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self._tokens[index]
-        return self._tokens[index]
-
-    def __iter__(self) -> Iterator[LexToken]:
-        return iter(self._tokens)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TokenStream):
-            return self._tokens == other._tokens
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._tokens)
-
-    def __repr__(self) -> str:
-        return f"TokenStream({len(self._tokens)} tokens)"
-
-    @property
-    def text(self) -> str:
-        return "".join(t.lexeme for t in self._tokens)
-
-
-def make_stream(parts: Iterable[tuple[str, Category]]) -> TokenStream:
-    """Build a stream from (lexeme, category) pairs, recomputing byte spans."""
-    tokens = []
-    offset = 0
-    for lexeme, category in parts:
-        if not lexeme:
-            continue
-        nbytes = len(lexeme) if lexeme.isascii() else len(lexeme.encode("utf-8"))
-        tokens.append(_new_token(LexToken, (lexeme, category, offset, offset + nbytes)))
-        offset += nbytes
-    return TokenStream(tokens)
-
-
 def _byte_offset(source: str, cp_offset: int) -> int:
     head = source[:cp_offset]
     return len(head) if head.isascii() else len(head.encode("utf-8"))
@@ -234,7 +189,7 @@ _PUNCT_CATEGORY = {
 }
 
 
-def lex(source: str) -> TokenStream:
+def lex(source: str) -> tuple[LexToken, ...]:
     """Tokenize `source`; concat of the lexemes reproduces it exactly."""
     tokens: list[LexToken] = []
     open_brackets: list[int] = []  # code-point offsets of unclosed openers
@@ -274,7 +229,7 @@ def lex(source: str) -> TokenStream:
         raise UnterminatedBracketError(
             "unclosed bracket", _byte_offset(source, open_brackets[0])
         )
-    return TokenStream(tokens)
+    return tuple(tokens)
 
 
 def function_name_indices(tokens: Sequence[LexToken]) -> set[int]:

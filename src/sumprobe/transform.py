@@ -1,11 +1,13 @@
-"""Code variants: token-stream rewrites that hide or distort one kind of
-information (function names, code structure, the whole body, comments).
+"""Code variants: rewrites that hide or distort one kind of information
+(function names, code structure, the whole body, comments).
 
-Each rewrite rule is written once, over a lexed stream. The stream helpers
-(`strip_comments`, `obfuscate_function_names`, ...) return a fresh
-TokenStream with recomputed spans; `Snippet` lexes a snippet once and joins
-the same rules' output into the text of every variant. The input is never
-mutated.
+There is one path from a snippet to its variants. `Snippet.of` lexes the
+snippet once, drops its comments, and keeps what the variants need;
+`Snippet.text` returns each variant's code. Every variant but `original`
+is built from the comment-free tokens, so the models cannot lean on prose
+hidden in comments. `apply_variant` is the same path for one example and
+one variant. `donor_entries` and `donor_assignment` choose the names the
+adversarial variant writes.
 """
 
 from __future__ import annotations
@@ -24,11 +26,9 @@ from .pylex import (
     Category,
     LexToken,
     NoFunctionError,
-    TokenStream,
     UnlexableError,
     function_name_indices,
     lex,
-    make_stream,
     signature_span,
 )
 
@@ -51,23 +51,24 @@ class DonorCollisionError(HarnessError):
         self.donor = donor
 
 
+class InvalidDonorError(HarnessError):
+    """The donor name is not a Python identifier (the lexer accepts some
+    names, such as `f²`, that `str.isidentifier` rejects)."""
+
+    def __init__(self, donor: str) -> None:
+        super().__init__(f"donor name {donor!r} is not a valid identifier")
+        self.donor = donor
+
+
 _SHIFT_FWD = str.maketrans(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ",
     "bcdefghijklmnopqrstuvwxyzaBCDEFGHIJKLMNOPQRSTUVWXYZA",
-)
-_SHIFT_REV = str.maketrans(
-    "bcdefghijklmnopqrstuvwxyzaBCDEFGHIJKLMNOPQRSTUVWXYZA",
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ",
 )
 
 
 def shift_name(name: str) -> str:
     """a->b ... z->a, case preserved; digits, underscores etc. unchanged."""
     return name.translate(_SHIFT_FWD)
-
-
-def unshift_name(name: str) -> str:
-    return name.translate(_SHIFT_REV)
 
 
 # --- the rules ------------------------------------------------------------
@@ -92,17 +93,17 @@ def _comment_free(tokens: Sequence[LexToken]) -> list[LexToken]:
     return [t for i, t in enumerate(tokens) if i not in drop]
 
 
-def _name_segments(tokens: Sequence[LexToken]) -> tuple[str | None, list[list[LexToken]]]:
+def _name_segments(tokens: Sequence[LexToken]) -> tuple[str | None, tuple[str, ...]]:
     """The defined function name (pylex.function_name_indices), None
-    without a def, and the runs of tokens between its occurrences."""
+    without a def, and the text between its occurrences."""
     names = function_name_indices(tokens)
-    segments: list[list[LexToken]] = [[]]
+    segments: list[list[str]] = [[]]
     for i, tok in enumerate(tokens):
         if i in names:
             segments.append([])
         else:
-            segments[-1].append(tok)
-    return (tokens[min(names)].lexeme if names else None), segments
+            segments[-1].append(tok.lexeme)
+    return (tokens[min(names)].lexeme if names else None), tuple(map("".join, segments))
 
 
 def _defined(name: str | None) -> str:
@@ -115,7 +116,7 @@ def _adversarial_name(donor: str, name: str | None, identifiers: frozenset[str])
     """The name the adversarial variant writes in place of `name`: the
     donor, or `name` itself when the donor is that name."""
     if not donor.isidentifier():
-        raise ValueError(f"donor name {donor!r} is not a valid identifier")
+        raise InvalidDonorError(donor)
     if donor == _defined(name):
         log.info("donor equals original name %r; snippet left unchanged", name)
         return name
@@ -124,12 +125,18 @@ def _adversarial_name(donor: str, name: str | None, identifiers: frozenset[str])
     return donor
 
 
-_STRUCTURE_KEPT = (Category.IDENTIFIER, Category.NUMBER, Category.STRING, Category.COMMENT)
+_STRUCTURE_KEPT = (Category.IDENTIFIER, Category.NUMBER, Category.STRING)
 
 
-def _structure_parts(tokens: Sequence[LexToken]) -> list[tuple[str, Category]]:
-    """Keywords, operators and delimiters dropped; see remove_code_structure."""
-    parts: list[tuple[str, Category]] = []
+def _structure_parts(tokens: Sequence[LexToken]) -> list[str]:
+    """The text pieces left once keywords, operators and delimiters are
+    dropped; everything else is kept.
+
+    Within each line the survivors are joined by single spaces and the
+    original indentation is kept, so the output still looks like the code's
+    silhouette. Lines left empty keep their newline only.
+    """
+    parts: list[str] = []
     line: list[LexToken] = []
 
     def flush(newline: LexToken | None) -> None:
@@ -139,13 +146,13 @@ def _structure_parts(tokens: Sequence[LexToken]) -> list[tuple[str, Category]]:
         kept = [t for t in line if t.category in _STRUCTURE_KEPT]
         if kept:
             if indent:
-                parts.append((indent, Category.WHITESPACE))
+                parts.append(indent)
             for k, tok in enumerate(kept):
                 if k:
-                    parts.append((" ", Category.WHITESPACE))
-                parts.append((tok.lexeme, tok.category))
+                    parts.append(" ")
+                parts.append(tok.lexeme)
         if newline is not None:
-            parts.append((newline.lexeme, Category.NEWLINE))
+            parts.append(newline.lexeme)
         line.clear()
 
     for tok in tokens:
@@ -157,9 +164,10 @@ def _structure_parts(tokens: Sequence[LexToken]) -> list[tuple[str, Category]]:
     return parts
 
 
-def _signature_tokens(tokens: Sequence[LexToken]) -> Sequence[LexToken]:
+def _signature(tokens: Sequence[LexToken]) -> str:
+    """Exactly the first def's signature, through its colon."""
     span = signature_span(tokens)
-    return tokens[span.first_token : span.last_token + 1]
+    return "".join(t.lexeme for t in tokens[span.first_token : span.last_token + 1])
 
 
 def _identifiers(tokens: Iterable[LexToken]) -> frozenset[str]:
@@ -167,69 +175,7 @@ def _identifiers(tokens: Iterable[LexToken]) -> frozenset[str]:
     return frozenset(sys.intern(t.lexeme) for t in tokens if t.category is Category.IDENTIFIER)
 
 
-# --- stream helpers -------------------------------------------------------
-
-
-def _stream(tokens: Iterable[LexToken]) -> TokenStream:
-    return make_stream((t.lexeme, t.category) for t in tokens)
-
-
-def strip_comments(tokens: Sequence[LexToken]) -> TokenStream:
-    """Drop comments plus the whitespace that separated them from code; a
-    comment alone on its line takes the line's newline with it."""
-    return _stream(_comment_free(tokens))
-
-
-def _renamed(segments: list[list[LexToken]], new_name: str) -> TokenStream:
-    parts: list[tuple[str, Category]] = []
-    for k, segment in enumerate(segments):
-        if k:
-            parts.append((new_name, Category.IDENTIFIER))
-        parts.extend((t.lexeme, t.category) for t in segment)
-    return make_stream(parts)
-
-
-def _rename_function(tokens: Sequence[LexToken], rename) -> TokenStream:
-    name, segments = _name_segments(tokens)
-    return _renamed(segments, rename(_defined(name)))
-
-
-def obfuscate_function_names(tokens: Sequence[LexToken]) -> TokenStream:
-    """Rewrite every occurrence of the defined name with the +1 letter shift."""
-    return _rename_function(tokens, shift_name)
-
-
-def deobfuscate_function_names(tokens: Sequence[LexToken]) -> TokenStream:
-    """Inverse of obfuscate_function_names (the -1 letter shift)."""
-    return _rename_function(tokens, unshift_name)
-
-
-def adversarialize(tokens: Sequence[LexToken], donor_name: str) -> TokenStream:
-    """Replace the defined function name (all occurrences) with donor_name."""
-    name, segments = _name_segments(tokens)
-    return _renamed(segments, _adversarial_name(donor_name, name, _identifiers(tokens)))
-
-
-def remove_code_structure(tokens: Sequence[LexToken]) -> TokenStream:
-    """Drop keywords, operators and delimiters; keep everything else.
-
-    Within each line the survivors are joined by single spaces and the
-    original indentation is kept, so the output still looks like the code's
-    silhouette. Lines left empty keep their newline only.
-    """
-    return make_stream(_structure_parts(tokens))
-
-
-def remove_function_body(tokens: Sequence[LexToken]) -> TokenStream:
-    """Keep exactly the first def's signature (through its colon)."""
-    return _stream(_signature_tokens(tokens))
-
-
 # --- one lex per snippet --------------------------------------------------
-
-
-def _text(tokens: Iterable[LexToken]) -> str:
-    return "".join(t.lexeme for t in tokens)
 
 
 @dataclass(slots=True)
@@ -254,21 +200,22 @@ class Snippet:
         """Raises UnlexableError; every other failure is kept per variant."""
         stripped = _comment_free(lex(code))
         name, segments = _name_segments(stripped)
-        snippet = cls(code, name, _identifiers(stripped), tuple(map(_text, segments)))
+        snippet = cls(code, name, _identifiers(stripped), segments)
         if Variant.NO_CODE_STRUCTURE in variants:
-            snippet.texts[Variant.NO_CODE_STRUCTURE] = "".join(
-                lexeme for lexeme, _ in _structure_parts(stripped)
-            )
+            snippet.texts[Variant.NO_CODE_STRUCTURE] = "".join(_structure_parts(stripped))
         if Variant.NO_FUNCTION_BODY in variants:
             try:
-                snippet.texts[Variant.NO_FUNCTION_BODY] = _text(_signature_tokens(stripped))
+                snippet.texts[Variant.NO_FUNCTION_BODY] = _signature(stripped)
             except NoFunctionError as exc:
                 snippet.failures[Variant.NO_FUNCTION_BODY] = str(exc)
         return snippet
 
     def text(self, variant: Variant, donor: str | None = None) -> str:
-        """The variant's code; raises what the variant's stream helper
-        raises on the comment-stripped stream."""
+        """The variant's code. The renaming variants rewrite every
+        occurrence of the defined name: `obfuscated_names` with the +1
+        letter shift, `adversarial_names` with `donor`. Raises
+        NoFunctionError when the variant needs a def the snippet lacks,
+        DonorCollisionError or InvalidDonorError for an unusable donor."""
         if variant is Variant.ORIGINAL:
             return self.code
         if variant in self.failures:

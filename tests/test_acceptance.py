@@ -28,24 +28,20 @@ from sumprobe.corpus import (
     FilterReason,
     RunRecord,
     filter_corpus,
-    filter_example,
     load_corpus,
     load_run,
     save_run,
 )
 from sumprobe import metrics
 from sumprobe.metrics import bertscore, bleu4, p_copy, pearson, spearman
-from sumprobe.pylex import Category, Role, UnlexableError, classify_roles, lex, signature_span
+from sumprobe.pylex import Category, UnlexableError, function_name_indices, lex, signature_span
 from sumprobe.transform import (
-    adversarialize,
-    deobfuscate_function_names,
+    Snippet,
+    Variant,
+    _comment_free,
+    apply_variant,
     donor_assignment,
     donor_entries,
-    obfuscate_function_names,
-    remove_code_structure,
-    remove_function_body,
-    Variant,
-    apply_variant,
 )
 from sumprobe.subtok import FallbackTokenizer, code_subwords
 
@@ -128,12 +124,10 @@ def test_criterion_2_lexer_roundtrip(mixed_corpus):
             stream = lex(ex.code)
         except UnlexableError:
             unlexable += 1
-            decision = filter_example(ex)
-            assert not decision.accepted
-            assert decision.reason is FilterReason.UNLEXABLE
+            assert filter_corpus([ex]) == ([], [(ex, FilterReason.UNLEXABLE)])
             continue
         lexable += 1
-        assert stream.text == ex.code, ex.id
+        assert "".join(tok.lexeme for tok in stream) == ex.code, ex.id
         offset = 0
         encoded = ex.code.encode("utf-8")
         for tok in stream:
@@ -144,42 +138,53 @@ def test_criterion_2_lexer_roundtrip(mixed_corpus):
     assert unlexable == 20
 
 
+_UNSHIFT = str.maketrans(
+    "bcdefghijklmnopqrstuvwxyzaBCDEFGHIJKLMNOPQRSTUVWXYZA",
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ",
+)
+
+
 @criterion(3, "transformation invariants hold on the full sample corpus")
 def test_criterion_3_transform_invariants(mixed_corpus):
+    """Checked on the texts `transform` writes, against the comment-free
+    tokens every transformed variant is built from."""
     accepted, _ = filter_corpus(mixed_corpus)
     donors = donor_assignment(donor_entries(accepted), seed=12)
     checked = 0
     for ex in accepted:
-        stream = lex(ex.code)
+        free = _comment_free(lex(ex.code))
+        names = function_name_indices(free)
+        snippet = Snippet.of(ex.code)
 
-        relexed = lex(remove_code_structure(stream).text)
+        relexed = lex(snippet.text(Variant.NO_CODE_STRUCTURE))
         for tok in relexed:
             assert tok.category not in (
                 Category.KEYWORD, Category.OPERATOR, Category.DELIMITER,
             ), (ex.id, tok)
 
-        span = signature_span(stream)
-        expected = ex.code.encode("utf-8")[span.start : span.end].decode("utf-8")
-        assert remove_function_body(stream).text == expected, ex.id
+        # from the comment-free lexemes: a comment inside a multi-line
+        # parameter list is not part of the signature
+        span = signature_span(free)
+        expected = "".join(tok.lexeme for tok in free[span.first_token : span.last_token + 1])
+        assert snippet.text(Variant.NO_FUNCTION_BODY) == expected, ex.id
 
-        assert deobfuscate_function_names(obfuscate_function_names(stream)).text == ex.code
+        obfuscated = lex(snippet.text(Variant.OBFUSCATED_NAMES))
+        assert len(obfuscated) == len(free), ex.id
+        restored = "".join(
+            tok.lexeme.translate(_UNSHIFT) if i in names else tok.lexeme
+            for i, tok in enumerate(obfuscated)
+        )
+        assert restored == "".join(tok.lexeme for tok in free), ex.id
 
-        donor = donors[ex.id]
-        adversarial = adversarialize(stream, donor)
-        roles = classify_roles(stream)
-        assert len(adversarial) == len(stream)
-        original_rest = Counter(
-            (rt.base.lexeme, rt.base.category)
-            for rt in roles
-            if rt.role is not Role.FUNCTION_NAME
-        )
-        new_roles = classify_roles(adversarial)
-        new_rest = Counter(
-            (rt.base.lexeme, rt.base.category)
-            for rt in new_roles
-            if rt.role is not Role.FUNCTION_NAME
-        )
-        assert original_rest == new_rest, ex.id
+        adversarial = lex(snippet.text(Variant.ADVERSARIAL_NAMES, donors[ex.id]))
+        assert len(adversarial) == len(free), ex.id
+
+        def rest(tokens):
+            return Counter(
+                (tok.lexeme, tok.category) for i, tok in enumerate(tokens) if i not in names
+            )
+
+        assert rest(adversarial) == rest(free), ex.id
         checked += 1
     assert checked == len(accepted) >= 900
 

@@ -17,10 +17,12 @@ import pytest
 import sumprobe.metrics
 import sumprobe.pylex
 from sumprobe.cli import main
+from sumprobe.corpus import filter_corpus, load_corpus
+from sumprobe.errors import HarnessError
 from sumprobe.llmgen import ChatCompletionsClient, GenerationCache
 from sumprobe.pylex import Category
 from sumprobe.subtok import BpeTokenizer, FallbackTokenizer, code_subwords
-from sumprobe.transform import Variant
+from sumprobe.transform import Variant, apply_variant, donor_assignment, donor_entries
 
 from corpusgen import write_corpus
 from httpstub import serve
@@ -490,6 +492,66 @@ def test_repeated_variant_is_transformed_once(tmp_path, corpus5, capsys):
     assert [json.loads(line)["id"] for line in rows] == [f"ex{i:04d}" for i in range(5)]
     errors = [json.loads(line) for line in (out / "errors_transform.jsonl").read_text().splitlines()]
     assert [e["where"] for e in errors] == ["no_def/obfuscated_names"]
+
+
+# `f²` lexes as an identifier but is not a Python one: as a donor it can
+# only be an error row
+NON_IDENTIFIER_DONOR_ROWS = [
+    {"id": "a", "code": "def f²(x): return x", "docstring": "returns the value x"},
+    {"id": "b", "code": "def g(y): return y", "docstring": "returns the value y"},
+]
+
+
+@pytest.mark.parametrize("max_errors,status", [(0, 1), (1, 0)])
+def test_non_identifier_donor_is_one_error_row(tmp_path, max_errors, status):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n"
+                              for r in NON_IDENTIFIER_DONOR_ROWS), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("--seed", 1, "--out", out, "transform", "--corpus", corpus,
+                   "--max-errors", max_errors) == status
+    assert sorted(p.name for p in (out / "variants").iterdir()) == sorted(
+        f"{v.value}.jsonl" for v in Variant
+    )
+    errors = [json.loads(line) for line in (out / "errors_transform.jsonl").read_text().splitlines()]
+    assert [e["where"] for e in errors] == ["b/adversarial_names"]
+    assert "'f²' is not a valid identifier" in errors[0]["error"]
+    rows = (out / "variants" / "adversarial_names.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["code"] for line in rows] == ["def g(x): return x"]
+
+
+def test_every_variant_row_is_apply_variant(tmp_path):
+    corpus = tmp_path / "c.jsonl"
+    write_corpus(corpus, 200, seed=5, unlexable_every=23)
+    with corpus.open("a", encoding="utf-8") as fh:
+        for row in NON_IDENTIFIER_DONOR_ROWS + [
+            {"id": "no_def", "code": "total = sum(values)  # all\n",
+             "docstring": "Sum up all of the values."},
+        ]:
+            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+    out = tmp_path / "out"
+    assert run_cli("--seed", 5, "--out", out, "transform", "--corpus", corpus,
+                   "--max-errors", 1000) == 0
+
+    accepted, _ = filter_corpus(load_corpus(corpus)[0])
+    donors = donor_assignment(donor_entries(accepted), 5)
+    failed = {json.loads(line)["where"]
+              for line in (out / "errors_transform.jsonl").read_text().splitlines()}
+    # the no-def snippet, and whichever snippet draws `f²` as its donor
+    no_def = {"no_def/obfuscated_names", "no_def/adversarial_names", "no_def/no_function_body"}
+    assert no_def < failed and all(w.endswith("/adversarial_names") for w in failed - no_def)
+    for variant in Variant:
+        path = out / "variants" / f"{variant.value}.jsonl"
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        expected = []
+        for ex in accepted:
+            if f"{ex.id}/{variant.value}" in failed:
+                with pytest.raises((HarnessError, ValueError)):
+                    apply_variant(ex, variant, donors.get(ex.id))
+                continue
+            made = apply_variant(ex, variant, donors.get(ex.id))
+            expected.append({"id": made.id, "code": made.code, "docstring": made.reference})
+        assert rows == expected, variant
 
 
 def test_seed_is_mandatory(tmp_path, corpus5, capsys):

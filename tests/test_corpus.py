@@ -7,11 +7,9 @@ from sumprobe.corpus import (
     DuplicateRunKeyError,
     EvalRecord,
     Example,
-    FilterDecision,
     FilterReason,
     RunRecord,
     filter_corpus,
-    filter_example,
     load_corpus,
     load_run,
     save_run,
@@ -97,39 +95,41 @@ def make_example(reference, code="def f(x):\n    return x\n"):
     return Example(id="e", code=code, reference=reference)
 
 
+def reject_reason(example):
+    """The reason filter_corpus rejects one example for, None if kept."""
+    accepted, rejected = filter_corpus([example])
+    if rejected:
+        assert accepted == [] and rejected[0][0] is example
+        return rejected[0][1]
+    assert accepted == [example]
+    return None
+
+
 def test_filter_empty_reference():
-    decision = filter_example(make_example(""))
-    assert decision == FilterDecision(False, FilterReason.EMPTY)
+    example = make_example("")
+    assert filter_corpus([example]) == ([], [(example, FilterReason.EMPTY)])
 
 
 def test_filter_url():
-    decision = filter_example(make_example("see http://x.com for details"))
-    assert decision.reason is FilterReason.HAS_URL
+    assert reject_reason(make_example("see http://x.com for details")) is FilterReason.HAS_URL
 
 
 def test_filter_boundaries_inclusive():
-    assert filter_example(make_example("adds two numbers")).accepted
-    assert filter_example(make_example("too short")).reason is FilterReason.TOO_SHORT
+    assert reject_reason(make_example("adds two numbers")) is None
+    assert reject_reason(make_example("too short")) is FilterReason.TOO_SHORT
     long_ref = " ".join(["word"] * 256)
-    assert filter_example(make_example(long_ref)).accepted
-    assert filter_example(make_example(long_ref + " more")).reason is FilterReason.TOO_LONG
+    assert reject_reason(make_example(long_ref)) is None
+    assert reject_reason(make_example(long_ref + " more")) is FilterReason.TOO_LONG
 
 
 def test_filter_unlexable_code():
-    decision = filter_example(make_example("fine description here", code="x = 'open\n"))
-    assert decision.reason is FilterReason.UNLEXABLE
+    example = make_example("fine description here", code="x = 'open\n")
+    assert reject_reason(example) is FilterReason.UNLEXABLE
 
 
 def test_filter_empty_code():
-    decision = filter_example(make_example("fine description here", code="   \n"))
-    assert decision.reason is FilterReason.EMPTY
-
-
-def test_filter_decision_consistency_enforced():
-    with pytest.raises(ValueError):
-        FilterDecision(True, FilterReason.EMPTY)
-    with pytest.raises(ValueError):
-        FilterDecision(False, None)
+    example = make_example("fine description here", code="   \n")
+    assert reject_reason(example) is FilterReason.EMPTY
 
 
 def test_filter_is_idempotent(tmp_path):

@@ -4,21 +4,25 @@ import random
 import pytest
 
 from sumprobe.corpus import Example
-from sumprobe.pylex import Category, NoFunctionError, Role, UnlexableError, classify_roles, lex
+from sumprobe.pylex import (
+    Category,
+    NoFunctionError,
+    Role,
+    UnlexableError,
+    classify_roles,
+    function_name_indices,
+    lex,
+)
 from sumprobe.transform import (
     DonorCollisionError,
+    InvalidDonorError,
+    Snippet,
     Variant,
-    adversarialize,
+    _comment_free,
     apply_variant,
-    deobfuscate_function_names,
     donor_assignment,
     donor_entries,
-    obfuscate_function_names,
-    remove_code_structure,
-    remove_function_body,
     shift_name,
-    strip_comments,
-    unshift_name,
 )
 
 from corpusgen import UNLEXABLE_SNIPPETS, sample_pairs
@@ -28,33 +32,77 @@ def ex(code, reference="does a thing with words", id="e0"):
     return Example(id=id, code=code, reference=reference)
 
 
-# --- strip_comments -------------------------------------------------------
+def text(tokens):
+    return "".join(t.lexeme for t in tokens)
+
+
+_UNSHIFT = str.maketrans(
+    "bcdefghijklmnopqrstuvwxyzaBCDEFGHIJKLMNOPQRSTUVWXYZA",
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ",
+)
+
+
+def unshift_name(name):
+    """Inverse of shift_name (the -1 letter shift)."""
+    return name.translate(_UNSHIFT)
+
+
+def obfuscated(code):
+    return Snippet.of(code).text(Variant.OBFUSCATED_NAMES)
+
+
+def adversarial(code, donor):
+    return Snippet.of(code).text(Variant.ADVERSARIAL_NAMES, donor)
+
+
+def no_structure(code):
+    return Snippet.of(code).text(Variant.NO_CODE_STRUCTURE)
+
+
+def no_body(code):
+    return Snippet.of(code).text(Variant.NO_FUNCTION_BODY)
+
+
+# --- comment stripping ----------------------------------------------------
+
+
+def stripped(code):
+    """The comment-free text Snippet splits at the defined name, which the
+    renaming variants join; these snippets define none, so it is whole."""
+    (segment,) = Snippet.of(code, ()).segments
+    return segment
 
 
 def test_strip_trailing_comment_takes_its_gap():
-    assert strip_comments(lex("x=1  # note")).text == "x=1"
+    assert stripped("x=1  # note") == "x=1"
+    assert no_structure("x=1  # note") == "x 1"
 
 
 def test_strip_whole_line_comment_takes_newline():
-    assert strip_comments(lex("# only comment\nx=1")).text == "x=1"
+    assert stripped("# only comment\nx=1") == "x=1"
+    assert no_structure("# only comment\nx=1") == "x 1"
 
 
 def test_strip_indented_comment_line():
-    assert strip_comments(lex("x=1\n    # c\ny=2")).text == "x=1\ny=2"
+    assert stripped("x=1\n    # c\ny=2") == "x=1\ny=2"
+    assert no_structure("x=1\n    # c\ny=2") == "x 1\ny 2"
 
 
 def test_strip_keeps_comment_free_input_identical():
     src = "def f(x):\n    return x\n"
-    assert list(strip_comments(lex(src))) == list(lex(src))
+    assert adversarial(src, "f") == src
+    assert _comment_free(lex(src)) == list(lex(src))
 
 
 def test_strip_keeps_blank_lines():
-    assert strip_comments(lex("x=1\n\n# gone\ny=2\n")).text == "x=1\n\ny=2\n"
+    assert stripped("x=1\n\n# gone\ny=2\n") == "x=1\n\ny=2\n"
+    assert no_structure("x=1\n\n# gone\ny=2\n") == "x 1\n\ny 2\n"
 
 
 def test_strip_does_not_touch_hash_in_string():
     src = "x = 'a # b'\n"
-    assert strip_comments(lex(src)).text == src
+    assert stripped(src) == src
+    assert no_structure(src) == "x 'a # b'\n"
 
 
 # --- obfuscation ----------------------------------------------------------
@@ -67,64 +115,64 @@ def test_shift_examples():
 
 
 def test_obfuscate_renames_all_occurrences():
-    out = obfuscate_function_names(lex("def f(): return f()"))
-    assert out.text == "def g(): return g()"
+    assert obfuscated("def f(): return f()") == "def g(): return g()"
 
 
 def test_obfuscate_leaves_other_identifiers():
     src = "def add(a, b):\n    return adder(a) + b\n"
-    out = obfuscate_function_names(lex(src)).text
-    assert out == "def bee(a, b):\n    return adder(a) + b\n"
+    assert obfuscated(src) == "def bee(a, b):\n    return adder(a) + b\n"
 
 
 def test_obfuscate_requires_def():
     with pytest.raises(NoFunctionError):
-        obfuscate_function_names(lex("x = 1"))
+        obfuscated("x = 1")
 
 
 def test_obfuscate_is_inverted_by_reverse_shift():
     for code, _ in sample_pairs(60, seed=3):
-        stream = lex(code)
-        assert deobfuscate_function_names(obfuscate_function_names(stream)).text == code
+        free = _comment_free(lex(code))
+        names = function_name_indices(free)
+        relexed = lex(obfuscated(code))
+        back = [unshift_name(t.lexeme) if i in names else t.lexeme for i, t in enumerate(relexed)]
+        assert "".join(back) == text(free)
 
 
-def test_obfuscate_does_not_touch_strings_or_comments():
+def test_obfuscate_does_not_touch_strings():
     src = "def log(x):\n    # log everything\n    return 'log: ' + x\n"
-    out = obfuscate_function_names(lex(src)).text
-    assert "# log everything" in out
-    assert "'log: '" in out
-    assert "def mph(" in out
+    assert obfuscated(src) == "def mph(x):\n    return 'log: ' + x\n"
 
 
 # --- adversarial ----------------------------------------------------------
 
 
 def test_adversarialize_replaces_name():
-    out = adversarialize(lex("def add(a,b): return a+b"), "save_file")
-    assert out.text == "def save_file(a,b): return a+b"
+    assert adversarial("def add(a,b): return a+b", "save_file") == "def save_file(a,b): return a+b"
 
 
 def test_adversarialize_collision():
     with pytest.raises(DonorCollisionError):
-        adversarialize(lex("def add(a, total): return total"), "total")
+        adversarial("def add(a, total): return total", "total")
 
 
 def test_adversarialize_same_name_is_identity():
     src = "def add(a): return a"
-    assert adversarialize(lex(src), "add").text == src
+    assert adversarial(src, "add") == src
 
 
 def test_adversarialize_rejects_bad_identifier():
-    with pytest.raises(ValueError):
-        adversarialize(lex("def f(): pass"), "not an identifier")
+    with pytest.raises(InvalidDonorError):
+        adversarial("def f(): pass", "not an identifier")
+    # the lexer takes f² for an identifier; Python does not
+    assert [t.category for t in lex("f²")] == [Category.IDENTIFIER]
+    with pytest.raises(InvalidDonorError):
+        adversarial("def f(): pass", "f²")
 
 
 def test_adversarialize_preserves_every_other_token():
     src = "def fetch_user(uid):\n    return DB.fetch_user_row(uid)\n"
-    stream = lex(src)
-    out = adversarialize(stream, "save_config")
-    roles = classify_roles(stream)
-    assert len(out) == len(stream)
+    out = lex(adversarial(src, "save_config"))
+    roles = classify_roles(lex(src))
+    assert len(out) == len(roles)
     for rt, new in zip(roles, out):
         if rt.role is Role.FUNCTION_NAME:
             assert new.lexeme == "save_config"
@@ -275,46 +323,47 @@ def test_donor_assignment_matches_the_oracle_on_generated_corpora():
 
 
 def test_remove_structure_spec_examples():
-    assert remove_code_structure(lex("if not x:\n    return x + 1")).text == "x\n    x 1"
-    assert remove_code_structure(lex("y = f(a)")).text == "y f a"
-    assert remove_code_structure(lex("a b\n    c d")).text == "a b\n    c d"
+    assert no_structure("if not x:\n    return x + 1") == "x\n    x 1"
+    assert no_structure("y = f(a)") == "y f a"
+    assert no_structure("a b\n    c d") == "a b\n    c d"
 
 
-def test_remove_structure_keeps_strings_comments_numbers():
-    out = remove_code_structure(lex("x = 'lit'  # note\ny = 0x10\n")).text
-    assert out == "x 'lit' # note\ny 0x10\n"
+def test_remove_structure_keeps_strings_and_numbers():
+    assert no_structure("x = 'lit'  # note\ny = 0x10\n") == "x 'lit'\ny 0x10\n"
 
 
 def test_remove_structure_empty_line_keeps_newline():
-    assert remove_code_structure(lex("try:\n    pass\n")).text == "\n\n"
+    assert no_structure("try:\n    pass\n") == "\n\n"
 
 
 def test_remove_structure_relex_has_no_structure():
     for code, _ in sample_pairs(60, seed=4):
-        out = remove_code_structure(lex(code))
-        for tok in lex(out.text):
+        out = no_structure(code)
+        for tok in lex(out):
             assert tok.category not in (
                 Category.KEYWORD,
                 Category.OPERATOR,
                 Category.DELIMITER,
-            ), (code, out.text, tok)
+            ), (code, out, tok)
 
 
 # --- body removal ---------------------------------------------------------
 
 
 def test_remove_body_examples():
-    assert remove_function_body(lex("def f(x):\n    return x")).text == "def f(x):"
-    assert (
-        remove_function_body(lex("def f(a,\n    b):\n    pass")).text
-        == "def f(a,\n    b):"
-    )
-    assert remove_function_body(lex("def f(x):")).text == "def f(x):"
+    assert no_body("def f(x):\n    return x") == "def f(x):"
+    assert no_body("def f(a,\n    b):\n    pass") == "def f(a,\n    b):"
+    assert no_body("def f(x):") == "def f(x):"
+
+
+def test_remove_body_strips_comments_inside_the_signature():
+    src = "def f(a,  # first\n      b):  # done\n    pass"
+    assert no_body(src) == "def f(a,\n      b):"
 
 
 def test_remove_body_requires_def():
     with pytest.raises(NoFunctionError):
-        remove_function_body(lex("x = 1"))
+        no_body("x = 1")
 
 
 # --- apply_variant --------------------------------------------------------
