@@ -70,7 +70,6 @@ class PrerequisiteError(HarnessError):
 @dataclass
 class RunConfig:
     corpus_path: str = ""
-    split: str = "test"
     train_path: str = ""
     min_tokens: int = 3
     max_tokens: int = 256
@@ -123,7 +122,6 @@ class RunConfig:
 
 _CONFIG_FIELDS = {
     ("corpus", "path"): ("corpus_path", str),
-    ("corpus", "split"): ("split", str),
     ("corpus", "train_path"): ("train_path", str),
     ("corpus", "min_tokens"): ("min_tokens", int),
     ("corpus", "max_tokens"): ("max_tokens", int),
@@ -186,7 +184,7 @@ def cmd_transform(config: RunConfig) -> int:
     if not config.corpus_path:
         raise HarnessError("transform needs a corpus (--corpus or [corpus] path)")
     variants = _parse_variants(config.variants)
-    examples, line_errors = load_corpus(config.corpus_path, config.split)
+    examples, line_errors = load_corpus(config.corpus_path)
     # One pass: the filter rules, then one lex per snippet for all variants.
     accepted: list[tuple[Example, Snippet]] = []
     rejects: list[dict] = []
@@ -255,7 +253,7 @@ def _load_variant_examples(config: RunConfig, variant_value: str) -> list[Exampl
         raise PrerequisiteError(
             f"missing {path}; run `sumprobe transform` first"
         )
-    examples, errors = load_corpus(path, config.split)
+    examples, errors = load_corpus(path)
     if errors:
         raise HarnessError(f"{path}: {len(errors)} unreadable lines")
     return examples
@@ -276,7 +274,7 @@ def cmd_generate(config: RunConfig) -> int:
         raise HarnessError("generate needs a model id (--model or [model] id)")
     shots: list[tuple[str, str]] = []
     if config.train_path:
-        train_examples, _ = load_corpus(config.train_path, "train")
+        train_examples, _ = load_corpus(config.train_path)
         train_accepted, _ = filter_corpus(train_examples, config.min_tokens, config.max_tokens)
         shots = llmgen.select_shots(train_accepted, config.shots, seed)
     elif not config.mock:
@@ -638,7 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="filter the corpus and emit code variants")
     p.add_argument("--corpus", help="JSONL corpus with code/docstring fields")
-    p.add_argument("--split", choices=("train", "dev", "test"))
     p.add_argument("--variant", action="append",
                    help="variant name or 'all' (repeatable)")
     p.add_argument("--min-tokens", type=int, help="min description tokens (default 3)")
@@ -674,7 +671,6 @@ _FLAG_OVERRIDES = [
     ("jobs", "jobs"),
     ("out", "out_dir"),
     ("corpus", "corpus_path"),
-    ("split", "split"),
     ("min_tokens", "min_tokens"),
     ("max_tokens", "max_tokens"),
     ("max_errors", "max_errors"),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -46,7 +46,6 @@ class Example:
     id: str
     code: str
     reference: str
-    origin: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -111,18 +110,14 @@ class RunRecord:
         )
 
 
-def load_corpus(
-    path: str | Path, split: str = "test"
-) -> tuple[list[Example], list[LineError]]:
+def load_corpus(path: str | Path) -> tuple[list[Example], list[LineError]]:
     """Read a JSONL corpus; every line becomes an Example or a LineError.
 
     Lines must be JSON objects with string `code` and `docstring` fields.
     An `id` field is used when present; otherwise ids are `path:lineno`.
-    Unknown fields are preserved in Example.origin.
+    Other fields are ignored.
     """
     path = Path(path)
-    if split not in ("train", "dev", "test"):
-        raise CorpusError(f"unknown split {split!r}")
     try:
         data = path.read_bytes()
     except OSError as exc:
@@ -164,9 +159,7 @@ def load_corpus(
             err(f"duplicate id {ex_id!r}")
             continue
         seen_ids.add(ex_id)
-        origin = {k: v for k, v in obj.items() if k not in ("code", "docstring", "id")}
-        origin.setdefault("split", split)
-        examples.append(Example(id=ex_id, code=code, reference=reference, origin=origin))
+        examples.append(Example(id=ex_id, code=code, reference=reference))
     return examples, errors
 
 

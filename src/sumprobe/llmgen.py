@@ -1,11 +1,14 @@
 """Few-shot prompting of a chat-style completion endpoint, with a
 content-addressed response cache and a reference-echoing mock client.
+
+`dispatch` sends each distinct request once, through the cache, and leaves
+the sending, sorting and retrying of HTTP requests to `httpjson`.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import heapq
 import json
 import logging
 import os
@@ -14,11 +17,21 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
+from typing import (
+    Callable, ClassVar, Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable,
+)
 
 from .corpus import Example
 from .errors import HarnessError
-from .httpjson import post_json
+from .httpjson import (  # with the errors a RetryingClient raises
+    EndpointError,
+    JsonClient,
+    MalformedResponseError,
+    RateLimitedError,
+    RetryPolicy,
+    TransientEndpointError,
+    retry_all,
+)
 
 log = logging.getLogger(__name__)
 
@@ -33,28 +46,6 @@ DEFAULT_SHOT_COUNT = 10
 
 class TargetInShotsError(HarnessError):
     pass
-
-
-class EndpointError(HarnessError):
-    pass
-
-
-class MalformedResponseError(HarnessError):
-    pass
-
-
-class RequestRejectedError(EndpointError):
-    """The endpoint refused the request (a 4xx other than 429)."""
-
-
-class TransientEndpointError(EndpointError):
-    """One attempt failed in a way worth retrying: a connection error, a
-    timeout, 429 or 5xx."""
-
-
-class RateLimitedError(TransientEndpointError):
-    """The endpoint answered 429: no request should go out until the
-    backoff has passed."""
 
 
 @dataclass(frozen=True)
@@ -131,69 +122,36 @@ class CompletionClient(Protocol):
 
 
 @runtime_checkable
-class RetryingClient(Protocol):
+class RetryingClient(RetryPolicy, Protocol):
     """A client whose retry policy `dispatch` runs. `attempt` makes one
-    request and raises TransientEndpointError when it is worth retrying;
-    a request gets at most `max_retries` attempts, and waits
-    `retry_delay(n)` seconds after failed attempt n (from 0)."""
-
-    max_retries: int
+    request and raises TransientEndpointError when it is worth retrying."""
 
     def attempt(self, req: GenRequest) -> tuple[str, float, dict]:
         ...
 
-    def retry_delay(self, attempt: int) -> float:
-        ...
 
-
-class ChatCompletionsClient:
+@dataclass(eq=False)
+class ChatCompletionsClient(JsonClient):
     """Chat-completions-style JSON over HTTP, single user message.
 
-    `attempt` makes one request. Transient failures (connection errors,
-    5xx, 429) are retried with exponential backoff (`retry_delay`) by
-    `dispatch`; after `max_retries` attempts an EndpointError is raised.
-    `complete` is an uncached `generate`, which is `dispatch` of one
-    request. Other HTTP errors and an untrusted TLS certificate
-    (RequestRejectedError), and replies that are not JSON or are JSON of
-    the wrong shape (MalformedResponseError), fail immediately.
+    `attempt` makes one request, which `dispatch` retries as
+    `httpjson.retry_all` does (5 attempts by default). `complete` is an
+    uncached `generate`, which is `dispatch` of one request. A reply of
+    the wrong shape raises MalformedResponseError at once.
     """
 
-    def __init__(
-        self,
-        url: str,
-        api_key: str | None = None,
-        timeout: float = 60.0,
-        max_retries: int = 5,
-        backoff: float = 0.5,
-    ) -> None:
-        self.url = url
-        self.api_key = api_key
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
-
-    def retry_delay(self, attempt: int) -> float:
-        """Seconds to wait after the failure of attempt `attempt` (from 0)."""
-        return self.backoff * 2**attempt
+    service: ClassVar[str] = "endpoint"
 
     def attempt(self, req: GenRequest) -> tuple[str, float, dict]:
         """One request; raises TransientEndpointError if it is worth retrying."""
         start = time.monotonic()
-        payload = post_json(
-            self.url,
+        payload = self.post(
             {
                 "model": req.model_id,
                 "messages": [{"role": "user", "content": req.prompt}],
                 "temperature": req.temperature,
                 "max_tokens": req.max_tokens,
-            },
-            api_key=self.api_key,
-            timeout=self.timeout,
-            service="endpoint",
-            transient=TransientEndpointError,
-            throttled=RateLimitedError,
-            rejected=RequestRejectedError,
-            malformed=MalformedResponseError,
+            }
         )
         try:
             text = payload["choices"][0]["message"]["content"]
@@ -325,126 +283,6 @@ def _store(
     return GenResponse(text=postprocess(raw), raw_text=raw, latency=latency, usage=usage)
 
 
-class _Dispatch:
-    """State of one `dispatch` call, shared by its workers under `cond`.
-
-    `fresh` yields (index, build) for the requests not yet started, in
-    order; `taken` maps each started, unfinished index to its build; `due`
-    is a heap of (due time, index, attempts made) for retries. A worker
-    takes a retry whose delay has passed first, then a fresh request, so a
-    backoff never keeps a worker from a ready request. After a 429 no
-    request starts before `resume_at`.
-    """
-
-    def __init__(
-        self,
-        builds: Iterable[Callable[[], GenRequest]],
-        client: CompletionClient | RetryingClient,
-        cache: GenerationCache | None,
-    ) -> None:
-        self.cache = cache
-        if isinstance(client, RetryingClient):
-            self.call = client.attempt
-            self.max_retries = client.max_retries
-            self.retry_delay = client.retry_delay
-        else:
-            # A plain client retries inside `complete`, if at all.
-            self.call, self.max_retries = client.complete, 1
-            self.retry_delay = lambda attempt: 0.0
-        self.cond = threading.Condition()
-        self.fresh: Iterator[tuple[int, Callable[[], GenRequest]]] | None = enumerate(builds)
-        self.taken: dict[int, Callable[[], GenRequest]] = {}
-        self.due: list[tuple[float, int, int]] = []
-        self.resume_at = 0.0
-        self.results: dict[int, GenResponse | Exception] = {}
-        self.crash: BaseException | None = None
-
-    def _next(self) -> tuple[int, Callable[[], GenRequest], int] | None:
-        """(index, build, attempts made) of the next request, or None when
-        done. Called with `cond` held."""
-        while self.crash is None:
-            now = time.monotonic()
-            if now < self.resume_at:
-                self.cond.wait(self.resume_at - now)
-            elif self.due and self.due[0][0] <= now:
-                _, i, attempts = heapq.heappop(self.due)
-                return i, self.taken[i], attempts
-            elif self.fresh is not None:
-                item = next(self.fresh, None)
-                if item is None:
-                    self.fresh = None
-                else:
-                    i, build = item
-                    self.taken[i] = build
-                    return i, build, 0
-            elif not self.taken:
-                return None
-            elif self.due:
-                self.cond.wait(self.due[0][0] - now)
-            else:
-                # The rest are in flight on other workers.
-                self.cond.wait()
-        return None
-
-    def _run(self, build: Callable[[], GenRequest], attempts: int) -> GenResponse:
-        # Built here, so that only the prompts in flight are held rendered.
-        req = build()
-        if attempts == 0 and self.cache is not None:
-            hit = _cached(req, self.cache)
-            if hit is not None:
-                return hit
-        raw, latency, usage = self.call(req)
-        return _store(req, self.cache, raw, latency, usage)
-
-    def stop(self, exc: BaseException) -> None:
-        with self.cond:
-            self.crash = self.crash or exc
-            self.cond.notify_all()
-
-    def work(self) -> None:
-        while True:
-            try:
-                with self.cond:
-                    job = self._next()
-            except BaseException as exc:
-                # Raised by the `builds` iterable (or an interrupt).
-                self.stop(exc)
-                return
-            if job is None:
-                return
-            i, build, attempts = job
-            retry_at = pause_until = None
-            try:
-                result: GenResponse | Exception = self._run(build, attempts)
-            except TransientEndpointError as exc:
-                wake = time.monotonic() + self.retry_delay(attempts)
-                if isinstance(exc, RateLimitedError):
-                    pause_until = wake
-                if attempts + 1 < self.max_retries:
-                    retry_at = wake
-                else:
-                    result = EndpointError(
-                        f"endpoint unavailable after {self.max_retries} attempts: {exc}"
-                    )
-            except (HarnessError, OSError) as exc:
-                # An OSError (say, from a cache write) costs only its
-                # request, like an endpoint failure.
-                result = exc
-            except BaseException as exc:
-                self.stop(exc)
-                return
-            with self.cond:
-                if pause_until is not None:
-                    self.resume_at = max(self.resume_at, pause_until)
-                if retry_at is not None:
-                    heapq.heappush(self.due, (retry_at, i, attempts + 1))
-                else:
-                    self.results[i] = result
-                    del self.taken[i]
-                if retry_at is not None or (self.fresh is None and not self.taken):
-                    self.cond.notify_all()
-
-
 def dispatch(
     builds: Iterable[Callable[[], GenRequest]],
     client: CompletionClient | RetryingClient,
@@ -458,48 +296,42 @@ def dispatch(
     cache key, when there is a cache, and once more for each attempt, so
     only the requests in flight or waiting to be retried are held. Item i
     of the result is request i's GenResponse, or the HarnessError or
-    OSError that failed it. The requests wait in one queue served by `jobs`
-    worker threads; at one job the calling thread serves it, with no thread
-    started. With a cache, requests with equal cache keys share one lookup,
-    one call and one write. A RetryingClient is retried on
-    TransientEndpointError up to its `max_retries` attempts; each retry
-    waits its `retry_delay` on a due-time heap, not on a worker. After a
-    RateLimitedError (429) no request starts until that delay has passed.
+    OSError that failed it. With a cache, requests with equal cache keys
+    share one lookup, one call and one write. The requests run through
+    `httpjson.retry_all`: a RetryingClient's `attempt` is retried on
+    TransientEndpointError by its own policy; a plain client's `complete`
+    is called once.
     """
+    if isinstance(client, RetryingClient):
+        call, policy = client.attempt, client
+    else:
+        call, policy = client.complete, None
     slot: list[int] = []  # request i takes the result of distinct request slot[i]
 
-    def distinct() -> Iterator[Callable[[], GenRequest]]:
+    def attempt(build: Callable[[], GenRequest], attempts: int) -> GenResponse:
+        # Built here, so that only the prompts in flight are held rendered.
+        req = build()
+        if attempts == 0 and cache is not None:
+            hit = _cached(req, cache)
+            if hit is not None:
+                return hit
+        raw, latency, usage = call(req)
+        return _store(req, cache, raw, latency, usage)
+
+    def distinct() -> Iterator[Callable[[int], GenResponse]]:
         first: dict[str, int] = {}
         for build in builds:
             if cache is None:
                 slot.append(len(slot))
-                yield build
-                continue
-            n = len(first)
-            slot.append(first.setdefault(build().cache_key, n))
-            if slot[-1] == n:
-                yield build
+            else:
+                n = len(first)
+                slot.append(first.setdefault(build().cache_key, n))
+                if slot[-1] != n:
+                    continue
+            yield functools.partial(attempt, build)
 
-    state = _Dispatch(distinct(), client, cache)
-    if jobs <= 1:
-        state.work()
-    else:
-        threads = [
-            threading.Thread(target=state.work, name=f"generate-{k}", daemon=True)
-            for k in range(jobs)
-        ]
-        for thread in threads:
-            thread.start()
-        try:
-            for thread in threads:
-                thread.join()
-        except BaseException as exc:
-            # Interrupted: let the workers finish their current request.
-            state.stop(exc)
-            raise
-    if state.crash is not None:
-        raise state.crash
-    return [state.results[j] for j in slot]
+    results = retry_all(distinct(), policy, jobs)
+    return [results[j] for j in slot]
 
 
 def generate(

@@ -1,21 +1,25 @@
 """Scoring: sentence BLEU-4 (smoothing method 4), token-copy rate,
 BERTScore over pluggable embeddings, and correlation statistics.
+
+The remote embedding client is an `httpjson.JsonClient`: its requests are
+sent, sorted and retried as the chat client's are, and fail with the same
+`httpjson` errors. Only a reply that is JSON but not one vector per token
+(DimensionMismatchError) is particular to embeddings.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import time
 from collections import Counter
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Protocol, Sequence
+from typing import Callable, ClassVar, Collection, Iterable, Protocol, Sequence
 
 import numpy as np
 
 from .errors import HarnessError
-from .httpjson import post_json
+from .httpjson import JsonClient, retry_all
 
 
 class DegenerateInputError(HarnessError):
@@ -27,10 +31,6 @@ class EmptyDescriptionError(HarnessError):
 
 
 class EmptySequenceError(HarnessError):
-    pass
-
-
-class ProviderUnavailableError(HarnessError):
     pass
 
 
@@ -192,74 +192,39 @@ class HashedOneHotProvider:
         return out
 
 
-class ProviderRejectedError(ProviderUnavailableError):
-    """The embedding service refused the request (a 4xx other than 429)."""
-
-
-class MalformedReplyError(ProviderUnavailableError):
-    """The embedding service answered with a body that is not JSON."""
-
-
-class _TransientProviderError(ProviderUnavailableError):
-    """One attempt failed in a way worth retrying."""
-
-
-class RemoteEmbeddingProvider:
+@dataclass(eq=False)
+class RemoteEmbeddingProvider(JsonClient):
     """Client for an HTTP embedding service: POST {"tokens": [...]} and get
     back {"vectors": [[...], ...]}, one vector per token.
 
-    Connection errors, 429 and 5xx are retried with exponential backoff, up
-    to `max_retries` attempts; any other 4xx, a reply that is not JSON and a
-    wrong-length vector list fail at once."""
+    A request is retried as `httpjson.retry_all` does (3 attempts by
+    default); a reply that is not one row of numbers per token raises
+    DimensionMismatchError at once."""
 
-    def __init__(
-        self,
-        url: str,
-        api_key: str | None = None,
-        timeout: float = 30.0,
-        max_retries: int = 3,
-        backoff: float = 0.5,
-    ) -> None:
-        self.url = url
-        self.api_key = api_key
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.provider_id = f"remote:{url}"
+    service: ClassVar[str] = "embedding service"
+
+    timeout: float = 30.0
+    max_retries: int = 3
+
+    @property
+    def provider_id(self) -> str:
+        return f"remote:{self.url}"
 
     def embed(self, tokens: Sequence[str]) -> np.ndarray:
-        last: Exception | None = None
-        for attempt in range(self.max_retries):
-            try:
-                data = post_json(
-                    self.url,
-                    {"tokens": list(tokens)},
-                    api_key=self.api_key,
-                    timeout=self.timeout,
-                    service="embedding service",
-                    transient=_TransientProviderError,
-                    rejected=ProviderRejectedError,
-                    malformed=MalformedReplyError,
-                )
-            except _TransientProviderError as exc:
-                last = exc
-                if attempt + 1 < self.max_retries:
-                    time.sleep(self.backoff * 2**attempt)
-                continue
-            vectors = data.get("vectors") if isinstance(data, dict) else None
-            if not isinstance(vectors, list) or len(vectors) != len(tokens):
-                raise DimensionMismatchError(
-                    "embedding service returned a wrong-length vector list"
-                )
-            try:
-                return np.asarray(vectors, dtype=float)
-            except (TypeError, ValueError):
-                raise DimensionMismatchError(
-                    "embedding service returned vectors that are not rows of numbers"
-                ) from None
-        raise ProviderUnavailableError(
-            f"embedding service unavailable after {self.max_retries} attempts: {last}"
-        )
+        (data,) = retry_all([lambda attempts: self.post({"tokens": list(tokens)})], self)
+        if isinstance(data, Exception):
+            raise data
+        vectors = data.get("vectors") if isinstance(data, dict) else None
+        if not isinstance(vectors, list) or len(vectors) != len(tokens):
+            raise DimensionMismatchError(
+                "embedding service returned a wrong-length vector list"
+            )
+        try:
+            return np.asarray(vectors, dtype=float)
+        except (TypeError, ValueError):
+            raise DimensionMismatchError(
+                "embedding service returned vectors that are not rows of numbers"
+            ) from None
 
 
 # Most tokens one `EmbeddingTable` asks its provider for in a single call.

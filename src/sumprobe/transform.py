@@ -23,6 +23,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .corpus import Example
 from .errors import HarnessError
 from .pylex import (
+    KEYWORDS,
     Category,
     LexToken,
     NoFunctionError,
@@ -49,6 +50,11 @@ class DonorCollisionError(HarnessError):
     def __init__(self, donor: str) -> None:
         super().__init__(f"donor name {donor!r} collides with an existing identifier")
         self.donor = donor
+
+
+class ShiftCollisionError(HarnessError):
+    """The letter shift of the function name already occurs as an
+    identifier in the snippet, or is a keyword."""
 
 
 class InvalidDonorError(HarnessError):
@@ -215,13 +221,17 @@ class Snippet:
         occurrence of the defined name: `obfuscated_names` with the +1
         letter shift, `adversarial_names` with `donor`. Raises
         NoFunctionError when the variant needs a def the snippet lacks,
+        ShiftCollisionError when the shifted name is already taken,
         DonorCollisionError or InvalidDonorError for an unusable donor."""
         if variant is Variant.ORIGINAL:
             return self.code
         if variant in self.failures:
             raise NoFunctionError(self.failures[variant])
         if variant is Variant.OBFUSCATED_NAMES:
-            return shift_name(_defined(self.name)).join(self.segments)
+            shifted = shift_name(_defined(self.name))
+            if shifted != self.name and (shifted in self.identifiers or shifted in KEYWORDS):
+                raise ShiftCollisionError(f"shifted name {shifted!r} is taken or reserved")
+            return shifted.join(self.segments)
         if variant is Variant.ADVERSARIAL_NAMES:
             if donor is None:
                 raise ValueError("adversarial_names requires a donor name")

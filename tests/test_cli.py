@@ -20,6 +20,7 @@ from sumprobe.cli import main
 from sumprobe.corpus import filter_corpus, load_corpus
 from sumprobe.errors import HarnessError
 from sumprobe.llmgen import ChatCompletionsClient, GenerationCache
+from sumprobe.metrics import RemoteEmbeddingProvider
 from sumprobe.pylex import Category
 from sumprobe.subtok import BpeTokenizer, FallbackTokenizer, code_subwords
 from sumprobe.transform import Variant, apply_variant, donor_assignment, donor_entries
@@ -482,16 +483,19 @@ def test_repeated_variant_is_transformed_once(tmp_path, corpus5, capsys):
     with corpus5.open("a", encoding="utf-8") as fh:
         fh.write(json.dumps({"id": "no_def", "code": "total = sum(values)\nprint(total)\n",
                              "docstring": "Print the total of the values."}) + "\n")
+        # shifted, `hm` would become the keyword `in`
+        fh.write(json.dumps({"id": "hm", "code": "def hm(x):\n    return hm(x - 1)\n",
+                             "docstring": "Recurse on one less than x."}) + "\n")
     out = tmp_path / "out"
     assert run_cli("--seed", 1, "--out", out, "transform", "--corpus", corpus5,
                    "--variant", "obfuscated_names", "--variant", "obfuscated_names",
-                   "--max-errors", 1) == 0
+                   "--max-errors", 2) == 0
     assert "1 variant file(s)" in capsys.readouterr().out
     assert [p.name for p in (out / "variants").iterdir()] == ["obfuscated_names.jsonl"]
     rows = (out / "variants" / "obfuscated_names.jsonl").read_text().splitlines()
     assert [json.loads(line)["id"] for line in rows] == [f"ex{i:04d}" for i in range(5)]
     errors = [json.loads(line) for line in (out / "errors_transform.jsonl").read_text().splitlines()]
-    assert [e["where"] for e in errors] == ["no_def/obfuscated_names"]
+    assert [e["where"] for e in errors] == ["no_def/obfuscated_names", "hm/obfuscated_names"]
 
 
 # `f²` lexes as an identifier but is not a Python one: as a donor it can
@@ -687,7 +691,7 @@ def score_errors(out):
 
 def test_score_against_dead_embedding_service(tmp_path, monkeypatch):
     out = echo_run(tmp_path)
-    monkeypatch.setattr(sumprobe.metrics.time, "sleep", lambda s: None)
+    monkeypatch.setattr(RemoteEmbeddingProvider, "retry_delay", lambda self, attempt: 0.0)
 
     def script(body, hit):
         return 500, {"error": "down"}
@@ -720,7 +724,7 @@ def test_failed_rescore_keeps_no_earlier_scores(tmp_path, monkeypatch, capsys):
     assert run_cli("--seed", 5, "--out", out, "score") == 0
     runs = [json.loads(line) for line in (out / "runs.jsonl").read_text().splitlines()]
     assert all(r["metrics"]["bertscore_f1"] is not None for r in runs)
-    monkeypatch.setattr(sumprobe.metrics.time, "sleep", lambda s: None)
+    monkeypatch.setattr(RemoteEmbeddingProvider, "retry_delay", lambda self, attempt: 0.0)
     assert run_cli("--seed", 5, "--out", out, "score", "--embedding-endpoint",
                    closed_port_url(), "--max-errors", 100) == 0
     assert len(score_errors(out)) == len(runs)

@@ -73,19 +73,12 @@ def test_load_explicit_and_duplicate_ids(tmp_path):
     )
     examples, errors = load_corpus(path)
     assert [ex.id for ex in examples] == ["a"]
-    assert examples[0].origin["repo"] == "r1"
     assert len(errors) == 1 and "duplicate" in errors[0].message
 
 
 def test_load_missing_file():
     with pytest.raises(CorpusError):
         load_corpus("/nonexistent/corpus.jsonl")
-
-
-def test_load_rejects_unknown_split(tmp_path):
-    path = write_lines(tmp_path / "c.jsonl", [])
-    with pytest.raises(CorpusError):
-        load_corpus(path, split="validation")
 
 
 # --- filtering --------------------------------------------------------------

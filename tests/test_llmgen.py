@@ -1,10 +1,7 @@
 import json
-import ssl
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 
@@ -19,7 +16,6 @@ from sumprobe.llmgen import (
     GenRequest,
     MalformedResponseError,
     RateLimitedError,
-    RequestRejectedError,
     TargetInShotsError,
     TransientEndpointError,
     build_prompt,
@@ -167,43 +163,6 @@ def chat_payload(text):
     return {"choices": [{"message": {"content": text}}], "usage": {"total_tokens": 5}}
 
 
-def test_chat_client_success():
-    def script(body, hit):
-        assert body["messages"][0]["role"] == "user"
-        return 200, chat_payload("the summary")
-
-    with serve(script) as (url, hits):
-        client = ChatCompletionsClient(url, api_key="k", backoff=0.0)
-        text, latency, usage = client.complete(GenRequest("m", "p"))
-        assert text == "the summary"
-        assert usage == {"total_tokens": 5}
-        assert hits[0]["model"] == "m"
-
-
-def test_chat_client_retries_transient_then_succeeds():
-    def script(body, hit):
-        if hit < 2:
-            return 500, {"error": "flaky"}
-        return 200, chat_payload("ok")
-
-    with serve(script) as (url, hits):
-        client = ChatCompletionsClient(url, backoff=0.0)
-        text, _, _ = client.complete(GenRequest("m", "p"))
-        assert text == "ok"
-        assert len(hits) == 3
-
-
-def test_chat_client_five_errors_exhaust_retries():
-    def script(body, hit):
-        return 500, {"error": "down"}
-
-    with serve(script) as (url, hits):
-        client = ChatCompletionsClient(url, max_retries=5, backoff=0.0)
-        with pytest.raises(EndpointError):
-            client.complete(GenRequest("m", "p"))
-        assert len(hits) == 5
-
-
 def test_chat_client_malformed_response_fails_fast():
     def script(body, hit):
         return 200, {"unexpected": True}
@@ -213,39 +172,6 @@ def test_chat_client_malformed_response_fails_fast():
         with pytest.raises(MalformedResponseError):
             client.complete(GenRequest("m", "p"))
         assert len(hits) == 1
-
-
-def test_chat_client_does_not_retry_a_rejected_request():
-    def script(body, hit):
-        return 401, {"error": "bad key"}
-
-    with serve(script) as (url, hits):
-        client = ChatCompletionsClient(url, max_retries=5, backoff=0.0)
-        with pytest.raises(RequestRejectedError, match="401"):
-            client.complete(GenRequest("m", "p"))
-        assert len(hits) == 1
-
-
-def test_chat_client_does_not_retry_a_reply_that_is_not_json():
-    def script(body, hit):
-        return 200, "<html>proxy error</html>"
-
-    with serve(script) as (url, hits):
-        client = ChatCompletionsClient(url, max_retries=5, backoff=0.0)
-        with pytest.raises(MalformedResponseError, match="not JSON"):
-            client.complete(GenRequest("m", "p"))
-        assert len(hits) == 1
-
-
-def test_chat_client_retries_rate_limit():
-    def script(body, hit):
-        return 429, {"error": "slow down"}
-
-    with serve(script) as (url, hits):
-        client = ChatCompletionsClient(url, max_retries=4, backoff=0.0)
-        with pytest.raises(EndpointError, match="after 4 attempts"):
-            client.complete(GenRequest("m", "p"))
-        assert len(hits) == 4
 
 
 def test_generate_pipeline_with_http_client(tmp_path):
@@ -265,22 +191,6 @@ def test_generate_pipeline_with_http_client(tmp_path):
             (tmp_path / "c" / f"{req.cache_key}.json").read_text()
         )
         assert entry["raw_text"] == "Builds the cache.\n\nExtra."
-
-
-def test_chat_client_does_not_retry_an_untrusted_certificate(monkeypatch):
-    calls = []
-
-    def urlopen(request, timeout):
-        calls.append(request)
-        raise urllib.error.URLError(
-            ssl.SSLCertVerificationError(1, "certificate verify failed")
-        )
-
-    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
-    client = ChatCompletionsClient("https://example.invalid/v1", max_retries=5, backoff=0.0)
-    with pytest.raises(RequestRejectedError, match="certificate not trusted"):
-        client.complete(GenRequest("m", "p"))
-    assert len(calls) == 1
 
 
 # --- dispatch -------------------------------------------------------------------

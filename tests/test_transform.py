@@ -16,6 +16,7 @@ from sumprobe.pylex import (
 from sumprobe.transform import (
     DonorCollisionError,
     InvalidDonorError,
+    ShiftCollisionError,
     Snippet,
     Variant,
     _comment_free,
@@ -135,6 +136,18 @@ def test_obfuscate_is_inverted_by_reverse_shift():
         relexed = lex(obfuscated(code))
         back = [unshift_name(t.lexeme) if i in names else t.lexeme for i, t in enumerate(relexed)]
         assert "".join(back) == text(free)
+
+
+@pytest.mark.parametrize(
+    "src, shifted",
+    [
+        ("def f(g):\n    return f(g)\n", "g"),  # would merge with the parameter
+        ("def hm(x):\n    return hm(x - 1)\n", "in"),  # would become a keyword
+    ],
+)
+def test_obfuscate_refuses_a_taken_shifted_name(src, shifted):
+    with pytest.raises(ShiftCollisionError, match=f"'{shifted}' is taken"):
+        obfuscated(src)
 
 
 def test_obfuscate_does_not_touch_strings():
