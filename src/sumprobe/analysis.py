@@ -153,23 +153,26 @@ def paired_vs_random(
     """Score distribution for corresponding or randomly re-paired texts.
 
     `pairs` holds (reference, generated) texts, one per record. Random
-    pairings use a seeded derangement so no record meets itself.
+    pairings use a seeded derangement so no record meets itself. The
+    scorer gets every (candidate, reference) pair of the pairing in one
+    call, so it can batch them.
     """
     if len(pairs) < 2:
         raise TooFewRecordsError("need at least two records")
     refs = [p[0] for p in pairs]
     gens = [p[1] for p in pairs]
     if pairing is PairingMode.REF_VS_OWN_GEN:
-        scores = [scorer(g, r) for r, g in zip(refs, gens)]
+        scored = [(g, r) for r, g in zip(refs, gens)]
     else:
         perm = derangement(len(pairs), random.Random(seed))
         if pairing is PairingMode.REF_VS_RANDOM_GEN:
-            scores = [scorer(gens[perm[i]], refs[i]) for i in range(len(pairs))]
+            candidates, references = gens, refs
         elif pairing is PairingMode.REF_VS_REF:
-            scores = [scorer(refs[perm[i]], refs[i]) for i in range(len(pairs))]
+            candidates, references = refs, refs
         else:
-            scores = [scorer(gens[perm[i]], gens[i]) for i in range(len(pairs))]
-    return summarize_scores(scores)
+            candidates, references = gens, gens
+        scored = [(candidates[perm[i]], references[i]) for i in range(len(pairs))]
+    return summarize_scores(scorer(scored))
 
 
 _RE_PAIRINGS = (PairingMode.REF_VS_RANDOM_GEN, PairingMode.REF_VS_REF, PairingMode.GEN_VS_GEN)

@@ -26,6 +26,7 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -378,13 +379,16 @@ def cmd_score(config: RunConfig) -> int:
     # lexeme is tokenized once too.
     subwords: dict[str, list[str]] = {}
     needed: dict[str, None] = {}
-    for rec in records:
+    bert_pairs: dict[int, tuple[list[str], list[str]]] = {}  # record index -> subwords
+    for i, rec in enumerate(records):
         ex = examples.get((rec.variant, rec.example_id))
         if ex is None:
             continue
         for text in (ex.reference, rec.generated):
             if text not in subwords:
                 subwords[text] = tokenize(text)
+        if subwords[rec.generated]:
+            bert_pairs[i] = (subwords[ex.reference], subwords[rec.generated])
         if subwords[rec.generated] or rec.variant == Variant.ORIGINAL.value:
             needed.update(dict.fromkeys(subwords[ex.reference]))
             needed.update(dict.fromkeys(subwords[rec.generated]))
@@ -395,6 +399,7 @@ def cmd_score(config: RunConfig) -> int:
         # The table keeps the error; each record that needs BERTScore
         # reports it below.
         log.warning("embedding fetch failed: %s", exc)
+    berts = dict(zip(bert_pairs, table.bertscores(list(bert_pairs.values()))))
 
     ngrams = metrics.NgramTable()
 
@@ -410,17 +415,27 @@ def cmd_score(config: RunConfig) -> int:
             ngrams,
         ).value
 
-    def bertscore_f1(candidate: str, reference: str) -> float:
-        ref_sw, gen_sw = subwords[reference], subwords[candidate]
-        if not ref_sw or not gen_sw:
-            return 0.0
-        return metrics.bertscore(table.vectors(ref_sw), table.vectors(gen_sw)).f1
+    def bleu_scores(pairs: list[tuple[str, str]]) -> list[float]:
+        return [bleu(candidate, reference) for candidate, reference in pairs]
 
-    # Pass 2: score each record from the cached subwords and vectors.
+    def bertscore_f1(pairs: list[tuple[str, str]]) -> list[float]:
+        scores = []
+        for result in table.bertscores(
+            [(subwords[reference], subwords[candidate]) for candidate, reference in pairs]
+        ):
+            if isinstance(result, metrics.EmptySequenceError):
+                scores.append(0.0)  # an empty description, as in bleu
+            elif isinstance(result, HarnessError):
+                raise result
+            else:
+                scores.append(result.f1)
+        return scores
+
+    # Pass 2: score each record from the cached subwords and BERTScores.
     errors: list[dict] = []
     scored: list[RunRecord] = []
     originals: dict[tuple[str, str, str], str] = {}  # key -> reference
-    for rec in records:
+    for i, rec in enumerate(records):
         ex = examples.get((rec.variant, rec.example_id))
         if ex is None:
             errors.append(
@@ -430,7 +445,7 @@ def cmd_score(config: RunConfig) -> int:
             scored.append(replace(rec, metrics=None))
             continue
         try:
-            scored.append(_score_record(rec, ex, tokenize, subwords, table, bleu))
+            scored.append(_score_record(rec, ex, tokenize, subwords, berts.get(i), bleu))
         except HarnessError as exc:
             errors.append(
                 {"stage": "score", "where": f"{rec.example_id}/{rec.variant}", "error": str(exc)}
@@ -451,7 +466,7 @@ def cmd_score(config: RunConfig) -> int:
         "records_digest": _originals_digest(scored),
     }
     rows = _pairing_rows(
-        scored, originals, seed, {"bleu4": bleu, "bertscore_f1": bertscore_f1}, errors
+        scored, originals, seed, {"bleu4": bleu_scores, "bertscore_f1": bertscore_f1}, errors
     )
     write_jsonl(config.pairings_path, [header] + rows)
     write_jsonl(config.out / "errors_score.jsonl", errors)
@@ -467,11 +482,11 @@ def _score_record(
     ex: Example,
     tokenize,
     subwords: dict[str, list[str]],
-    table: metrics.EmbeddingTable,
-    bleu: metrics.Scorer,
+    bert: metrics.BertScoreResult | HarnessError | None,
+    bleu: Callable[[str, str], float],
 ) -> RunRecord:
     """Score one record; `subwords` holds its descriptions' subwords and is
-    the code split's memo."""
+    the code split's memo, `bert` its BERTScore if it has a generation."""
     ref_sw, gen_sw = subwords[ex.reference], subwords[rec.generated]
     code = split_code(ex.code, tokenize, subwords)
     code_set = code.source.keys()  # the code's distinct subwords
@@ -490,7 +505,8 @@ def _score_record(
         eval_rec.p_copy_generated = gen_copy.value
         eval_rec.p_copy_generated_matched = gen_copy.matched
         eval_rec.p_copy_generated_total = gen_copy.total
-        bert = metrics.bertscore(table.vectors(ref_sw), table.vectors(gen_sw))
+        if isinstance(bert, HarnessError):
+            raise bert
         eval_rec.bertscore_precision = bert.precision
         eval_rec.bertscore_recall = bert.recall
         eval_rec.bertscore_f1 = bert.f1

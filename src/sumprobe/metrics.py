@@ -14,6 +14,7 @@ import math
 from collections import Counter
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, ClassVar, Collection, Iterable, Protocol, Sequence
 
 import numpy as np
@@ -63,12 +64,20 @@ class BertScoreResult:
 _SMOOTH_K = 5
 
 
-def ngram_counts(tokens: Sequence[str]) -> tuple[Counter, ...]:
-    """Counts of the n-grams of `tokens`, one Counter per order n = 1..4.
-    Unigrams are keyed by the token itself, longer n-grams by a tuple."""
-    return (Counter(tokens),) + tuple(
-        Counter(zip(*(tokens[i:] for i in range(order)))) for order in (2, 3, 4)
-    )
+# Per order n = 1..4: the set of a token list's n-grams, and their counts,
+# or None when no n-gram of that order repeats (every count is then 1).
+Ngrams = tuple[tuple[frozenset, Counter | None], ...]
+
+
+def ngram_counts(tokens: Sequence[str]) -> Ngrams:
+    """The `Ngrams` of `tokens`. Unigrams are the tokens themselves, longer
+    n-grams tuples."""
+    out = []
+    for order in range(1, 5):
+        grams = tokens if order == 1 else list(zip(*(tokens[i:] for i in range(order))))
+        distinct = frozenset(grams)
+        out.append((distinct, Counter(grams) if len(distinct) < len(grams) else None))
+    return tuple(out)
 
 
 class NgramTable:
@@ -80,9 +89,9 @@ class NgramTable:
     """
 
     def __init__(self) -> None:
-        self._counts: dict[tuple[str, ...], tuple[Counter, ...]] = {}
+        self._counts: dict[tuple[str, ...], Ngrams] = {}
 
-    def __call__(self, tokens: Sequence[str]) -> tuple[Counter, ...]:
+    def __call__(self, tokens: Sequence[str]) -> Ngrams:
         key = tuple(tokens)
         found = self._counts.get(key)
         if found is None:
@@ -93,7 +102,7 @@ class NgramTable:
 def bleu4(
     candidate: Sequence[str],
     reference: Sequence[str],
-    ngrams: Callable[[Sequence[str]], tuple[Counter, ...]] = ngram_counts,
+    ngrams: Callable[[Sequence[str]], Ngrams] = ngram_counts,
 ) -> BleuScore:
     """Sentence BLEU-4 with smoothing method 4, on a 0-100 scale.
 
@@ -102,8 +111,10 @@ def bleu4(
     ln(len(candidate)) / (2^k * 5) over that order's n-gram count, where k
     numbers the zero-match orders from 1. Brevity penalty exp(1 - r/c) when
     the candidate is shorter than the reference. No unigram match at all
-    scores 0. An empty candidate scores 0. `ngrams` counts a token list's
-    n-grams; an `NgramTable` counts each distinct list once.
+    scores 0. An empty candidate scores 0. `ngrams` gives a token list's
+    n-grams; an `NgramTable` counts each distinct list once. An order at
+    which either side repeats no n-gram clips by counting the shared
+    n-grams, which is the same integer as the sum of minimum counts.
     """
     if not reference:
         raise DegenerateInputError("reference must be non-empty")
@@ -111,8 +122,15 @@ def bleu4(
     if c == 0:
         return BleuScore(0.0, (0.0, 0.0, 0.0, 0.0), 0.0)
     counts: list[tuple[int, int]] = []
-    for order, (hyp, ref) in enumerate(zip(ngrams(candidate), ngrams(reference)), start=1):
-        clipped = sum(min(hyp[g], ref[g]) for g in hyp.keys() & ref.keys())
+    for order, ((hyp, hyp_counts), (ref, ref_counts)) in enumerate(
+        zip(ngrams(candidate), ngrams(reference)), start=1
+    ):
+        shared = hyp & ref
+        if hyp_counts is None or ref_counts is None:
+            # Every shared n-gram clips to a count of 1.
+            clipped = len(shared)
+        else:
+            clipped = sum(min(hyp_counts[g], ref_counts[g]) for g in shared)
         counts.append((clipped, max(1, c - order + 1)))
 
     bp = 1.0 if c > r else math.exp(1 - r / c)
@@ -229,6 +247,10 @@ class RemoteEmbeddingProvider(JsonClient):
 
 # Most tokens one `EmbeddingTable` asks its provider for in a single call.
 EMBED_BATCH_TOKENS = 512
+# Most pairs `EmbeddingTable.bertscores` stacks into one `bertscore` call.
+# Stacks of 64 short descriptions ran slower than stacks of 16, and each
+# stack is a copy of its pairs' vectors.
+BERTSCORE_BATCH_PAIRS = 16
 
 
 class EmbeddingTable:
@@ -308,32 +330,87 @@ class EmbeddingTable:
             raise DimensionMismatchError("provider returned a zero vector")
         return self._matrix[index]
 
+    def bertscores(
+        self, pairs: Sequence[tuple[Sequence[str], Sequence[str]]]
+    ) -> list[BertScoreResult | HarnessError]:
+        """`bertscore` of each (reference, candidate) token pair, or the
+        error that fails that pair; fetches the tokens the table lacks.
+
+        Pairs of one (reference length, candidate length) are stacked, at
+        most BERTSCORE_BATCH_PAIRS to a `bertscore` call. A side with no
+        tokens fails its pair with EmptySequenceError, a failed provider
+        call fails every other pair, and a token with a zero vector fails
+        the pairs that contain it.
+        """
+        failed: HarnessError | None = None
+        try:
+            self.fetch(chain.from_iterable(chain.from_iterable(pairs)))
+        except HarnessError as exc:
+            failed = exc
+        results: list[BertScoreResult | HarnessError | None] = [None] * len(pairs)
+        shapes: dict[tuple[int, int], list[int]] = {}
+        zero = self._zero
+        for i, (ref, gen) in enumerate(pairs):
+            if not ref or not gen:
+                results[i] = EmptySequenceError("bertscore needs non-empty token sequences")
+            elif failed is not None:
+                results[i] = failed
+            elif zero and not (zero.isdisjoint(ref) and zero.isdisjoint(gen)):
+                results[i] = DimensionMismatchError("provider returned a zero vector")
+            else:
+                shapes.setdefault((len(ref), len(gen)), []).append(i)
+        rows, matrix = self._rows, self._matrix
+        for (n_ref, n_gen), members in shapes.items():
+            # The row numbers of a whole shape, the vectors of a batch.
+            ref_rows = np.array(
+                [rows[tok] for i in members for tok in pairs[i][0]], dtype=np.intp
+            ).reshape(len(members), n_ref)
+            gen_rows = np.array(
+                [rows[tok] for i in members for tok in pairs[i][1]], dtype=np.intp
+            ).reshape(len(members), n_gen)
+            for start in range(0, len(members), BERTSCORE_BATCH_PAIRS):
+                end = start + BERTSCORE_BATCH_PAIRS
+                scores = bertscore(
+                    matrix.take(ref_rows[start:end], axis=0),
+                    matrix.take(gen_rows[start:end], axis=0),
+                )
+                for i, score in zip(members[start:end], scores):
+                    results[i] = score
+        return results
+
 
 def embed(tokens: Sequence[str], provider: EmbeddingProvider) -> np.ndarray:
     """One L2-normalized vector per token."""
     return EmbeddingTable(provider).vectors(tokens)
 
 
-def bertscore(x: np.ndarray, x_hat: np.ndarray) -> BertScoreResult:
-    """Greedy-matching precision/recall/F1 over unit-norm token embeddings.
+def bertscore(x: np.ndarray, x_hat: np.ndarray) -> list[BertScoreResult]:
+    """Greedy-matching precision/recall/F1 over unit-norm token embeddings,
+    for a stack of equal-shape pairs: one result per pair.
 
-    `x` is the reference sequence, `x_hat` the candidate. Recall averages
-    each reference token's best match among candidate tokens; precision
-    averages each candidate token's best match among reference tokens
-    (normalized by the candidate length). Reported on a 0-100 scale.
+    `x` stacks the reference sequences, shape (pairs, n_ref, d); `x_hat`
+    the candidates, (pairs, n_gen, d). One pair is a stack of one. Recall
+    averages each reference token's best match among candidate tokens;
+    precision averages each candidate token's best match among reference
+    tokens (normalized by the candidate length). Reported on a 0-100
+    scale. Each pair's similarities are one matrix product of the same
+    shape as its own, so a pair scores the same floats in any stack.
     """
-    if x.size == 0 or x_hat.size == 0:
+    if 0 in x.shape[1:] or 0 in x_hat.shape[1:]:
         raise EmptySequenceError("bertscore needs non-empty embedding sequences")
-    sim = x @ x_hat.T
-    # sum / length, not .mean(): the same float64, without NumPy's per-call
-    # overhead on these short vectors.
-    recall = float(sim.max(axis=1).sum()) / sim.shape[0]
-    precision = float(sim.max(axis=0).sum()) / sim.shape[1]
-    if precision + recall > 0:
-        f1 = 2 * precision * recall / (precision + recall)
-    else:
-        f1 = 0.0
-    return BertScoreResult(precision * 100, recall * 100, f1 * 100)
+    sim = x @ x_hat.transpose(0, 2, 1)
+    # sum / length, not .mean(): the same float64, without NumPy's
+    # per-call overhead on these short vectors.
+    recalls = (sim.max(axis=2).sum(axis=1) / sim.shape[1]).tolist()
+    precisions = (sim.max(axis=1).sum(axis=1) / sim.shape[2]).tolist()
+    out = []
+    for precision, recall in zip(precisions, recalls):
+        if precision + recall > 0:
+            f1 = 2 * precision * recall / (precision + recall)
+        else:
+            f1 = 0.0
+        out.append(BertScoreResult(precision * 100, recall * 100, f1 * 100))
+    return out
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -372,8 +449,12 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     return pearson(_average_ranks(xs), _average_ranks(ys))
 
 
-Scorer = Callable[[str, str], float]
+# Scores (candidate, reference) text pairs: one score per pair, in order.
+Scorer = Callable[[Sequence[tuple[str, str]]], list[float]]
 
 
-def bleu_scorer(candidate_text: str, reference_text: str) -> float:
-    return bleu4(split_description(candidate_text), split_description(reference_text)).value
+def bleu_scorer(pairs: Sequence[tuple[str, str]]) -> list[float]:
+    return [
+        bleu4(split_description(candidate), split_description(reference)).value
+        for candidate, reference in pairs
+    ]

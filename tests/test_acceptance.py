@@ -207,7 +207,7 @@ def test_criterion_4_bertscore_reduction():
         x_set = set(x_seq)
         for hat_seq in sequences:
             hat_set = set(hat_seq)
-            result = bertscore(embeddings(x_seq), embeddings(hat_seq))
+            [result] = bertscore(embeddings(x_seq)[None], embeddings(hat_seq)[None])
             recall_expected = 100 * sum(1 for s in x_seq if s in hat_set) / len(x_seq)
             precision_expected = 100 * sum(1 for s in hat_seq if s in x_set) / len(hat_seq)
             assert abs(result.recall - recall_expected) <= 1e-12
@@ -501,7 +501,7 @@ def test_criterion_12_batched_embeddings(tmp_path):
         for sw, vectors in ((ref_sw, x), (gen_sw, x_hat)):
             raw = provider.embed(sw)
             assert np.array_equal(vectors, raw / np.linalg.norm(raw, axis=1, keepdims=True))
-        bert = metrics.bertscore(x, x_hat)
+        [bert] = metrics.bertscore(x[None], x_hat[None])
         rec.metrics.bertscore_precision = bert.precision
         rec.metrics.bertscore_recall = bert.recall
         rec.metrics.bertscore_f1 = bert.f1

@@ -634,6 +634,39 @@ def test_console_entry_point(tmp_path, corpus5):
     assert "transform:" in proc.stdout
 
 
+def test_outputs_do_not_depend_on_hash_seed_or_jobs(tmp_path):
+    # One process per run: string hashing, and so the order of every set,
+    # is fixed when the interpreter starts.
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, 40, seed=17)
+    outs = []
+    for hash_seed, jobs in (("0", "1"), ("1", "2")):
+        out = tmp_path / f"out-{hash_seed}-{jobs}"
+        child = (
+            "import sys\n"
+            "from sumprobe.cli import main\n"
+            f"common = ['--seed', '9', '--jobs', '{jobs}', '--out', {str(out)!r}]\n"
+            f"for args in (['transform', '--corpus', {str(corpus)!r}],\n"
+            "             ['generate', '--model', 'm', '--mock', 'echo'],\n"
+            "             ['score'], ['analyze']):\n"
+            "    if main(common + args) != 0:\n"
+            "        sys.exit(f'{args[0]} failed')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    names = ["runs.jsonl", "pairings.jsonl"] + sorted(
+        f"report/{p.name}" for p in (outs[0] / "report").iterdir()
+    )
+    assert sorted(p.name for p in (outs[1] / "report").iterdir()) == \
+        sorted(p.name for p in (outs[0] / "report").iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_score_with_bpe_vocab_file(tmp_path, corpus5, bpe_vocab):
     out = tmp_path / "out"
     run_cli("--seed", 4, "--out", out, "transform", "--corpus", corpus5, "--variant", "original")
@@ -755,6 +788,46 @@ def test_zero_vector_fails_only_records_with_that_token(tmp_path):
     failed = {tuple(e["where"].split("/")) for e in score_errors(out)}
     assert failed == {key for key, sws in subwords.items() if zero in sws}
     assert all("zero vector" in e["error"] for e in score_errors(out))
+
+
+def test_zero_vector_spares_the_other_records_of_its_shape(tmp_path):
+    out = echo_run(tmp_path, examples=12)
+    clean = tmp_path / "clean"
+    shutil.copytree(out, clean)
+    subwords = record_subwords(out)
+    # an echo record's BERTScore pairs its reference with itself, so its
+    # stack shape is (n, n) for n subwords a side
+    shape = {key: len(sws) // 2 for key, sws in subwords.items()}
+    zero = min(
+        tok for sws in subwords.values() for tok in sws
+        if any(shape[other] == shape[key] and tok not in subwords[other]
+               for key in subwords if tok in subwords[key] for other in subwords)
+    )
+    hit = {key for key, sws in subwords.items() if zero in sws}
+    spared = {key for key in subwords if key not in hit}
+    assert {shape[key] for key in hit} & {shape[key] for key in spared}
+
+    def script(body, hit):
+        return 200, {"vectors": [[0.0] * 12 if tok == zero else dense_vector(tok)
+                                 for tok in body["tokens"]]}
+
+    def clean_script(body, hit):
+        return 200, {"vectors": [dense_vector(tok) for tok in body["tokens"]]}
+
+    for run_dir, reply in ((out, script), (clean, clean_script)):
+        with serve(reply) as (url, _):
+            assert run_cli("--seed", 5, "--out", run_dir, "score", "--embedding-endpoint", url,
+                           "--max-errors", 100) == 0
+    assert {tuple(e["where"].split("/")) for e in score_errors(out)} == hit
+
+    def runs(run_dir):
+        rows = [json.loads(line) for line in (run_dir / "runs.jsonl").read_text().splitlines()]
+        return {(r["example_id"], r["variant"]): r for r in rows}
+
+    scored, expected = runs(out), runs(clean)
+    assert all(scored[key]["metrics"] is None for key in hit)
+    assert all(scored[key] == expected[key] for key in spared)
+    assert all(scored[key]["metrics"]["bertscore_f1"] is not None for key in spared)
 
 
 def test_score_embeds_each_subword_once_in_bounded_requests(tmp_path, monkeypatch):

@@ -1,14 +1,20 @@
 import json
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sumprobe.metrics
 from sumprobe.httpjson import EndpointError
 from sumprobe.metrics import (
+    BERTSCORE_BATCH_PAIRS,
+    BertScoreResult,
+    BleuScore,
     DegenerateInputError,
     DimensionMismatchError,
     EmptyDescriptionError,
@@ -97,7 +103,10 @@ def test_split_description():
 
 
 def test_bleu_scorer_on_text():
-    assert bleu_scorer("adds two small numbers", "adds two small numbers") == 100.0
+    assert bleu_scorer([("adds two small numbers", "adds two small numbers"),
+                        ("adds numbers", "adds two small numbers")]) == [
+        100.0, bleu4(["adds", "numbers"], ["adds", "two", "small", "numbers"]).value
+    ]
 
 
 def test_bleu_with_one_ngram_table_matches_the_oracle_bit_for_bit():
@@ -107,6 +116,46 @@ def test_bleu_with_one_ngram_table_matches_the_oracle_bit_for_bit():
         plain = bleu4(case["candidate"], case["reference"])
         assert bleu4(case["candidate"], case["reference"], table) == plain
         assert plain.value == case["bleu"], (case["kind"], case["index"])
+
+
+def sum_min_bleu4(candidate, reference):
+    """`bleu4` with every order clipped by the sum of minimum counts."""
+    c, r = len(candidate), len(reference)
+    if c == 0:
+        return BleuScore(0.0, (0.0, 0.0, 0.0, 0.0), 0.0)
+    counts = []
+    for order in range(1, 5):
+        hyp = Counter(tuple(candidate[i:i + order]) for i in range(c - order + 1))
+        ref = Counter(tuple(reference[i:i + order]) for i in range(r - order + 1))
+        clipped = sum(min(n, ref[gram]) for gram, n in hyp.items())
+        counts.append((clipped, max(1, c - order + 1)))
+    bp = 1.0 if c > r else math.exp(1 - r / c)
+    if counts[0][0] == 0:
+        return BleuScore(0.0, tuple(n / d for n, d in counts), bp)
+    smoothed = []
+    incvnt = 1
+    for clipped, total in counts:
+        if clipped == 0 and c > 1:
+            smoothed.append(1 / (2**incvnt * 5 / math.log(c)) / total)
+            incvnt += 1
+        else:
+            smoothed.append(clipped / total)
+    s = math.fsum(0.25 * math.log(p) for p in smoothed if p > 0)
+    return BleuScore(bp * math.exp(s) * 100, tuple(smoothed), bp)
+
+
+_FEW_WORDS = st.sampled_from(["a", "b", "c"]) | st.sampled_from(["x", "y"])
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.lists(_FEW_WORDS, max_size=14), st.lists(_FEW_WORDS, min_size=1, max_size=14))
+def test_bleu_clips_repeated_ngrams_as_the_sum_of_minimum_counts(candidate, reference):
+    # on two or three words, unigrams and bigrams repeat on both sides
+    expected = sum_min_bleu4(candidate, reference)
+    assert bleu4(candidate, reference) == expected
+    table = NgramTable()
+    assert bleu4(candidate, reference, table) == expected
+    assert bleu4(candidate, reference, table) == expected
 
 
 # --- p_copy ----------------------------------------------------------------
@@ -200,19 +249,21 @@ def test_embed_shape_mismatch():
 def test_bertscore_identical_is_100():
     provider = HashedOneHotProvider(32)
     x = embed(["a", "b", "c"], provider)
-    result = bertscore(x, x)
+    [result] = bertscore(x[None], x[None])
     assert result.precision == result.recall == result.f1 == 100.0
 
 
 def test_bertscore_orthogonal_is_0():
     one_hot = ExplicitOneHot(["a", "b", "c", "d"])
-    result = bertscore(embed(["a", "b"], one_hot), embed(["c", "d"], one_hot))
+    [result] = bertscore(embed(["a", "b"], one_hot)[None], embed(["c", "d"], one_hot)[None])
     assert result.precision == result.recall == result.f1 == 0.0
 
 
 def test_bertscore_recall_is_reference_coverage():
     one_hot = ExplicitOneHot(["a", "b", "c", "d"])
-    result = bertscore(embed(["a", "b", "c", "d"], one_hot), embed(["a", "b"], one_hot))
+    [result] = bertscore(
+        embed(["a", "b", "c", "d"], one_hot)[None], embed(["a", "b"], one_hot)[None]
+    )
     assert result.recall == 50.0
     assert result.precision == 100.0
     assert abs(result.f1 - 2 * 50 * 100 / 150) < 1e-12
@@ -221,7 +272,9 @@ def test_bertscore_recall_is_reference_coverage():
 def test_bertscore_empty_rejected():
     provider = HashedOneHotProvider(8)
     with pytest.raises(EmptySequenceError):
-        bertscore(embed([], provider), embed(["a"], provider))
+        bertscore(np.zeros((1, 0, 8)), embed(["a"], provider)[None])
+    with pytest.raises(EmptySequenceError):
+        bertscore(embed(["a"], provider)[None], np.zeros((1, 0, 8)))
 
 
 def test_bertscore_invariant_under_shared_rotation():
@@ -230,8 +283,7 @@ def test_bertscore_invariant_under_shared_rotation():
     q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
     x = raw[:5] / np.linalg.norm(raw[:5], axis=1, keepdims=True)
     x_hat = raw[5:] / np.linalg.norm(raw[5:], axis=1, keepdims=True)
-    before = bertscore(x, x_hat)
-    after = bertscore(x @ q, x_hat @ q)
+    [before, after] = bertscore(np.stack([x, x @ q]), np.stack([x_hat, x_hat @ q]))
     assert abs(before.f1 - after.f1) < 1e-9
 
 
@@ -262,15 +314,16 @@ class CountingProvider:
 
     provider_id = "counting"
 
-    def __init__(self, zero=()):
+    def __init__(self, zero=(), dim=6):
         self.calls = []
         self.zero = set(zero)
+        self.dim = dim
 
     def vector(self, tok):
         if tok in self.zero:
-            return [0.0] * 6
+            return [0.0] * self.dim
         rng = random.Random(tok)
-        return [rng.gauss(0, 1) for _ in range(6)]
+        return [rng.gauss(0, 1) for _ in range(self.dim)]
 
     def embed(self, tokens):
         self.calls.append(list(tokens))
@@ -363,3 +416,75 @@ def test_degenerate_inputs():
         pearson([1.0, 1.0], [1.0, 2.0])
     with pytest.raises(DegenerateInputError):
         spearman([1.0], [1.0])
+
+
+def one_pair_bertscore(x, x_hat):
+    """BERTScore of one pair as one (n_ref, n_gen) similarity matrix."""
+    sim = x @ x_hat.T
+    recall = float(sim.max(axis=1).sum()) / sim.shape[0]
+    precision = float(sim.max(axis=0).sum()) / sim.shape[1]
+    if precision + recall > 0:
+        f1 = 2 * precision * recall / (precision + recall)
+    else:
+        f1 = 0.0
+    return BertScoreResult(precision * 100, recall * 100, f1 * 100)
+
+
+@st.composite
+def shape_groups(draw):
+    """(reference, candidate) token lists of a few shapes, one of which may
+    hold more pairs than one `bertscore` call stacks, in a drawn order. The
+    token "z" gets a zero vector."""
+    tokens = st.sampled_from("abcdefgz")
+    pairs = []
+    # up to 12 tokens a side: NumPy sums 8 or more numbers pairwise
+    groups = st.tuples(st.integers(0, 12), st.integers(0, 12),
+                       st.integers(1, 2 * BERTSCORE_BATCH_PAIRS + 3))
+    for n_ref, n_gen, count in draw(st.lists(groups, min_size=1, max_size=4)):
+        side = st.tuples(st.lists(tokens, min_size=n_ref, max_size=n_ref),
+                         st.lists(tokens, min_size=n_gen, max_size=n_gen))
+        pairs.extend(draw(st.lists(side, min_size=count, max_size=count)))
+    return draw(st.permutations(pairs))
+
+
+class FailingProvider:
+    provider_id = "failing"
+
+    def embed(self, tokens):
+        raise EndpointError("embedding service down")
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(shape_groups(), st.booleans())
+def test_batched_bertscore_is_the_one_pair_formula_bit_for_bit(pairs, failing):
+    dim = 48
+    provider = FailingProvider() if failing else CountingProvider(zero={"z"}, dim=dim)
+    results = EmbeddingTable(provider).bertscores(pairs)
+    assert len(results) == len(pairs)
+    for (ref, gen), result in zip(pairs, results):
+        if not ref or not gen:
+            assert isinstance(result, EmptySequenceError)
+        elif failing:
+            assert isinstance(result, EndpointError)
+        elif "z" in ref or "z" in gen:
+            assert isinstance(result, DimensionMismatchError)
+        else:
+            # real-valued vectors: a changed summation order would show
+            clean = CountingProvider(dim=dim)
+            assert result == one_pair_bertscore(embed(ref, clean), embed(gen, clean))
+
+
+def test_bertscores_stack_at_most_a_batch_per_call(monkeypatch):
+    calls = []
+
+    def counting(x, x_hat):
+        calls.append((x.shape, x_hat.shape))
+        return bertscore(x, x_hat)
+
+    monkeypatch.setattr(sumprobe.metrics, "bertscore", counting)
+    pairs = [(["a", "b"], ["c"])] * (2 * BERTSCORE_BATCH_PAIRS + 1) + [(["a"], ["b"])]
+    results = EmbeddingTable(CountingProvider()).bertscores(pairs)
+    assert len(set(results[:-1])) == 1
+    assert [shape for shape, _ in calls] == [
+        (BERTSCORE_BATCH_PAIRS, 2, 6), (BERTSCORE_BATCH_PAIRS, 2, 6), (1, 2, 6), (1, 1, 6)
+    ]
