@@ -22,7 +22,7 @@ from .metrics import DegenerateInputError, Scorer, bleu_scorer, pearson, spearma
 from .pylex import lex  # noqa: F401
 from .subtok import ATTRIBUTION_CATEGORIES, CodeSubwords
 from .svgplot import grouped_bars
-from .transform import Variant
+from .transform import VARIANT_ORDER
 
 
 class TooFewRecordsError(HarnessError):
@@ -214,8 +214,6 @@ def correlate(
     return pearson(xs, ys), spearman(xs, ys)
 
 
-_VARIANT_ORDER = {v.value: i for i, v in enumerate(Variant)}
-
 _CORRELATED_PAIRS = (("p_copy_reference", "bleu4"), ("bleu4", "bertscore_f1"))
 
 
@@ -252,7 +250,7 @@ def emit_report(
     for rec in scored:
         groups.setdefault((rec.model_id, rec.variant), []).append(rec)
     group_keys = sorted(
-        groups, key=lambda k: (k[0], _VARIANT_ORDER.get(k[1], 99), k[1])
+        groups, key=lambda k: (k[0], VARIANT_ORDER.get(k[1], 99), k[1])
     )
 
     def write_csv(name: str, header: list[str], rows: list[list[str]]) -> None:

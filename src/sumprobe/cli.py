@@ -12,8 +12,8 @@ re-run independently and a full pipeline is reproducible byte-for-byte from
     out/cache/                     LLM response cache
     out/report/                    CSV + SVG report
 
-Configuration comes from an INI file plus flag overrides; only the API key
-is read from the environment (SUMPROBE_API_KEY).
+Configuration comes from an INI file plus flag overrides, one SETTINGS row
+per setting; only the API key is read from the environment (SUMPROBE_API_KEY).
 """
 
 from __future__ import annotations
@@ -55,13 +55,11 @@ from .errors import HarnessError
 from .metrics import HashedOneHotProvider, RemoteEmbeddingProvider
 from .pylex import UnlexableError
 from .subtok import split_code, tokenizer_from_spec
-from .transform import DonorEntry, Snippet, Variant, donor_assignment
+from .transform import VARIANT_ORDER, DonorEntry, Snippet, Variant, donor_assignment
 
 log = logging.getLogger(__name__)
 
 API_KEY_ENV = "SUMPROBE_API_KEY"
-
-_VARIANT_ORDER = {v.value: i for i, v in enumerate(Variant)}
 
 
 class PrerequisiteError(HarnessError):
@@ -121,28 +119,69 @@ class RunConfig:
         return Path(self.report_dir) if self.report_dir else self.out / "report"
 
 
-_CONFIG_FIELDS = {
-    ("corpus", "path"): ("corpus_path", str),
-    ("corpus", "train_path"): ("train_path", str),
-    ("corpus", "min_tokens"): ("min_tokens", int),
-    ("corpus", "max_tokens"): ("max_tokens", int),
-    ("run", "seed"): ("seed", int),
-    ("run", "out"): ("out_dir", str),
-    ("run", "jobs"): ("jobs", int),
-    ("run", "variants"): ("variants", lambda s: [v.strip() for v in s.split(",") if v.strip()]),
-    ("run", "max_errors"): ("max_errors", int),
-    ("model", "id"): ("model_id", str),
-    ("model", "endpoint"): ("endpoint", str),
-    ("model", "mock"): ("mock", str),
-    ("model", "temperature"): ("temperature", float),
-    ("model", "max_tokens"): ("gen_max_tokens", int),
-    ("model", "shots"): ("shots", int),
-    ("tokenizer", "spec"): ("tokenizer", str),
-    ("embedding", "endpoint"): ("embedding_endpoint", str),
-    ("embedding", "dim"): ("embedding_dim", int),
-    ("report", "dir"): ("report_dir", str),
-    ("report", "lowercase_bleu"): ("lowercase_bleu", lambda s: s.lower() in ("1", "true", "yes")),
-}
+@dataclass(frozen=True)
+class Setting:
+    """How one `RunConfig` field is set: the INI key `section.option`,
+    whose text `parse` converts, and `flag`, which the subcommands of
+    `stages` take (no stages: a global flag, given before the stage)."""
+
+    attr: str
+    key: str
+    parse: Callable[[str], object]
+    flag: str
+    stages: tuple[str, ...]
+    help: str
+    options: dict | None = None  # argparse options in place of type=parse
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+SETTINGS = (
+    Setting("corpus_path", "corpus.path", str, "--corpus", ("transform",),
+            "JSONL corpus with code/docstring fields"),
+    Setting("train_path", "corpus.train_path", str, "--shots-corpus", ("generate",),
+            "JSONL training corpus for few-shot examples"),
+    Setting("min_tokens", "corpus.min_tokens", int, "--min-tokens", ("transform",),
+            "min description tokens (default 3)"),
+    Setting("max_tokens", "corpus.max_tokens", int, "--max-tokens", ("transform",),
+            "max description tokens (default 256)"),
+    Setting("variants", "run.variants", lambda s: [v.strip() for v in s.split(",") if v.strip()],
+            "--variant", ("transform",), "variant name or 'all' (repeatable)",
+            {"action": "append"}),
+    Setting("model_id", "model.id", str, "--model", ("generate",),
+            "model id recorded in run records"),
+    Setting("endpoint", "model.endpoint", str, "--endpoint", ("generate",),
+            "chat-completions endpoint URL"),
+    Setting("mock", "model.mock", str, "--mock", ("generate",),
+            "use a mock client instead of HTTP", {"choices": ("echo",)}),
+    Setting("temperature", "model.temperature", float, "--temperature", ("generate",),
+            "decoding temperature (default 0)"),
+    Setting("gen_max_tokens", "model.max_tokens", int, "--gen-max-tokens", ("generate",),
+            "max new tokens (default 128)"),
+    Setting("shots", "model.shots", int, "--shots", ("generate",),
+            "few-shot example count (default 10)"),
+    Setting("tokenizer", "tokenizer.spec", str, "--tokenizer", ("score", "analyze"),
+            "'fallback' or path to a vocab JSON file"),
+    Setting("embedding_endpoint", "embedding.endpoint", str, "--embedding-endpoint", ("score",),
+            "remote embedding service URL"),
+    Setting("embedding_dim", "embedding.dim", int, "--embedding-dim", ("score",),
+            "hashed one-hot dimension (default 256)"),
+    Setting("seed", "run.seed", int, "--seed", (), "seed for all randomized steps (required)"),
+    Setting("out_dir", "run.out", str, "--out", (), "run directory (default: out)"),
+    Setting("jobs", "run.jobs", int, "--jobs", (), "parallel workers for generation"),
+    Setting("max_errors", "run.max_errors", int, "--max-errors", ("transform", "score"),
+            "tolerated record errors (default 0)"),
+    Setting("lowercase_bleu", "report.lowercase_bleu", _boolean, "--lowercase-bleu", ("score",),
+            "lowercase descriptions before BLEU tokenization",
+            {"action": "store_true", "default": None}),
+    Setting("report_dir", "report.dir", str, "--report", ("analyze",),
+            "report directory (default: <out>/report)"),
+)
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -150,15 +189,27 @@ def load_config(path: str | None) -> RunConfig:
     if not path:
         return config
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise HarnessError(f"cannot read config file {path}: {exc}") from exc
     if not read:
         raise HarnessError(f"cannot read config file {path}")
-    for (section, option), (attr, conv) in _CONFIG_FIELDS.items():
+    keys = {setting.key for setting in SETTINGS}
+    # Every section inherits the [DEFAULT] keys, so each is checked once.
+    defaults = parser.defaults()
+    unknown = [f"DEFAULT.{o}" for o in defaults if not any(k.endswith("." + o) for k in keys)]
+    unknown += [f"{s}.{o}" for s in parser.sections() for o in parser.options(s)
+                if o not in defaults and f"{s}.{o}" not in keys]
+    if unknown:
+        raise HarnessError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
+    for setting in SETTINGS:
+        section, option = setting.key.split(".")
         if parser.has_option(section, option):
             try:
-                setattr(config, attr, conv(parser.get(section, option)))
+                setattr(config, setting.attr, setting.parse(parser.get(section, option)))
             except ValueError as exc:
-                raise HarnessError(f"bad config value {section}.{option}: {exc}") from exc
+                raise HarnessError(f"bad config value {setting.key}: {exc}") from exc
     return config
 
 
@@ -177,7 +228,7 @@ def _parse_variants(names: list[str]) -> list[Variant]:
 
 
 def _record_sort_key(rec: RunRecord):
-    return (rec.model_id, _VARIANT_ORDER.get(rec.variant, 99), rec.variant, rec.example_id)
+    return (rec.model_id, VARIANT_ORDER.get(rec.variant, 99), rec.variant, rec.example_id)
 
 
 def cmd_transform(config: RunConfig) -> int:
@@ -266,7 +317,7 @@ def _present_variants(config: RunConfig) -> list[str]:
             f"missing {config.variants_dir}; run `sumprobe transform` first"
         )
     names = [p.stem for p in config.variants_dir.glob("*.jsonl")]
-    return sorted(names, key=lambda n: (_VARIANT_ORDER.get(n, 99), n))
+    return sorted(names, key=lambda n: (VARIANT_ORDER.get(n, 99), n))
 
 
 def cmd_generate(config: RunConfig) -> int:
@@ -637,6 +688,14 @@ def cmd_analyze(config: RunConfig) -> int:
     return 0
 
 
+_STAGES = {
+    "transform": (cmd_transform, "filter the corpus and emit code variants"),
+    "generate": (cmd_generate, "elicit summaries from an LLM endpoint"),
+    "score": (cmd_score, "score generations (BLEU, BERTScore, copy rate)"),
+    "analyze": (cmd_analyze, "aggregate scored records into a report"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sumprobe",
@@ -644,76 +703,22 @@ def build_parser() -> argparse.ArgumentParser:
         "code/description token overlap.",
     )
     parser.add_argument("--config", help="INI config file; flags override it")
-    parser.add_argument("--seed", type=int, help="seed for all randomized steps (required)")
-    parser.add_argument("--jobs", type=int, help="parallel workers for generation")
-    parser.add_argument("--out", help="run directory (default: out)")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("transform", help="filter the corpus and emit code variants")
-    p.add_argument("--corpus", help="JSONL corpus with code/docstring fields")
-    p.add_argument("--variant", action="append",
-                   help="variant name or 'all' (repeatable)")
-    p.add_argument("--min-tokens", type=int, help="min description tokens (default 3)")
-    p.add_argument("--max-tokens", type=int, help="max description tokens (default 256)")
-    p.add_argument("--max-errors", type=int, help="tolerated record errors (default 0)")
-
-    p = sub.add_parser("generate", help="elicit summaries from an LLM endpoint")
-    p.add_argument("--model", help="model id recorded in run records")
-    p.add_argument("--mock", choices=("echo",), help="use a mock client instead of HTTP")
-    p.add_argument("--endpoint", help="chat-completions endpoint URL")
-    p.add_argument("--shots-corpus", help="JSONL training corpus for few-shot examples")
-    p.add_argument("--shots", type=int, help="few-shot example count (default 10)")
-    p.add_argument("--temperature", type=float, help="decoding temperature (default 0)")
-    p.add_argument("--gen-max-tokens", type=int, help="max new tokens (default 128)")
-
-    p = sub.add_parser("score", help="score generations (BLEU, BERTScore, copy rate)")
-    p.add_argument("--tokenizer", help="'fallback' or path to a vocab JSON file")
-    p.add_argument("--embedding-endpoint", help="remote embedding service URL")
-    p.add_argument("--embedding-dim", type=int, help="hashed one-hot dimension (default 256)")
-    p.add_argument("--lowercase-bleu", action="store_true",
-                   help="lowercase descriptions before BLEU tokenization")
-    p.add_argument("--max-errors", type=int, help="tolerated record errors (default 0)")
-
-    p = sub.add_parser("analyze", help="aggregate scored records into a report")
-    p.add_argument("--report", help="report directory (default: <out>/report)")
-    p.add_argument("--tokenizer", help="'fallback' or path to a vocab JSON file")
+    stages = {name: sub.add_parser(name, help=text) for name, (_, text) in _STAGES.items()}
+    for setting in SETTINGS:
+        for p in [stages[name] for name in setting.stages] or [parser]:
+            p.add_argument(setting.flag, help=setting.help,
+                           **(setting.options or {"type": setting.parse}))
     return parser
-
-
-_FLAG_OVERRIDES = [
-    # (args attribute, config attribute)
-    ("seed", "seed"),
-    ("jobs", "jobs"),
-    ("out", "out_dir"),
-    ("corpus", "corpus_path"),
-    ("min_tokens", "min_tokens"),
-    ("max_tokens", "max_tokens"),
-    ("max_errors", "max_errors"),
-    ("model", "model_id"),
-    ("mock", "mock"),
-    ("endpoint", "endpoint"),
-    ("shots_corpus", "train_path"),
-    ("shots", "shots"),
-    ("temperature", "temperature"),
-    ("gen_max_tokens", "gen_max_tokens"),
-    ("tokenizer", "tokenizer"),
-    ("embedding_endpoint", "embedding_endpoint"),
-    ("embedding_dim", "embedding_dim"),
-    ("report", "report_dir"),
-]
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     config = load_config(args.config)
-    for arg_name, attr in _FLAG_OVERRIDES:
-        value = getattr(args, arg_name, None)
+    for setting in SETTINGS:
+        value = getattr(args, setting.flag[2:].replace("-", "_"), None)
         if value is not None:
-            setattr(config, attr, value)
-    if getattr(args, "variant", None):
-        config.variants = [v.value for v in _parse_variants(args.variant)]
-    if getattr(args, "lowercase_bleu", False):
-        config.lowercase_bleu = True
+            setattr(config, setting.attr, value)
     return config
 
 
@@ -725,13 +730,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         config = config_from_args(args)
-        command = {
-            "transform": cmd_transform,
-            "generate": cmd_generate,
-            "score": cmd_score,
-            "analyze": cmd_analyze,
-        }[args.command]
-        return command(config)
+        return _STAGES[args.command][0](config)
     except HarnessError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

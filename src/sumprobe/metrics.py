@@ -200,6 +200,8 @@ class HashedOneHotProvider:
     sha256(token) mod dim."""
 
     def __init__(self, dim: int = 256) -> None:
+        if dim < 1:
+            raise HarnessError(f"embedding dimension must be at least 1, not {dim}")
         self.dim = dim
         self.provider_id = f"onehot-{dim}"
 

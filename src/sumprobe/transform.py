@@ -44,6 +44,10 @@ class Variant(str, Enum):
     NO_FUNCTION_BODY = "no_function_body"
 
 
+# Run records and report groups are ordered by variant in this order.
+VARIANT_ORDER = {v.value: i for i, v in enumerate(Variant)}
+
+
 class DonorCollisionError(HarnessError):
     """The donor name already occurs as an identifier in the snippet."""
 

@@ -4,19 +4,21 @@ import json
 import math
 import os
 import random
+import re
 import shutil
 import socket
 import subprocess
 import sys
 import threading
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import sumprobe.metrics
 import sumprobe.pylex
-from sumprobe.cli import main
+from sumprobe.cli import RunConfig, build_parser, config_from_args, main
 from sumprobe.corpus import filter_corpus, load_corpus
 from sumprobe.errors import HarnessError
 from sumprobe.llmgen import ChatCompletionsClient, GenerationCache
@@ -621,6 +623,185 @@ def test_config_file_with_flag_override(tmp_path, corpus5):
     override = tmp_path / "override"
     assert run_cli("--config", config, "--out", override, "transform") == 0
     assert (override / "variants" / "original.jsonl").exists()
+
+
+STAGES = ("transform", "generate", "score", "analyze")
+ALL_VARIANTS = [v.value for v in Variant]
+
+# (field, INI key, INI text, its value, flag arguments, their value,
+#  the stages whose subcommand takes the flag (None: before the stage), default)
+SETTING_CASES = [
+    ("corpus_path", "corpus.path", "a.jsonl", "a.jsonl",
+     ["--corpus", "b.jsonl"], "b.jsonl", ("transform",), ""),
+    ("train_path", "corpus.train_path", "a.jsonl", "a.jsonl",
+     ["--shots-corpus", "b.jsonl"], "b.jsonl", ("generate",), ""),
+    ("min_tokens", "corpus.min_tokens", "5", 5, ["--min-tokens", "6"], 6, ("transform",), 3),
+    ("max_tokens", "corpus.max_tokens", "50", 50, ["--max-tokens", "60"], 60, ("transform",), 256),
+    ("variants", "run.variants", "original, no_function_body", ["original", "no_function_body"],
+     ["--variant", "obfuscated_names"], ["obfuscated_names"], ("transform",), ALL_VARIANTS),
+    ("model_id", "model.id", "m1", "m1", ["--model", "m2"], "m2", ("generate",), ""),
+    ("endpoint", "model.endpoint", "http://a", "http://a",
+     ["--endpoint", "http://b"], "http://b", ("generate",), ""),
+    ("mock", "model.mock", "replay", "replay", ["--mock", "echo"], "echo", ("generate",), ""),
+    ("temperature", "model.temperature", "0.5", 0.5,
+     ["--temperature", "0.9"], 0.9, ("generate",), 0.0),
+    ("gen_max_tokens", "model.max_tokens", "64", 64,
+     ["--gen-max-tokens", "32"], 32, ("generate",), 128),
+    ("shots", "model.shots", "4", 4, ["--shots", "2"], 2, ("generate",), 10),
+    ("tokenizer", "tokenizer.spec", "a.json", "a.json",
+     ["--tokenizer", "b.json"], "b.json", ("score", "analyze"), "fallback"),
+    ("embedding_endpoint", "embedding.endpoint", "http://a", "http://a",
+     ["--embedding-endpoint", "http://b"], "http://b", ("score",), ""),
+    ("embedding_dim", "embedding.dim", "64", 64, ["--embedding-dim", "32"], 32, ("score",), 256),
+    ("seed", "run.seed", "7", 7, ["--seed", "8"], 8, None, None),
+    ("out_dir", "run.out", "a", "a", ["--out", "b"], "b", None, "out"),
+    ("jobs", "run.jobs", "3", 3, ["--jobs", "2"], 2, None, 4),
+    ("max_errors", "run.max_errors", "5", 5, ["--max-errors", "6"], 6, ("transform", "score"), 0),
+    # A flag without a value; the INI text differs from the default and
+    # so equals the flag's value (test_lowercase_bleu_words covers the rest).
+    ("lowercase_bleu", "report.lowercase_bleu", "yes", True,
+     ["--lowercase-bleu"], True, ("score",), False),
+    ("report_dir", "report.dir", "a", "a", ["--report", "b"], "b", ("analyze",), ""),
+]
+
+
+def parsed_config(*argv):
+    return config_from_args(build_parser().parse_args([str(a) for a in argv]))
+
+
+def write_ini(path, key, text):
+    section, option = key.split(".")
+    path.write_text(f"[{section}]\n{option} = {text}\n", encoding="utf-8")
+    return path
+
+
+def test_setting_cases_name_every_config_field():
+    assert sorted(row[0] for row in SETTING_CASES) == sorted(f.name for f in fields(RunConfig))
+
+
+@pytest.mark.parametrize("row", SETTING_CASES, ids=[row[0] for row in SETTING_CASES])
+def test_each_setting_from_ini_and_flag(tmp_path, row, capsys):
+    attr, key, ini_text, ini_value, flag, flag_value, stages, default = row
+    ini = write_ini(tmp_path / "run.ini", key, ini_text)
+    takes = STAGES if stages is None else stages
+    for stage in STAGES:
+        # the default, and the INI value, whatever the stage
+        assert getattr(parsed_config(stage), attr) == default, stage
+        assert getattr(parsed_config("--config", ini, stage), attr) == ini_value, stage
+    for stage in takes:
+        before, after = (flag, []) if stages is None else ([], flag)
+        assert getattr(parsed_config(*before, stage, *after), attr) == flag_value, stage
+        # the flag beats the INI value
+        config = parsed_config("--config", ini, *before, stage, *after)
+        assert getattr(config, attr) == flag_value, stage
+    # refused after every other stage, and a stage's flag before the stage
+    refused = [[stage, *flag] for stage in STAGES if stage not in takes or stages is None]
+    if stages is not None:
+        refused.append([*flag, takes[0]])
+    for argv in refused:
+        with pytest.raises(SystemExit) as exc:
+            parsed_config(*argv)
+        assert exc.value.code == 2, argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1", True), ("yes", True), ("TRUE", True), ("On", True),
+    ("0", False), ("no", False), ("False", False), ("OFF", False),
+])
+def test_lowercase_bleu_words(tmp_path, text, value):
+    ini = write_ini(tmp_path / "run.ini", "report.lowercase_bleu", text)
+    assert parsed_config("--config", ini, "score").lowercase_bleu is value
+    assert parsed_config("--config", ini, "score", "--lowercase-bleu").lowercase_bleu is True
+
+
+@pytest.mark.parametrize("text", ["ture", "", "2", "y es"])
+def test_lowercase_bleu_rejects_other_words(tmp_path, text, capsys):
+    ini = write_ini(tmp_path / "run.ini", "report.lowercase_bleu", text)
+    assert run_cli("--config", ini, "--seed", 1, "--out", tmp_path / "out", "score") == 2
+    assert "bad config value report.lowercase_bleu" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[model]\ntemprature = 0.9\n", "model.temprature"),
+    ("[modle]\nid = m\n", "modle.id"),
+    ("[DEFAULT]\ntemprature = 0.9\n[model]\nid = m\n[corpus]\n", "DEFAULT.temprature"),
+])
+def test_unknown_config_key_is_an_error(tmp_path, corpus5, text, named, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["--config", ini, "--seed", 1, "--out", out, "transform", "--corpus", corpus5]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert named in err
+    assert err.count("temprature") <= 1  # a DEFAULT key is named once
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "data", [b"id = m\n", b"[model]\nid = m\nid = n\n", b"[model]\nid = \xff\n"]
+)
+def test_unreadable_config_is_an_error(tmp_path, data, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_bytes(data)
+    assert run_cli("--config", ini, "--seed", 1, "--out", tmp_path / "out", "generate") == 2
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_readme_lists_every_setting():
+    from sumprobe.cli import SETTINGS
+
+    assert [s.attr for s in SETTINGS] == [f.name for f in fields(RunConfig)]
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration file")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `([\w.]+)` \| `(--[\w-]+)` \| ([\w, ]+) \|", section, re.M)
+    assert sorted(rows) == sorted(
+        (s.key, s.flag, ", ".join(s.stages) or "global") for s in SETTINGS
+    )
+
+
+def test_default_section_keys_apply_where_they_are_settings(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        "[DEFAULT]\nendpoint = http://a\n[model]\n[embedding]\n[corpus]\n", encoding="utf-8"
+    )
+    config = parsed_config("--config", ini, "score")
+    assert (config.endpoint, config.embedding_endpoint) == ("http://a", "http://a")
+
+
+def test_config_is_read_as_utf8(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[model]\nid = modèle-ü\n", encoding="utf-8")
+    # An ASCII locale, without UTF-8 mode or locale coercion.
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from sumprobe.cli import load_config; "
+         "print(ascii(load_config(sys.argv[1]).model_id))", str(ini)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ascii("modèle-ü")
+
+
+@pytest.mark.parametrize("where, dim", [("flag", "0"), ("flag", "-4"), ("ini", "0")])
+def test_embedding_dimension_below_one_is_refused(tmp_path, corpus5, where, dim, capsys):
+    out = tmp_path / "out"
+    run_cli("--seed", 1, "--out", out, "transform", "--corpus", corpus5, "--variant", "original")
+    run_cli("--seed", 1, "--out", out, "generate", "--model", "m", "--mock", "echo")
+    runs = (out / "runs.jsonl").read_bytes()
+    capsys.readouterr()
+    if where == "ini":
+        ini = write_ini(tmp_path / "run.ini", "embedding.dim", dim)
+        argv = ["--config", ini, "--seed", 1, "--out", out, "score"]
+    else:
+        argv = ["--seed", 1, "--out", out, "score", "--embedding-dim", dim]
+    assert run_cli(*argv) == 2
+    assert "embedding dimension" in capsys.readouterr().err
+    assert (out / "runs.jsonl").read_bytes() == runs
+    with pytest.raises(HarnessError):
+        sumprobe.metrics.HashedOneHotProvider(0)
 
 
 def test_console_entry_point(tmp_path, corpus5):
