@@ -24,6 +24,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from collections.abc import Callable
@@ -141,6 +142,25 @@ def _boolean(text: str) -> bool:
         raise ValueError(f"not a boolean: {text!r}") from None
 
 
+def _checked(parse: Callable[[str], object], holds: Callable, name: str) -> Callable:
+    """`parse`, refusing a value for which `holds` is false. argparse names
+    a refused flag value's type by the function's `__name__`."""
+
+    def checked(text: str) -> object:
+        value = parse(text)
+        if not holds(value):
+            raise ValueError(f"invalid {name} value: {text!r}")
+        return value
+
+    checked.__name__ = name
+    return checked
+
+
+_finite_float = _checked(float, math.isfinite, "finite float")
+_non_negative_int = _checked(int, lambda n: n >= 0, "int >= 0")
+_positive_int = _checked(int, lambda n: n >= 1, "int >= 1")
+
+
 SETTINGS = (
     Setting("corpus_path", "corpus.path", str, "--corpus", ("transform",),
             "JSONL corpus with code/docstring fields"),
@@ -159,11 +179,11 @@ SETTINGS = (
             "chat-completions endpoint URL"),
     Setting("mock", "model.mock", str, "--mock", ("generate",),
             "use a mock client instead of HTTP", {"choices": ("echo",)}),
-    Setting("temperature", "model.temperature", float, "--temperature", ("generate",),
+    Setting("temperature", "model.temperature", _finite_float, "--temperature", ("generate",),
             "decoding temperature (default 0)"),
     Setting("gen_max_tokens", "model.max_tokens", int, "--gen-max-tokens", ("generate",),
             "max new tokens (default 128)"),
-    Setting("shots", "model.shots", int, "--shots", ("generate",),
+    Setting("shots", "model.shots", _non_negative_int, "--shots", ("generate",),
             "few-shot example count (default 10)"),
     Setting("tokenizer", "tokenizer.spec", str, "--tokenizer", ("score", "analyze"),
             "'fallback' or path to a vocab JSON file"),
@@ -173,7 +193,7 @@ SETTINGS = (
             "hashed one-hot dimension (default 256)"),
     Setting("seed", "run.seed", int, "--seed", (), "seed for all randomized steps (required)"),
     Setting("out_dir", "run.out", str, "--out", (), "run directory (default: out)"),
-    Setting("jobs", "run.jobs", int, "--jobs", (), "parallel workers for generation"),
+    Setting("jobs", "run.jobs", _positive_int, "--jobs", (), "parallel workers for generation"),
     Setting("max_errors", "run.max_errors", int, "--max-errors", ("transform", "score"),
             "tolerated record errors (default 0)"),
     Setting("lowercase_bleu", "report.lowercase_bleu", _boolean, "--lowercase-bleu", ("score",),

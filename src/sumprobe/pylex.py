@@ -6,18 +6,22 @@ well-formedness only (strings terminated, brackets closed); it happily
 tokenizes code no parser would accept, which is what the downstream code
 transformations need -- their outputs are often not valid Python.
 
-`lex` returns a plain tuple of tokens. `transform.Snippet` lexes each
-snippet once and builds every variant's text from that tuple; `score`'s
-`subtok.split_code` lexes the code of each record it scores. Besides the
-tokens, the module marks the snippet's function name and locates the span
-of the first function signature.
+`lexemes` splits a source with one regex scan and `category` classifies a
+lexeme from its text alone; `lex` joins the two into a plain tuple of
+tokens with byte spans. `transform.Snippet` lexes each snippet once and
+builds every variant's text from that tuple; `score`'s `subtok.split_code`
+walks the bare lexemes of each record's code. Besides the tokens, the
+module marks the snippet's function name and locates the span of the
+first function signature.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, repeat
 from typing import NamedTuple, Sequence
 
 from .errors import HarnessError
@@ -113,74 +117,57 @@ _PUNCT = sorted(_OPERATORS | _DELIMITERS, key=len, reverse=True)
 
 _OPENERS = frozenset("([{")
 _CLOSERS = frozenset(")]}")
+_BRACKETS = _OPENERS | _CLOSERS
 
-# Alternation order matters: strings before identifiers (so the rb in rb'..'
-# is a prefix, not a name), numbers before punctuation (so .5 is a number).
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>[ \t\f\v]+)
-    | (?P<nl>\r\n|\n|\r)
-    | (?P<comment>\#[^\n\r]*)
-    | (?P<contline>\\(?:\r\n|\n|\r))
-    | (?P<strstart>[rRbBuUfF]{1,2}(?=['"])|(?=['"]))
-    | (?P<number>
-          0[xX](?:_?[0-9a-fA-F])+
-        | 0[oO](?:_?[0-7])+
-        | 0[bB](?:_?[01])+
-        | (?:[0-9](?:_?[0-9])*)?\.[0-9](?:_?[0-9])*(?:[eE][+-]?[0-9](?:_?[0-9])*)?[jJ]?
-        | [0-9](?:_?[0-9])*\.(?:[0-9](?:_?[0-9])*)?(?:[eE][+-]?[0-9](?:_?[0-9])*)?[jJ]?
-        | [0-9](?:_?[0-9])*(?:[eE][+-]?[0-9](?:_?[0-9])*)?[jJ]?
-      )
-    | (?P<ident>[^\W\d]\w*)
-    | (?P<punct>"""
-    + "|".join(re.escape(p) for p in _PUNCT)
-    + r""")
-    | (?P<other>.)
-    """,
-    re.VERBOSE | re.DOTALL,
+_DIGITS = r"[0-9](?:_?[0-9])*"
+_EXPONENT = rf"(?:[eE][+-]?{_DIGITS})?"
+
+# One row per kind of lexeme, in match order: strings before identifiers
+# (so the rb in rb'..' is a prefix, not a name), numbers before punctuation
+# (so .5 is a number). A string literal ends where Python's own scanner
+# ends it: three opening quotes make it triple-quoted, a backslash escapes
+# the next character (in raw literals too), and only a triple-quoted
+# literal spans lines. A quote that opens no such literal starts an
+# `unterminated` lexeme that runs to the end of the source. `other` is not
+# part of Python's lexical grammar (stray $, ?, lone \, ...); it is kept
+# permissively so arbitrary text round-trips.
+_RULES = (
+    ("ws", r"[ \t\f\v]+"),
+    ("nl", r"\r\n|\n|\r"),
+    ("comment", r"#[^\n\r]*"),
+    ("contline", r"\\(?:\r\n|\n|\r)"),
+    (
+        "string",
+        r"[rRbBuUfF]{0,2}(?:"
+        r"'''(?:[^\\']|\\.|'(?!''))*'''"
+        r'|"""(?:[^\\"]|\\.|"(?!""))*"""'
+        r"|'(?!'')(?:[^\\'\n\r]|\\.)*'"
+        r'|"(?!"")(?:[^\\"\n\r]|\\.)*")',
+    ),
+    ("unterminated", r"[rRbBuUfF]{0,2}['\"].*"),
+    (
+        "number",
+        r"0[xX](?:_?[0-9a-fA-F])+|0[oO](?:_?[0-7])+|0[bB](?:_?[01])+"
+        rf"|(?:{_DIGITS})?\.{_DIGITS}{_EXPONENT}[jJ]?"
+        rf"|{_DIGITS}\.(?:{_DIGITS})?{_EXPONENT}[jJ]?"
+        rf"|{_DIGITS}{_EXPONENT}[jJ]?",
+    ),
+    ("ident", r"[^\W\d]\w*"),
+    ("punct", "|".join(re.escape(p) for p in _PUNCT)),
+    ("other", "."),
 )
+# No groups, so findall returns the lexemes themselves.
+_LEXEME_RE = re.compile("|".join(f"(?:{p})" for _, p in _RULES), re.DOTALL)
+# One named group per kind; classifies a single lexeme.
+_KIND_RE = re.compile("|".join(f"(?P<{k}>{p})" for k, p in _RULES), re.DOTALL)
 
-
-def _byte_offset(source: str, cp_offset: int) -> int:
-    head = source[:cp_offset]
-    return len(head) if head.isascii() else len(head.encode("utf-8"))
-
-
-def _scan_string(source: str, start: int, after_prefix: int) -> int:
-    """Return the code-point offset just past a string literal.
-
-    `start` points at the prefix (if any), `after_prefix` at the opening
-    quote. Backslash escapes are honoured in raw strings too: that matches
-    Python's own rule for finding the end of a raw literal.
-    """
-    n = len(source)
-    quote = source[after_prefix]
-    triple = source[after_prefix : after_prefix + 3] in ("'''", '"""')
-    pos = after_prefix + (3 if triple else 1)
-    closing = quote * 3 if triple else quote
-    while pos < n:
-        ch = source[pos]
-        if ch == "\\":
-            pos += 2
-            continue
-        if not triple and ch in "\n\r":
-            break
-        if source.startswith(closing, pos):
-            return pos + len(closing)
-        pos += 1
-    raise UnterminatedStringError(
-        "unterminated string literal", _byte_offset(source, start)
-    )
-
-
-# The category of each _TOKEN_RE group whose lexeme does not decide it;
-# `other` is not part of Python's lexical grammar (stray $, ?, lone \, ...)
-# and is kept permissively as an operator so arbitrary text round-trips.
-_GROUP_CATEGORY = {
+# The category of each kind whose lexeme does not decide it.
+_KIND_CATEGORY = {
     "ws": Category.WHITESPACE,
     "contline": Category.WHITESPACE,
     "nl": Category.NEWLINE,
     "comment": Category.COMMENT,
+    "string": Category.STRING,
     "number": Category.NUMBER,
     "other": Category.OPERATOR,
 }
@@ -189,47 +176,65 @@ _PUNCT_CATEGORY = {
 }
 
 
+def _byte_offset(source: str, cp_offset: int) -> int:
+    head = source[:cp_offset]
+    return len(head) if head.isascii() else len(head.encode("utf-8"))
+
+
+# A corpus repeats most of its lexemes; the bound keeps a huge corpus from
+# pinning every distinct one.
+@functools.lru_cache(maxsize=1 << 16)
+def category(lexeme: str) -> Category:
+    """The category of one lexeme of `lexemes`, decided by its text alone."""
+    kind = _KIND_RE.match(lexeme).lastgroup
+    if kind == "ident":
+        return Category.KEYWORD if lexeme in KEYWORDS else Category.IDENTIFIER
+    if kind == "punct":
+        return _PUNCT_CATEGORY[lexeme]
+    return _KIND_CATEGORY[kind]
+
+
+def lexemes(source: str) -> list[str]:
+    """Split `source` into lexemes that concatenate back to it exactly.
+
+    Raises UnterminatedStringError or UnterminatedBracketError, with the
+    byte offset of the literal or of the first bracket left open.
+    """
+    found = _LEXEME_RE.findall(source)
+    if found and _KIND_RE.match(found[-1]).lastgroup == "unterminated":
+        raise UnterminatedStringError(
+            "unterminated string literal",
+            _byte_offset(source, len(source) - len(found[-1])),
+        )
+    if "(" in source or "[" in source or "{" in source:
+        # A closer closes the innermost opener, whatever its kind; a stray
+        # closer is ignored.
+        depth = 0
+        for n, bracket in enumerate(filter(_BRACKETS.__contains__, found)):
+            if bracket in _OPENERS:
+                if not depth:
+                    bottom = n  # the first bracket left open, if depth stays > 0
+                depth += 1
+            elif depth:
+                depth -= 1
+        if depth:
+            at = [i for i, lexeme in enumerate(found) if lexeme in _BRACKETS][bottom]
+            raise UnterminatedBracketError(
+                "unclosed bracket", _byte_offset(source, len("".join(found[:at])))
+            )
+    return found
+
+
 def lex(source: str) -> tuple[LexToken, ...]:
     """Tokenize `source`; concat of the lexemes reproduces it exactly."""
-    tokens: list[LexToken] = []
-    open_brackets: list[int] = []  # code-point offsets of unclosed openers
-    ascii_source = source.isascii()  # then byte offsets are code-point offsets
-    match_at = _TOKEN_RE.match
-    pos = 0
-    offset = 0  # byte offset of `pos`
-    n = len(source)
-    while pos < n:
-        match = match_at(source, pos)
-        kind = match.lastgroup
-        end = match.end()
-        if kind == "strstart":
-            end = _scan_string(source, pos, end)
-            text = source[pos:end]
-            category = Category.STRING
-        else:
-            text = match.group()
-            if kind == "ident":
-                category = Category.KEYWORD if text in KEYWORDS else Category.IDENTIFIER
-            elif kind == "punct":
-                if text in _OPENERS:
-                    open_brackets.append(pos)
-                elif text in _CLOSERS and open_brackets:
-                    open_brackets.pop()
-                category = _PUNCT_CATEGORY[text]
-            else:
-                category = _GROUP_CATEGORY[kind]
-        if ascii_source or text.isascii():
-            stop = offset + end - pos
-        else:
-            stop = offset + len(text.encode("utf-8"))
-        tokens.append(_new_token(LexToken, (text, category, offset, stop)))
-        offset = stop
-        pos = end
-    if open_brackets:
-        raise UnterminatedBracketError(
-            "unclosed bracket", _byte_offset(source, open_brackets[0])
-        )
-    return tuple(tokens)
+    found = lexemes(source)
+    if source.isascii():  # then byte offsets are code-point offsets
+        sizes = map(len, found)
+    else:
+        sizes = (len(lexeme.encode("utf-8")) for lexeme in found)
+    offsets = list(accumulate(sizes, initial=0))
+    fields = zip(found, map(category, found), offsets, offsets[1:])
+    return tuple(map(_new_token, repeat(LexToken), fields))
 
 
 def function_name_indices(tokens: Sequence[LexToken]) -> set[int]:

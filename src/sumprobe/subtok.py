@@ -6,9 +6,9 @@ underscores, camelCase and letter/digit boundaries. Overlap numbers from
 different tokenizers are not comparable, so every tokenizer carries an id
 that is recorded alongside the scores it produced.
 
-Code snippets are split one lexer token at a time, in a single walk that
-also records which kind of code token each subword came from; a memo
-shared across the snippets of a batch tokenizes each distinct lexeme once.
+Code snippets are split one lexeme at a time, in a single walk that also
+records which kind of code token each subword came from; a memo shared
+across the snippets of a batch tokenizes each distinct lexeme once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Protocol
 
 from .errors import HarnessError
-from .pylex import Category, function_name_indices, lex
+from .pylex import Category, category, lex, lexemes
 
 
 class VocabError(HarnessError):
@@ -200,7 +200,6 @@ _RANK = tuple(_SOURCE_PRIORITY.index(c) for c in ATTRIBUTION_CATEGORIES)
 class CodeSubwords:
     """A snippet's subwords as the copy rate and copy attribution see them."""
 
-    subwords: list[str]  # in code order
     per_category: list[int]  # subword count per ATTRIBUTION_CATEGORIES entry
     source: dict[str, int]  # distinct subword -> index of its category
 
@@ -208,12 +207,12 @@ class CodeSubwords:
 def split_code(
     code: str, tokenize: Tokenizer, memo: dict[str, list[str]] | None = None
 ) -> CodeSubwords:
-    """Lex `code` once and tokenize each lexer token on its own.
+    """Lex `code` once and tokenize each lexeme on its own.
 
-    This is the one place that decides which lexer tokens yield code
-    subwords (all but whitespace and newlines) and under which attribution
-    category: the function name (pylex.function_name_indices), else the
-    token's lexical category.
+    This is the one place that decides which lexemes yield code subwords
+    (all but whitespace and newlines) and under which attribution
+    category: the function name (the rule of pylex.function_name_indices,
+    applied in the same walk), else the lexeme's category.
 
     `memo` maps a text to its subwords under `tokenize`; pass one dict to
     every split of a batch and each distinct lexeme is tokenized once. A
@@ -223,30 +222,43 @@ def split_code(
     """
     if memo is None:
         memo = {}
-    tokens = lex(code)
-    name_indices = function_name_indices(tokens)
-    subwords: list[str] = []
     per_category = [0] * len(ATTRIBUTION_CATEGORIES)
     source: dict[str, int] = {}
-    for i, tok in enumerate(tokens):
-        category = _CATEGORY_INDEX.get(tok.category)
-        if category is None:
+    name = None  # the function name, once the first def has named it
+    after_def = False
+    for lexeme in lexemes(code):
+        kind = category(lexeme)
+        index = _CATEGORY_INDEX.get(kind)
+        if index is None:  # whitespace or a newline
+            if kind is Category.NEWLINE:
+                after_def = False
             continue
-        if i in name_indices:
-            category = _FUNCTION_NAME
-        pieces = memo.get(tok.lexeme)
+        if name is None:
+            if after_def and kind is Category.IDENTIFIER:
+                name = lexeme
+                index = _FUNCTION_NAME
+            else:
+                after_def = lexeme == "def"
+        elif lexeme == name:
+            index = _FUNCTION_NAME
+        pieces = memo.get(lexeme)
         if pieces is None:
-            pieces = memo[tok.lexeme] = tokenize(tok.lexeme)
-        subwords.extend(pieces)
-        per_category[category] += len(pieces)
-        rank = _RANK[category]
+            pieces = memo[lexeme] = tokenize(lexeme)
+        per_category[index] += len(pieces)
+        rank = _RANK[index]
         for sw in pieces:
             best = source.get(sw)
             if best is None or rank < _RANK[best]:
-                source[sw] = category
-    return CodeSubwords(subwords, per_category, source)
+                source[sw] = index
+    return CodeSubwords(per_category, source)
 
 
 def code_subwords(code: str, tokenize: Tokenizer) -> list[str]:
-    """Subword tokens of a code snippet, for overlap metrics."""
-    return split_code(code, tokenize).subwords
+    """Subword tokens of a code snippet in code order, for overlap metrics:
+    those of every lexer token but whitespace and newlines."""
+    return [
+        sw
+        for tok in lex(code)
+        if tok.category in _CATEGORY_INDEX
+        for sw in tokenize(tok.lexeme)
+    ]

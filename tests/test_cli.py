@@ -804,6 +804,36 @@ def test_embedding_dimension_below_one_is_refused(tmp_path, corpus5, where, dim,
         sumprobe.metrics.HashedOneHotProvider(0)
 
 
+@pytest.mark.parametrize("key, flag, text", [
+    ("model.temperature", "--temperature", "nan"),
+    ("model.temperature", "--temperature", "inf"),
+    ("model.temperature", "--temperature", "-inf"),
+    ("model.shots", "--shots", "-3"),
+    ("run.jobs", "--jobs", "0"),
+    ("run.jobs", "--jobs", "-1"),
+])
+def test_out_of_range_settings_are_refused(tmp_path, corpus5, key, flag, text, capsys):
+    out = tmp_path / "out"
+    run_cli("--seed", 1, "--out", out, "transform", "--corpus", corpus5, "--variant", "original")
+    capsys.readouterr()
+    generate = ["generate", "--model", "m", "--mock", "echo"]
+    value = [f"{flag}={text}"]
+    argv = value + generate if flag == "--jobs" else generate + value
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--seed", 1, "--out", out, *argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
+    ini = write_ini(tmp_path / "run.ini", key, text)
+    assert run_cli("--config", ini, "--seed", 1, "--out", out, *generate) == 2
+    assert f"bad config value {key}: invalid" in capsys.readouterr().err
+    assert not (out / "runs.jsonl").exists()
+
+
+def test_least_settings_in_range_are_taken():
+    config = parsed_config("--jobs", "1", "generate", "--shots", "0", "--temperature", "-0.5")
+    assert (config.jobs, config.shots, config.temperature) == (1, 0, -0.5)
+
+
 def test_console_entry_point(tmp_path, corpus5):
     out = tmp_path / "out"
     proc = subprocess.run(

@@ -1,9 +1,15 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumprobe.pylex import (
+    _DELIMITERS,
+    _OPERATORS,
+    KEYWORDS,
     Category,
+    LexToken,
     NoFunctionError,
     Role,
     UnlexableError,
@@ -270,3 +276,157 @@ def test_lex_never_mangles_arbitrary_text(source):
         assert data[tok.start:tok.end].decode("utf-8") == tok.lexeme
         offset = tok.end
     assert offset == len(data)
+
+
+# --- reference lexer -----------------------------------------------------
+# The lexer as it was before `lexemes` scanned a whole source with one
+# findall: it matches one token at a time and scans each string literal by
+# hand. `lex` must give the same tokens, or the same error.
+
+_REF_PUNCT = sorted(_OPERATORS | _DELIMITERS, key=len, reverse=True)
+_REF_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>[ \t\f\v]+)
+    | (?P<nl>\r\n|\n|\r)
+    | (?P<comment>\#[^\n\r]*)
+    | (?P<contline>\\(?:\r\n|\n|\r))
+    | (?P<strstart>[rRbBuUfF]{1,2}(?=['"])|(?=['"]))
+    | (?P<number>
+          0[xX](?:_?[0-9a-fA-F])+
+        | 0[oO](?:_?[0-7])+
+        | 0[bB](?:_?[01])+
+        | (?:[0-9](?:_?[0-9])*)?\.[0-9](?:_?[0-9])*(?:[eE][+-]?[0-9](?:_?[0-9])*)?[jJ]?
+        | [0-9](?:_?[0-9])*\.(?:[0-9](?:_?[0-9])*)?(?:[eE][+-]?[0-9](?:_?[0-9])*)?[jJ]?
+        | [0-9](?:_?[0-9])*(?:[eE][+-]?[0-9](?:_?[0-9])*)?[jJ]?
+      )
+    | (?P<ident>[^\W\d]\w*)
+    | (?P<punct>"""
+    + "|".join(re.escape(p) for p in _REF_PUNCT)
+    + r""")
+    | (?P<other>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_REF_GROUP_CATEGORY = {
+    "ws": Category.WHITESPACE,
+    "contline": Category.WHITESPACE,
+    "nl": Category.NEWLINE,
+    "comment": Category.COMMENT,
+    "number": Category.NUMBER,
+    "other": Category.OPERATOR,
+}
+
+
+def _ref_byte_offset(source, cp_offset):
+    return len(source[:cp_offset].encode("utf-8"))
+
+
+def _ref_scan_string(source, start, after_prefix):
+    """Code-point offset just past the string literal whose prefix starts
+    at `start` and whose opening quote is at `after_prefix`."""
+    n = len(source)
+    quote = source[after_prefix]
+    triple = source[after_prefix : after_prefix + 3] in ("'''", '"""')
+    pos = after_prefix + (3 if triple else 1)
+    closing = quote * 3 if triple else quote
+    while pos < n:
+        ch = source[pos]
+        if ch == "\\":
+            pos += 2
+            continue
+        if not triple and ch in "\n\r":
+            break
+        if source.startswith(closing, pos):
+            return pos + len(closing)
+        pos += 1
+    raise UnterminatedStringError(
+        "unterminated string literal", _ref_byte_offset(source, start)
+    )
+
+
+def reference_lex(source):
+    tokens = []
+    open_brackets = []  # code-point offsets of unclosed openers
+    pos = offset = 0
+    while pos < len(source):
+        match = _REF_TOKEN_RE.match(source, pos)
+        kind = match.lastgroup
+        end = match.end()
+        if kind == "strstart":
+            end = _ref_scan_string(source, pos, end)
+            text = source[pos:end]
+            category = Category.STRING
+        else:
+            text = match.group()
+            if kind == "ident":
+                category = Category.KEYWORD if text in KEYWORDS else Category.IDENTIFIER
+            elif kind == "punct":
+                if text in ("(", "[", "{"):
+                    open_brackets.append(pos)
+                elif text in (")", "]", "}") and open_brackets:
+                    open_brackets.pop()
+                category = Category.OPERATOR if text in _OPERATORS else Category.DELIMITER
+            else:
+                category = _REF_GROUP_CATEGORY[kind]
+        stop = offset + len(text.encode("utf-8"))
+        tokens.append(LexToken(text, category, offset, stop))
+        offset = stop
+        pos = end
+    if open_brackets:
+        raise UnterminatedBracketError(
+            "unclosed bracket", _ref_byte_offset(source, open_brackets[0])
+        )
+    return tuple(tokens)
+
+
+def lex_outcome(lexer, source):
+    """The tokens, or the error's class, message and byte offset."""
+    try:
+        return lexer(source)
+    except UnlexableError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+# Quotes, string prefixes, backslashes, line ends, brackets, comments,
+# number parts and multi-byte characters: the pieces whose interplay
+# decides where a lexeme ends.
+_LEXER_EDGES = st.lists(
+    st.sampled_from(
+        ["'", '"', "'''", '"""', "'", '"', "\\", "\\", "\r\n", "rb", "def"]
+        + list("rRbBuUfF\r\n()[]{}#0123456789.eEjJ_xX +-*=:<>é²𝔘\t$")
+    ),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=1500, derandomize=True)
+@given(_LEXER_EDGES)
+def test_lex_equals_the_reference_lexer(source):
+    assert lex_outcome(lex, source) == lex_outcome(reference_lex, source)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "'''never closed",  # three quotes open a triple-quoted literal
+        "x = '''a'''' + ''",
+        "x = '''it\\'''s''' + \"\"\"\\\"\"\"\"\"\"",  # escaped quotes in triple quotes
+        "r'\\'' + rb'\\\\'",  # escapes hold in raw literals too
+        "'a\\\nb'",  # an escaped line end continues a short literal
+        "'a\\\r\nb'",  # ... but only its \r
+        "s = '\\",
+        "('open\n)",
+        ")( x",
+        "f(a, [b, {c: d]) + g(",
+        "é = '²' + (𝔘",
+    ],
+)
+def test_lex_equals_the_reference_lexer_on_edge_cases(source):
+    assert lex_outcome(lex, source) == lex_outcome(reference_lex, source)
+
+
+def test_lex_equals_the_reference_lexer_on_the_corpus():
+    for code, _ in sample_pairs(300, seed=7):
+        assert lex(code) == reference_lex(code)
+    for code in UNLEXABLE_SNIPPETS:
+        assert lex_outcome(lex, code) == lex_outcome(reference_lex, code)

@@ -2,9 +2,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sumprobe.pylex import Category, UnlexableError, function_name_indices, lex
 from sumprobe.subtok import (
+    ATTRIBUTION_CATEGORIES,
     BpeTokenizer,
+    CodeSubwords,
     FallbackTokenizer,
     SubwordVocab,
     VocabError,
@@ -16,7 +21,7 @@ from sumprobe.subtok import (
     tokenizer_from_spec,
 )
 
-from corpusgen import sample_pairs
+from corpusgen import UNLEXABLE_SNIPPETS, sample_pairs
 
 
 def make_vocab(merges, extra_vocab=(), boundary=""):
@@ -169,3 +174,87 @@ def test_split_code_with_a_shared_memo_equals_split_code_without_one():
         for code, _ in sample_pairs(300, seed=3):
             assert split_code(code, tokenize, memo) == split_code(code, tokenize)
         assert memo and all(memo[text] == tokenize(text) for text in memo)
+
+
+# --- split_code against a reference built from lex ------------------------
+
+_REF_ATTRIBUTION = {
+    Category.IDENTIFIER: "identifier",
+    Category.KEYWORD: "keyword",
+    Category.COMMENT: "comment",
+    Category.STRING: "string",
+    Category.NUMBER: "number",
+    Category.OPERATOR: "operator_delimiter",
+    Category.DELIMITER: "operator_delimiter",
+}
+_REF_PRIORITY = ("function_name", "identifier", "comment", "string", "keyword",
+                 "number", "operator_delimiter")
+
+
+def reference_split(code, tokenize):
+    """(per_category, source) from lex, then function_name_indices, then a
+    walk over every token."""
+    tokens = lex(code)
+    names = function_name_indices(tokens)
+    per_category = [0] * len(ATTRIBUTION_CATEGORIES)
+    best = {}
+    for i, tok in enumerate(tokens):
+        if tok.category not in _REF_ATTRIBUTION:
+            continue
+        kind = "function_name" if i in names else _REF_ATTRIBUTION[tok.category]
+        for sw in tokenize(tok.lexeme):
+            per_category[ATTRIBUTION_CATEGORIES.index(kind)] += 1
+            if sw not in best or _REF_PRIORITY.index(kind) < _REF_PRIORITY.index(best[sw]):
+                best[sw] = kind
+    return per_category, {sw: ATTRIBUTION_CATEGORIES.index(kind) for sw, kind in best.items()}
+
+
+def split_outcome(split, code, tokenize):
+    try:
+        return split(code, tokenize)
+    except UnlexableError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+def assert_split_equals_reference(code, tokenize):
+    got = split_outcome(split_code, code, tokenize)
+    expected = split_outcome(reference_split, code, tokenize)
+    if not isinstance(got, CodeSubwords):
+        assert got == expected
+        return
+    assert (got.per_category, got.source) == expected
+    subwords = code_subwords(code, tokenize)
+    assert len(subwords) == sum(got.per_category)
+    assert set(subwords) == got.source.keys()
+
+
+_FUNCTION_NAME_EDGES = [
+    "def \ra",  # a newline after def: `a` is not the function name
+    "def \na(): a",
+    "def \\\nf(): f",  # a continued line keeps the def
+    "def def f(): f",
+    "f = 1\ndef f(x): return x.f(f)  # f",
+    "def f(): pass\ndef g(): f(g)",
+    "x.def_f(); def",
+]
+
+
+@pytest.mark.parametrize("code", _FUNCTION_NAME_EDGES + UNLEXABLE_SNIPPETS)
+def test_split_code_equals_the_reference_on_edge_cases(code):
+    assert_split_equals_reference(code, FallbackTokenizer())
+
+
+@settings(max_examples=1000, derandomize=True)
+@given(st.lists(st.sampled_from(
+    ["def", " ", "\t", "\r", "\n", "\\\n", "f", "g", "f_g", "fG", "(", ")", ":", ".",
+     ",", "=", "'", "#", "1", "é", "𝔘"]
+), max_size=30).map("".join))
+def test_split_code_equals_the_reference(code):
+    assert_split_equals_reference(code, FallbackTokenizer())
+
+
+def test_split_code_equals_the_reference_on_the_corpus():
+    vocab = make_vocab([("r", "e"), ("re", "t"), ("d", "e"), ("de", "f"), ("_", "v")])
+    for tokenize in (FallbackTokenizer(), BpeTokenizer(vocab)):
+        for code, _ in sample_pairs(200, seed=13):
+            assert_split_equals_reference(code, tokenize)
