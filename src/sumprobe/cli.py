@@ -54,7 +54,7 @@ from .corpus import (
 )
 from .errors import HarnessError
 from .metrics import HashedOneHotProvider, RemoteEmbeddingProvider
-from .pylex import UnlexableError
+from .pylex import Category, UnlexableError
 from .subtok import split_code, tokenizer_from_spec
 from .transform import VARIANT_ORDER, DonorEntry, Snippet, Variant, donor_assignment
 
@@ -257,14 +257,16 @@ def cmd_transform(config: RunConfig) -> int:
         raise HarnessError("transform needs a corpus (--corpus or [corpus] path)")
     variants = _parse_variants(config.variants)
     examples, line_errors = load_corpus(config.corpus_path)
-    # One pass: the filter rules, then one lex per snippet for all variants.
+    # One pass: the filter rules, then one lex per snippet for all variants,
+    # sharing one memo of lexeme categories.
+    kinds: dict[str, Category] = {}
     accepted: list[tuple[Example, Snippet]] = []
     rejects: list[dict] = []
     for ex in examples:
         reason = screen_example(ex, config.min_tokens, config.max_tokens)
         if reason is None:
             try:
-                accepted.append((ex, Snippet.of(ex.code, variants)))
+                accepted.append((ex, Snippet.of(ex.code, variants, kinds)))
                 continue
             except UnlexableError:
                 reason = FilterReason.UNLEXABLE
@@ -446,8 +448,6 @@ def cmd_score(config: RunConfig) -> int:
     # across variants, and echoes equal them) and collect the distinct
     # subwords of every record that needs BERTScore, and of every original
     # record, which the re-paired BERTScore may pair with any other.
-    # `subwords` is also split_code's memo in pass 2, so each distinct code
-    # lexeme is tokenized once too.
     subwords: dict[str, list[str]] = {}
     needed: dict[str, None] = {}
     bert_pairs: dict[int, tuple[list[str], list[str]]] = {}  # record index -> subwords
@@ -503,6 +503,9 @@ def cmd_score(config: RunConfig) -> int:
         return scores
 
     # Pass 2: score each record from the cached subwords and BERTScores.
+    # One split_code memo for the batch classifies and tokenizes each
+    # distinct code lexeme once.
+    code_memo: dict[str, tuple[int | None, list[str]]] = {}
     errors: list[dict] = []
     scored: list[RunRecord] = []
     originals: dict[tuple[str, str, str], str] = {}  # key -> reference
@@ -516,7 +519,9 @@ def cmd_score(config: RunConfig) -> int:
             scored.append(replace(rec, metrics=None))
             continue
         try:
-            scored.append(_score_record(rec, ex, tokenize, subwords, berts.get(i), bleu))
+            scored.append(_score_record(
+                rec, ex, tokenize, subwords, code_memo, berts.get(i), bleu
+            ))
         except HarnessError as exc:
             errors.append(
                 {"stage": "score", "where": f"{rec.example_id}/{rec.variant}", "error": str(exc)}
@@ -553,13 +558,15 @@ def _score_record(
     ex: Example,
     tokenize,
     subwords: dict[str, list[str]],
+    code_memo: dict[str, tuple[int | None, list[str]]],
     bert: metrics.BertScoreResult | HarnessError | None,
     bleu: Callable[[str, str], float],
 ) -> RunRecord:
-    """Score one record; `subwords` holds its descriptions' subwords and is
-    the code split's memo, `bert` its BERTScore if it has a generation."""
+    """Score one record; `subwords` holds its descriptions' subwords,
+    `code_memo` is the code split's memo, `bert` its BERTScore if it has a
+    generation."""
     ref_sw, gen_sw = subwords[ex.reference], subwords[rec.generated]
-    code = split_code(ex.code, tokenize, subwords)
+    code = split_code(ex.code, tokenize, code_memo)
     code_set = code.source.keys()  # the code's distinct subwords
     ref_copy = metrics.p_copy(code_set, ref_sw, tokenize.tokenizer_id)
     eval_rec = EvalRecord(

@@ -17,7 +17,6 @@ first function signature.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -181,9 +180,6 @@ def _byte_offset(source: str, cp_offset: int) -> int:
     return len(head) if head.isascii() else len(head.encode("utf-8"))
 
 
-# A corpus repeats most of its lexemes; the bound keeps a huge corpus from
-# pinning every distinct one.
-@functools.lru_cache(maxsize=1 << 16)
 def category(lexeme: str) -> Category:
     """The category of one lexeme of `lexemes`, decided by its text alone."""
     kind = _KIND_RE.match(lexeme).lastgroup
@@ -225,38 +221,52 @@ def lexemes(source: str) -> list[str]:
     return found
 
 
-def lex(source: str) -> tuple[LexToken, ...]:
-    """Tokenize `source`; concat of the lexemes reproduces it exactly."""
+def lex(source: str, kinds: dict[str, Category] | None = None) -> tuple[LexToken, ...]:
+    """Tokenize `source`; concat of the lexemes reproduces it exactly.
+
+    `kinds` maps a lexeme to its category; pass one dict to every lex of a
+    batch and each distinct lexeme is classified once.
+    """
     found = lexemes(source)
+    if kinds is None:
+        kinds = {}
+    for lexeme in set(found).difference(kinds):
+        kinds[lexeme] = category(lexeme)
     if source.isascii():  # then byte offsets are code-point offsets
         sizes = map(len, found)
     else:
         sizes = (len(lexeme.encode("utf-8")) for lexeme in found)
     offsets = list(accumulate(sizes, initial=0))
-    fields = zip(found, map(category, found), offsets, offsets[1:])
+    fields = zip(found, map(kinds.__getitem__, found), offsets, offsets[1:])
     return tuple(map(_new_token, repeat(LexToken), fields))
 
 
+def function_name_at(lexemes: Sequence[str]) -> int | None:
+    """Index of the snippet's function name among `lexemes`: the first
+    identifier after a `def` keyword with only whitespace between them."""
+    end = len(lexemes)
+    start = 0
+    while True:
+        try:
+            i = lexemes.index("def", start) + 1
+        except ValueError:
+            return None
+        while i < end and category(lexemes[i]) is Category.WHITESPACE:
+            i += 1
+        if i < end and category(lexemes[i]) is Category.IDENTIFIER:
+            return i
+        start = i
+
+
 def function_name_indices(tokens: Sequence[LexToken]) -> set[int]:
-    """Indices of the snippet's function name: the first def's name and
-    every later identifier with that lexeme (call sites and attribute
-    positions included, so renaming transforms touch all of them)."""
-    name = None
-    indices: set[int] = set()
-    after_def = False
-    for i, tok in enumerate(tokens):
-        category = tok.category
-        if name is not None:
-            if category is Category.IDENTIFIER and tok.lexeme == name:
-                indices.add(i)
-        elif category is Category.WHITESPACE:
-            continue
-        elif after_def and category is Category.IDENTIFIER:
-            name = tok.lexeme
-            indices.add(i)
-        else:
-            after_def = category is Category.KEYWORD and tok.lexeme == "def"
-    return indices
+    """Indices of the snippet's function name (function_name_at) and of
+    every later token with that lexeme (call sites and attribute positions
+    included, so renaming transforms touch all of them)."""
+    found = [tok.lexeme for tok in tokens]
+    at = function_name_at(found)
+    if at is None:
+        return set()
+    return {i for i in range(at, len(found)) if found[i] == found[at]}
 
 
 def classify_roles(tokens: Sequence[LexToken]) -> list[RoleToken]:

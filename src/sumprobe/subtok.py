@@ -8,7 +8,8 @@ that is recorded alongside the scores it produced.
 
 Code snippets are split one lexeme at a time, in a single walk that also
 records which kind of code token each subword came from; a memo shared
-across the snippets of a batch tokenizes each distinct lexeme once.
+across the snippets of a batch classifies and tokenizes each distinct
+lexeme once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 from typing import Protocol
 
 from .errors import HarnessError
-from .pylex import Category, category, lex, lexemes
+from .pylex import Category, category, function_name_at, lex, lexemes
 
 
 class VocabError(HarnessError):
@@ -205,45 +206,42 @@ class CodeSubwords:
 
 
 def split_code(
-    code: str, tokenize: Tokenizer, memo: dict[str, list[str]] | None = None
+    code: str,
+    tokenize: Tokenizer,
+    memo: dict[str, tuple[int | None, list[str]]] | None = None,
 ) -> CodeSubwords:
     """Lex `code` once and tokenize each lexeme on its own.
 
     This is the one place that decides which lexemes yield code subwords
     (all but whitespace and newlines) and under which attribution
-    category: the function name (the rule of pylex.function_name_indices,
-    applied in the same walk), else the lexeme's category.
+    category: the function name (pylex.function_name_at) and its later
+    occurrences, else the lexeme's category.
 
-    `memo` maps a text to its subwords under `tokenize`; pass one dict to
-    every split of a batch and each distinct lexeme is tokenized once. A
-    tokenizer maps a text to subwords without looking at any context, so
-    the memo changes no subword, count or attribution. Its lists are
-    shared, so no caller may change one.
+    `memo` maps a lexeme to its attribution category index and its
+    subwords under `tokenize` (None and no subwords for whitespace and
+    newlines); pass one dict to every split of a batch and each distinct
+    lexeme is classified and tokenized once. A tokenizer maps a text to
+    subwords without looking at any context, so the memo changes no
+    subword, count or attribution. Its lists are shared, so no caller may
+    change one.
     """
     if memo is None:
         memo = {}
     per_category = [0] * len(ATTRIBUTION_CATEGORIES)
     source: dict[str, int] = {}
-    name = None  # the function name, once the first def has named it
-    after_def = False
-    for lexeme in lexemes(code):
-        kind = category(lexeme)
-        index = _CATEGORY_INDEX.get(kind)
+    found = lexemes(code)
+    at = function_name_at(found)
+    name = None if at is None else found[at]
+    for i, lexeme in enumerate(found):
+        entry = memo.get(lexeme)
+        if entry is None:
+            index = _CATEGORY_INDEX.get(category(lexeme))
+            entry = memo[lexeme] = (index, [] if index is None else tokenize(lexeme))
+        index, pieces = entry
         if index is None:  # whitespace or a newline
-            if kind is Category.NEWLINE:
-                after_def = False
             continue
-        if name is None:
-            if after_def and kind is Category.IDENTIFIER:
-                name = lexeme
-                index = _FUNCTION_NAME
-            else:
-                after_def = lexeme == "def"
-        elif lexeme == name:
+        if lexeme == name and i >= at:
             index = _FUNCTION_NAME
-        pieces = memo.get(lexeme)
-        if pieces is None:
-            pieces = memo[lexeme] = tokenize(lexeme)
         per_category[index] += len(pieces)
         rank = _RANK[index]
         for sw in pieces:

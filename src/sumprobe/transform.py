@@ -206,9 +206,15 @@ class Snippet:
     failures: dict[Variant, str] = field(default_factory=dict)
 
     @classmethod
-    def of(cls, code: str, variants: Iterable[Variant] = tuple(Variant)) -> "Snippet":
-        """Raises UnlexableError; every other failure is kept per variant."""
-        stripped = _comment_free(lex(code))
+    def of(
+        cls,
+        code: str,
+        variants: Iterable[Variant] = tuple(Variant),
+        kinds: dict[str, Category] | None = None,
+    ) -> "Snippet":
+        """Raises UnlexableError; every other failure is kept per variant.
+        `kinds` is lex's memo of lexeme categories."""
+        stripped = _comment_free(lex(code, kinds))
         name, segments = _name_segments(stripped)
         snippet = cls(code, name, _identifiers(stripped), segments)
         if Variant.NO_CODE_STRUCTURE in variants:

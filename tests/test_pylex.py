@@ -426,7 +426,8 @@ def test_lex_equals_the_reference_lexer_on_edge_cases(source):
 
 
 def test_lex_equals_the_reference_lexer_on_the_corpus():
+    kinds = {}  # one memo across the corpus, as transform shares it
     for code, _ in sample_pairs(300, seed=7):
-        assert lex(code) == reference_lex(code)
+        assert lex(code) == reference_lex(code) == lex(code, kinds)
     for code in UNLEXABLE_SNIPPETS:
         assert lex_outcome(lex, code) == lex_outcome(reference_lex, code)

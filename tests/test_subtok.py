@@ -170,10 +170,13 @@ def test_split_code_with_a_shared_memo_equals_split_code_without_one():
     vocab = make_vocab([("r", "e"), ("re", "t"), ("i", "n"), ("v", "a"), ("va", "l"),
                         ("s", "e"), ("se", "l"), ("sel", "f"), ("_", "v")])
     for tokenize in (FallbackTokenizer(), BpeTokenizer(vocab)):
-        memo: dict[str, list[str]] = {}
+        memo: dict[str, tuple[int | None, list[str]]] = {}
         for code, _ in sample_pairs(300, seed=3):
             assert split_code(code, tokenize, memo) == split_code(code, tokenize)
-        assert memo and all(memo[text] == tokenize(text) for text in memo)
+        assert memo and all(
+            pieces == (tokenize(text) if index is not None else [])
+            for text, (index, pieces) in memo.items()
+        )
 
 
 # --- split_code against a reference built from lex ------------------------
@@ -191,11 +194,32 @@ _REF_PRIORITY = ("function_name", "identifier", "comment", "string", "keyword",
                  "number", "operator_delimiter")
 
 
+def reference_function_name_indices(tokens):
+    """The function-name rule as a walk over every token: the first
+    identifier whose last non-whitespace predecessor is `def`, and every
+    later identifier with its lexeme."""
+    name = None
+    indices = set()
+    after_def = False
+    for i, tok in enumerate(tokens):
+        if name is not None:
+            if tok.category is Category.IDENTIFIER and tok.lexeme == name:
+                indices.add(i)
+        elif tok.category is Category.WHITESPACE:
+            continue
+        elif after_def and tok.category is Category.IDENTIFIER:
+            name = tok.lexeme
+            indices.add(i)
+        else:
+            after_def = tok.category is Category.KEYWORD and tok.lexeme == "def"
+    return indices
+
+
 def reference_split(code, tokenize):
-    """(per_category, source) from lex, then function_name_indices, then a
-    walk over every token."""
+    """(per_category, source) from lex, then the reference function-name
+    rule, then a walk over every token."""
     tokens = lex(code)
-    names = function_name_indices(tokens)
+    names = reference_function_name_indices(tokens)
     per_category = [0] * len(ATTRIBUTION_CATEGORIES)
     best = {}
     for i, tok in enumerate(tokens):
@@ -217,6 +241,12 @@ def split_outcome(split, code, tokenize):
 
 
 def assert_split_equals_reference(code, tokenize):
+    try:
+        tokens = lex(code)
+    except UnlexableError:
+        pass
+    else:
+        assert function_name_indices(tokens) == reference_function_name_indices(tokens)
     got = split_outcome(split_code, code, tokenize)
     expected = split_outcome(reference_split, code, tokenize)
     if not isinstance(got, CodeSubwords):
