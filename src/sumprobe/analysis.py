@@ -9,7 +9,6 @@ import csv
 import random
 import re
 import statistics
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -286,11 +285,13 @@ def emit_report(
     # buckets.csv: BLEU per reference-copy-rate bucket
     rows = []
     bucket_medians: dict[tuple[str, str], list[float]] = {}
+    bucket_sizes: dict[tuple[str, str], list[int]] = {}
     for model_id, variant in group_keys:
         recs = groups[(model_id, variant)]
         by_key = {r.key: r for r in recs}
         medians = []
-        for bucket in bucketize(recs):
+        buckets = bucketize(recs)
+        for bucket in buckets:
             bleus = [
                 by_key[k].metrics.bleu4
                 for k in bucket.record_keys
@@ -308,6 +309,7 @@ def emit_report(
             )
             medians.append(statistics.median(bleus) if bleus else 0.0)
         bucket_medians[(model_id, variant)] = medians
+        bucket_sizes[(model_id, variant)] = [len(b.record_keys) for b in buckets]
     write_csv(
         "buckets.csv",
         ["model_id", "variant", "bucket", "count", "mean_bleu4", "median_bleu4"],
@@ -391,11 +393,8 @@ def emit_report(
     # p_copy histograms and per-bucket BLEU medians, per model+variant
     for model_id, variant in group_keys:
         recs = groups[(model_id, variant)]
-        ref_counts = Counter(b.label for b in bucketize(recs) for _ in b.record_keys)
-        ref_hist = [0] * len(BUCKET_LABELS)
+        ref_hist = bucket_sizes[(model_id, variant)]  # in BUCKET_LABELS order
         gen_hist = [0] * len(BUCKET_LABELS)
-        for bucket_idx, label in enumerate(BUCKET_LABELS):
-            ref_hist[bucket_idx] = ref_counts.get(label, 0)
         for rec in recs:
             m = rec.metrics
             if m.p_copy_generated_matched is None:

@@ -463,13 +463,10 @@ def cmd_score(config: RunConfig) -> int:
         if subwords[rec.generated] or rec.variant == Variant.ORIGINAL.value:
             needed.update(dict.fromkeys(subwords[ex.reference]))
             needed.update(dict.fromkeys(subwords[rec.generated]))
-    table = metrics.EmbeddingTable(provider)
-    try:
-        table.fetch(needed)
-    except HarnessError as exc:
-        # The table keeps the error; each record that needs BERTScore
-        # reports it below.
-        log.warning("embedding fetch failed: %s", exc)
+    table = metrics.EmbeddingTable(provider, needed)
+    if table.error is not None:
+        # Each record that needs BERTScore reports it below.
+        log.warning("embedding fetch failed: %s", table.error)
     berts = dict(zip(bert_pairs, table.bertscores(list(bert_pairs.values()))))
 
     ngrams = metrics.NgramTable()
@@ -715,11 +712,14 @@ def cmd_analyze(config: RunConfig) -> int:
     return 0
 
 
+# Stage -> help text. `main` runs stage s by looking up `cmd_<s>` when it
+# is called, so a wrapper put on that module attribute (as
+# perfbench/tracer.py does) is the function that runs.
 _STAGES = {
-    "transform": (cmd_transform, "filter the corpus and emit code variants"),
-    "generate": (cmd_generate, "elicit summaries from an LLM endpoint"),
-    "score": (cmd_score, "score generations (BLEU, BERTScore, copy rate)"),
-    "analyze": (cmd_analyze, "aggregate scored records into a report"),
+    "transform": "filter the corpus and emit code variants",
+    "generate": "elicit summaries from an LLM endpoint",
+    "score": "score generations (BLEU, BERTScore, copy rate)",
+    "analyze": "aggregate scored records into a report",
 }
 
 
@@ -732,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="INI config file; flags override it")
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
-    stages = {name: sub.add_parser(name, help=text) for name, (_, text) in _STAGES.items()}
+    stages = {name: sub.add_parser(name, help=text) for name, text in _STAGES.items()}
     for setting in SETTINGS:
         for p in [stages[name] for name in setting.stages] or [parser]:
             p.add_argument(setting.flag, help=setting.help,
@@ -757,7 +757,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         config = config_from_args(args)
-        return _STAGES[args.command][0](config)
+        return globals()[f"cmd_{args.command}"](config)
     except HarnessError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

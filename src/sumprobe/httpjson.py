@@ -18,6 +18,7 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import Callable, ClassVar, Generic, Iterable, Iterator, Protocol, TypeVar
 
 from .errors import HarnessError
@@ -228,16 +229,22 @@ def retry_all(
     failed it.
 
     Each item of `attempts` makes one attempt at its request when called
-    with the number of attempts made so far. The iterable is read only as
-    workers free up. The requests wait in one queue served by `jobs` worker
-    threads; at one job the calling thread serves it, with no thread
-    started. A TransientEndpointError is retried up to the `policy`'s
-    `max_retries` attempts (one attempt without a policy); each retry
-    waits its `retry_delay` on a due-time heap, not on a worker. After a
-    RateLimitedError (429) no request starts until that delay has passed.
-    Anything else the iterable or an attempt raises stops the queue and is
-    raised here.
+    with the number of attempts made so far. Its first `jobs` items are
+    read at once, to start no more worker threads than there are requests;
+    the rest are read only as workers free up. The requests wait in one
+    queue served by those threads; at one job, or one request, the calling
+    thread serves it, with no thread started. A TransientEndpointError is
+    retried up to the `policy`'s `max_retries` attempts (one attempt
+    without a policy); each retry waits its `retry_delay` on a due-time
+    heap, not on a worker. After a RateLimitedError (429) no request starts
+    until that delay has passed. Anything else the iterable or an attempt
+    raises stops the queue and is raised here.
     """
+    if jobs > 1:
+        # No more workers than requests.
+        rest = iter(attempts)
+        head = list(islice(rest, jobs))
+        attempts, jobs = chain(head, rest), len(head)
     queue = _Queue(attempts, policy)
     if jobs <= 1:
         queue.work()

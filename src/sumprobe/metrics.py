@@ -14,7 +14,6 @@ import math
 from collections import Counter
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, ClassVar, Collection, Iterable, Protocol, Sequence
 
 import numpy as np
@@ -256,78 +255,62 @@ BERTSCORE_BATCH_PAIRS = 16
 
 
 class EmbeddingTable:
-    """Token -> L2-normalized vector, fetched from `provider` once per
-    distinct token, in calls of at most EMBED_BATCH_TOKENS tokens.
+    """Token -> L2-normalized vector for a fixed set of tokens, fetched
+    from `provider` when the table is built: once per distinct token, in
+    calls of at most EMBED_BATCH_TOKENS tokens. Lookups never call the
+    provider, and a token outside the set may raise KeyError.
 
-    Holds one matrix with a row per token and a token -> row index. A token
-    whose vector is zero fails only the lookups that contain it. The first
-    failed provider call is kept: every later lookup raises it again
-    without calling the provider, so a dead service costs one call's
-    retries, not one per lookup.
+    Holds one matrix with a row per token, a token -> row index and the
+    tokens whose vector is zero; such a token fails only the lookups that
+    contain it. `error` is the first failed provider call, or None. It
+    stops the fetching, so a dead service costs one call's retries, and
+    every lookup raises it.
     """
 
-    def __init__(self, provider: EmbeddingProvider) -> None:
-        self.provider = provider
+    def __init__(self, provider: EmbeddingProvider, tokens: Iterable[str]) -> None:
+        distinct = list(dict.fromkeys(tokens))
+        self.error: HarnessError | None = None
         self._rows: dict[str, int] = {}
         self._matrix = np.zeros((0, 0))
         self._zero: set[str] = set()
-        self._error: HarnessError | None = None
-
-    def fetch(self, tokens: Iterable[str]) -> None:
-        """Embed every token the table does not hold yet."""
-        if self._error is not None:
-            raise self._error
-        new = [tok for tok in dict.fromkeys(tokens) if tok not in self._rows]
-        for start in range(0, len(new), EMBED_BATCH_TOKENS):
-            batch = new[start : start + EMBED_BATCH_TOKENS]
-            try:
-                self._add(batch, len(new) - start, self.provider.embed(batch))
-            except HarnessError as exc:
-                self._error = exc
-                raise
-
-    def _add(self, batch: list[str], pending: int, vectors) -> None:
-        vectors = np.asarray(vectors, dtype=float)
-        if vectors.ndim != 2 or vectors.shape[0] != len(batch):
-            raise DimensionMismatchError(
-                f"provider returned shape {vectors.shape} for {len(batch)} tokens"
-            )
-        size = len(self._rows)
-        if size and vectors.shape[1] != self._matrix.shape[1]:
-            raise DimensionMismatchError(
-                f"provider returned {vectors.shape[1]}-dimensional vectors "
-                f"after {self._matrix.shape[1]}-dimensional ones"
-            )
-        if size + len(batch) > self._matrix.shape[0]:
-            # Room for the rest of this fetch at once; doubling keeps many
-            # small fetches linear.
-            grown = np.empty((max(size + pending, 2 * size), vectors.shape[1]))
-            if size:
-                grown[:size] = self._matrix[:size]
-            self._matrix = grown
-        block = self._matrix[size : size + len(batch)]
-        block[:] = vectors
-        norms = np.linalg.norm(block, axis=1, keepdims=True)
+        matrix: np.ndarray | None = None
+        try:
+            for start in range(0, len(distinct), EMBED_BATCH_TOKENS):
+                batch = distinct[start : start + EMBED_BATCH_TOKENS]
+                vectors = np.asarray(provider.embed(batch), dtype=float)
+                if vectors.ndim != 2 or vectors.shape[0] != len(batch):
+                    raise DimensionMismatchError(
+                        f"provider returned shape {vectors.shape} for {len(batch)} tokens"
+                    )
+                if matrix is None:
+                    matrix = np.empty((len(distinct), vectors.shape[1]))
+                elif vectors.shape[1] != matrix.shape[1]:
+                    raise DimensionMismatchError(
+                        f"provider returned {vectors.shape[1]}-dimensional vectors "
+                        f"after {matrix.shape[1]}-dimensional ones"
+                    )
+                matrix[start : start + len(batch)] = vectors
+        except HarnessError as exc:
+            self.error = exc
+            return
+        if matrix is None:
+            return
+        # Each row's norm depends on that row alone, so normalizing the
+        # whole matrix gives the bits of normalizing batch by batch.
+        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
         nonzero = norms != 0
-        np.divide(block, norms, out=block, where=nonzero)
-        for i, tok in enumerate(batch):
-            self._rows[tok] = size + i
-            if not nonzero[i, 0]:
-                self._zero.add(tok)
+        np.divide(matrix, norms, out=matrix, where=nonzero)
+        self._matrix = matrix
+        self._rows = {tok: i for i, tok in enumerate(distinct)}
+        self._zero = {distinct[i] for i in np.flatnonzero(~nonzero[:, 0])}
 
     def vectors(self, tokens: Sequence[str]) -> np.ndarray:
-        """One unit vector per token, in order; fetches the tokens the
-        table lacks."""
-        if self._error is not None:
-            raise self._error
+        """One unit vector per token, in order."""
+        if self.error is not None:
+            raise self.error
         if not tokens:
             return np.zeros((0, 0))
-        rows = self._rows
-        try:
-            index = [rows[tok] for tok in tokens]
-        except KeyError:
-            self.fetch(tokens)
-            index = [rows[tok] for tok in tokens]
+        index = [self._rows[tok] for tok in tokens]
         if self._zero and not self._zero.isdisjoint(tokens):
             raise DimensionMismatchError("provider returned a zero vector")
         return self._matrix[index]
@@ -336,27 +319,22 @@ class EmbeddingTable:
         self, pairs: Sequence[tuple[Sequence[str], Sequence[str]]]
     ) -> list[BertScoreResult | HarnessError]:
         """`bertscore` of each (reference, candidate) token pair, or the
-        error that fails that pair; fetches the tokens the table lacks.
+        error that fails that pair.
 
         Pairs of one (reference length, candidate length) are stacked, at
         most BERTSCORE_BATCH_PAIRS to a `bertscore` call. A side with no
         tokens fails its pair with EmptySequenceError, a failed provider
-        call fails every other pair, and a token with a zero vector fails
-        the pairs that contain it.
+        call (`error`) fails every other pair, and a token with a zero
+        vector fails the pairs that contain it.
         """
-        failed: HarnessError | None = None
-        try:
-            self.fetch(chain.from_iterable(chain.from_iterable(pairs)))
-        except HarnessError as exc:
-            failed = exc
         results: list[BertScoreResult | HarnessError | None] = [None] * len(pairs)
         shapes: dict[tuple[int, int], list[int]] = {}
         zero = self._zero
         for i, (ref, gen) in enumerate(pairs):
             if not ref or not gen:
                 results[i] = EmptySequenceError("bertscore needs non-empty token sequences")
-            elif failed is not None:
-                results[i] = failed
+            elif self.error is not None:
+                results[i] = self.error
             elif zero and not (zero.isdisjoint(ref) and zero.isdisjoint(gen)):
                 results[i] = DimensionMismatchError("provider returned a zero vector")
             else:
@@ -383,7 +361,7 @@ class EmbeddingTable:
 
 def embed(tokens: Sequence[str], provider: EmbeddingProvider) -> np.ndarray:
     """One L2-normalized vector per token."""
-    return EmbeddingTable(provider).vectors(tokens)
+    return EmbeddingTable(provider, tokens).vectors(tokens)
 
 
 def bertscore(x: np.ndarray, x_hat: np.ndarray) -> list[BertScoreResult]:

@@ -212,6 +212,22 @@ def test_dispatch_shares_one_call_per_cache_key_only_with_a_cache(tmp_path):
     assert len(list((tmp_path / "c").iterdir())) == 1
 
 
+@pytest.mark.parametrize("requests,jobs,started", [(2, 8, 2), (1, 8, 0), (0, 8, 0), (5, 2, 2)])
+def test_dispatch_starts_no_more_threads_than_requests(monkeypatch, requests, jobs, started):
+    starts = []
+    real_start = threading.Thread.start
+
+    def counting_start(thread):
+        starts.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    reqs = [GenRequest("m", f"p{i}") for i in range(requests)]
+    results = dispatch(builds(reqs), CountingClient(), jobs=jobs)
+    assert [r.text for r in results] == ["a fine summary"] * requests
+    assert len(starts) == started
+
+
 class FlakyClient:
     """Answers each prompt with itself; every third prompt fails its first
     attempt, and prompt "dead" is rate-limited on every attempt. Counts

@@ -333,54 +333,66 @@ class CountingProvider:
 def test_embedding_table_fetches_each_token_once(monkeypatch):
     monkeypatch.setattr(sumprobe.metrics, "EMBED_BATCH_TOKENS", 3)
     provider = CountingProvider()
-    table = EmbeddingTable(provider)
-    table.fetch(["a", "b", "a", "c", "d", "e", "b"])
+    table = EmbeddingTable(provider, ["a", "b", "a", "c", "d", "e", "b"])
     assert provider.calls == [["a", "b", "c"], ["d", "e"]]
+    assert table.error is None
     first = table.vectors(["e", "a", "e"])
-    assert provider.calls == [["a", "b", "c"], ["d", "e"]]
-    table.vectors(["f", "a", "g", "f"])  # lazily fills what is missing
-    assert provider.calls[2:] == [["f", "g"]]
     # each row equals the one-text embedding of its token, bit for bit
     assert np.array_equal(first, embed(["e", "a", "e"], CountingProvider()))
-    for tok in "abcdefg":
+    for tok in "abcde":
         assert np.array_equal(table.vectors([tok]), embed([tok], CountingProvider()))
+    assert len(provider.calls) == 2  # lookups never fetch
 
 
 def test_embedding_table_zero_vector_fails_only_its_lookups():
-    table = EmbeddingTable(CountingProvider(zero={"z"}))
-    table.fetch(["a", "z", "b"])
+    table = EmbeddingTable(CountingProvider(zero={"z"}), ["a", "z", "b"])
+    assert table.error is None
     assert table.vectors(["a", "b"]).shape == (2, 6)
     with pytest.raises(DimensionMismatchError, match="zero vector"):
         table.vectors(["a", "z"])
     assert np.allclose(np.linalg.norm(table.vectors(["b", "a"]), axis=1), 1.0)
 
 
-def test_embedding_table_remembers_a_failed_call():
+def test_embedding_table_remembers_a_failed_call(monkeypatch):
+    monkeypatch.setattr(sumprobe.metrics, "EMBED_BATCH_TOKENS", 1)
+
     def script(body, hit):
         return 500, {"error": "down"}
 
     with serve(script) as (url, hits):
-        table = EmbeddingTable(RemoteEmbeddingProvider(url, max_retries=2, backoff=0.0))
-        with pytest.raises(EndpointError):
-            table.fetch(["a", "b"])
-        with pytest.raises(EndpointError):
+        table = EmbeddingTable(
+            RemoteEmbeddingProvider(url, max_retries=2, backoff=0.0), ["a", "b"]
+        )
+        # the first call's two attempts, and no call for the second batch
+        assert len(hits) == 2
+        assert isinstance(table.error, EndpointError)
+        with pytest.raises(EndpointError) as raised:
             table.vectors(["a"])
-        with pytest.raises(EndpointError):
-            table.fetch(["c"])
+        assert raised.value is table.error
+        [empty, failed] = table.bertscores([([], ["a"]), (["a"], ["b"])])
+        assert isinstance(empty, EmptySequenceError)
+        assert failed is table.error
         assert len(hits) == 2
 
 
-def test_embedding_table_rejects_a_dimension_change():
+def test_embedding_table_rejects_a_dimension_change(monkeypatch):
+    monkeypatch.setattr(sumprobe.metrics, "EMBED_BATCH_TOKENS", 1)
+
     class Growing:
         provider_id = "growing"
 
-        def embed(self, tokens):
-            return np.ones((len(tokens), 2 + len(tokens)))
+        def __init__(self):
+            self.calls = 0
 
-    table = EmbeddingTable(Growing())
-    table.fetch(["a"])
-    with pytest.raises(DimensionMismatchError, match="dimensional"):
-        table.fetch(["b", "c"])
+        def embed(self, tokens):
+            self.calls += 1
+            return np.ones((len(tokens), 1 + self.calls))
+
+    provider = Growing()
+    table = EmbeddingTable(provider, ["a", "b", "c"])
+    assert isinstance(table.error, DimensionMismatchError)
+    assert "dimensional" in str(table.error)
+    assert provider.calls == 2  # the failed call stopped the fetching
 
 
 # --- correlations ----------------------------------------------------------
@@ -459,7 +471,8 @@ class FailingProvider:
 def test_batched_bertscore_is_the_one_pair_formula_bit_for_bit(pairs, failing):
     dim = 48
     provider = FailingProvider() if failing else CountingProvider(zero={"z"}, dim=dim)
-    results = EmbeddingTable(provider).bertscores(pairs)
+    tokens = [tok for pair in pairs for side in pair for tok in side]
+    results = EmbeddingTable(provider, tokens).bertscores(pairs)
     assert len(results) == len(pairs)
     for (ref, gen), result in zip(pairs, results):
         if not ref or not gen:
@@ -483,7 +496,7 @@ def test_bertscores_stack_at_most_a_batch_per_call(monkeypatch):
 
     monkeypatch.setattr(sumprobe.metrics, "bertscore", counting)
     pairs = [(["a", "b"], ["c"])] * (2 * BERTSCORE_BATCH_PAIRS + 1) + [(["a"], ["b"])]
-    results = EmbeddingTable(CountingProvider()).bertscores(pairs)
+    results = EmbeddingTable(CountingProvider(), ["a", "b", "c"]).bertscores(pairs)
     assert len(set(results[:-1])) == 1
     assert [shape for shape, _ in calls] == [
         (BERTSCORE_BATCH_PAIRS, 2, 6), (BERTSCORE_BATCH_PAIRS, 2, 6), (1, 2, 6), (1, 1, 6)

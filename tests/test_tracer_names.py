@@ -54,6 +54,7 @@ def test_score_runs_the_traced_kernels(tmp_path):
     originals = sum(1 for rec in records if rec.variant == "original")
     # each record with a generation, and three re-pairings of the originals
     bertscore_pairs = sum(1 for rec in records if rec.generated) + 3 * originals
+    assert calls["cli.cmd_score.calls"] == 1
     assert calls["metrics.bleu4.calls"] == len(records) + 3 * originals
     assert calls["analysis.paired_vs_random.calls"] > 0
     assert 0 < calls["metrics.bertscore.calls"] < bertscore_pairs
