@@ -109,7 +109,9 @@ class DistSummary:
     median: float
     q1: float
     q3: float
-    bins: tuple[int, ...]  # HIST_BINS counts over [0, 100], width 5
+    # HIST_BINS counts over [0, 100], width 5; a score below 0 counts in
+    # the first bin and one of 100 or more in the last.
+    bins: tuple[int, ...]
 
 
 def summarize_scores(scores: Sequence[float]) -> DistSummary:
@@ -117,7 +119,7 @@ def summarize_scores(scores: Sequence[float]) -> DistSummary:
         raise TooFewRecordsError("need at least two scores to summarize")
     bins = [0] * HIST_BINS
     for s in scores:
-        idx = min(int(s // HIST_BIN_WIDTH), HIST_BINS - 1)
+        idx = min(max(int(s // HIST_BIN_WIDTH), 0), HIST_BINS - 1)
         bins[idx] += 1
     q1, med, q3 = statistics.quantiles(scores, n=4, method="inclusive")
     return DistSummary(

@@ -27,7 +27,7 @@ import logging
 import math
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -450,8 +450,8 @@ def cmd_score(config: RunConfig) -> int:
     # record, which the re-paired BERTScore may pair with any other.
     subwords: dict[str, list[str]] = {}
     needed: dict[str, None] = {}
-    bert_pairs: dict[int, tuple[list[str], list[str]]] = {}  # record index -> subwords
-    for i, rec in enumerate(records):
+    record_pairs: dict[tuple[str, str], None] = {}  # (reference, generation) texts
+    for rec in records:
         ex = examples.get((rec.variant, rec.example_id))
         if ex is None:
             continue
@@ -459,7 +459,7 @@ def cmd_score(config: RunConfig) -> int:
             if text not in subwords:
                 subwords[text] = tokenize(text)
         if subwords[rec.generated]:
-            bert_pairs[i] = (subwords[ex.reference], subwords[rec.generated])
+            record_pairs[(ex.reference, rec.generated)] = None
         if subwords[rec.generated] or rec.variant == Variant.ORIGINAL.value:
             needed.update(dict.fromkeys(subwords[ex.reference]))
             needed.update(dict.fromkeys(subwords[rec.generated]))
@@ -467,30 +467,50 @@ def cmd_score(config: RunConfig) -> int:
     if table.error is not None:
         # Each record that needs BERTScore reports it below.
         log.warning("embedding fetch failed: %s", table.error)
-    berts = dict(zip(bert_pairs, table.bertscores(list(bert_pairs.values()))))
+
+    # Both metrics depend only on the text pair, so each distinct pair is
+    # scored once per run, for the records and every model's re-pairings.
+    # (reference, generation) texts -> BERTScore, or the error that fails it.
+    berts: dict[tuple[str, str], metrics.BertScoreResult | HarnessError] = {}
+
+    def score_berts(pairs: Iterable[tuple[str, str]]) -> None:
+        """Add to `berts` the (reference, generation) pairs it lacks."""
+        missing = list(dict.fromkeys(pair for pair in pairs if pair not in berts))
+        berts.update(zip(missing, table.bertscores(
+            [(subwords[reference], subwords[generation]) for reference, generation in missing]
+        )))
+
+    score_berts(record_pairs)
 
     ngrams = metrics.NgramTable()
+    bleus: dict[tuple[str, str], float] = {}  # (candidate, reference) texts -> BLEU-4
 
     def bleu(candidate: str, reference: str) -> float:
+        value = bleus.get((candidate, reference))
+        if value is not None:
+            return value
         ref_words = metrics.split_description(reference, config.lowercase_bleu)
-        if not ref_words:
+        if ref_words:
+            value = metrics.bleu4(
+                metrics.split_description(candidate, config.lowercase_bleu),
+                ref_words,
+                ngrams,
+            ).value
+        else:
             # Only a re-pairing puts a generation on the reference side;
             # an empty one scores 0, as in bertscore_f1.
-            return 0.0
-        return metrics.bleu4(
-            metrics.split_description(candidate, config.lowercase_bleu),
-            ref_words,
-            ngrams,
-        ).value
+            value = 0.0
+        bleus[(candidate, reference)] = value
+        return value
 
     def bleu_scores(pairs: list[tuple[str, str]]) -> list[float]:
         return [bleu(candidate, reference) for candidate, reference in pairs]
 
     def bertscore_f1(pairs: list[tuple[str, str]]) -> list[float]:
+        score_berts([(reference, candidate) for candidate, reference in pairs])
         scores = []
-        for result in table.bertscores(
-            [(subwords[reference], subwords[candidate]) for candidate, reference in pairs]
-        ):
+        for candidate, reference in pairs:
+            result = berts[(reference, candidate)]
             if isinstance(result, metrics.EmptySequenceError):
                 scores.append(0.0)  # an empty description, as in bleu
             elif isinstance(result, HarnessError):
@@ -506,7 +526,7 @@ def cmd_score(config: RunConfig) -> int:
     errors: list[dict] = []
     scored: list[RunRecord] = []
     originals: dict[tuple[str, str, str], str] = {}  # key -> reference
-    for i, rec in enumerate(records):
+    for rec in records:
         ex = examples.get((rec.variant, rec.example_id))
         if ex is None:
             errors.append(
@@ -517,7 +537,7 @@ def cmd_score(config: RunConfig) -> int:
             continue
         try:
             scored.append(_score_record(
-                rec, ex, tokenize, subwords, code_memo, berts.get(i), bleu
+                rec, ex, tokenize, subwords, code_memo, berts, bleu
             ))
         except HarnessError as exc:
             errors.append(
@@ -556,12 +576,12 @@ def _score_record(
     tokenize,
     subwords: dict[str, list[str]],
     code_memo: dict[str, tuple[int | None, list[str]]],
-    bert: metrics.BertScoreResult | HarnessError | None,
+    berts: dict[tuple[str, str], metrics.BertScoreResult | HarnessError],
     bleu: Callable[[str, str], float],
 ) -> RunRecord:
     """Score one record; `subwords` holds its descriptions' subwords,
-    `code_memo` is the code split's memo, `bert` its BERTScore if it has a
-    generation."""
+    `code_memo` is the code split's memo, `berts` holds its (reference,
+    generation) BERTScore if it has a generation."""
     ref_sw, gen_sw = subwords[ex.reference], subwords[rec.generated]
     code = split_code(ex.code, tokenize, code_memo)
     code_set = code.source.keys()  # the code's distinct subwords
@@ -580,6 +600,7 @@ def _score_record(
         eval_rec.p_copy_generated = gen_copy.value
         eval_rec.p_copy_generated_matched = gen_copy.matched
         eval_rec.p_copy_generated_total = gen_copy.total
+        bert = berts[(ex.reference, rec.generated)]
         if isinstance(bert, HarnessError):
             raise bert
         eval_rec.bertscore_precision = bert.precision

@@ -209,9 +209,10 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
+        encode = json.JSONEncoder(ensure_ascii=False).encode  # one per file, not per row
         with tmp.open("w", encoding="utf-8", newline="\n") as fh:
             for row in rows:
-                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+                fh.write(encode(row) + "\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -398,6 +398,10 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise DegenerateInputError("need two equal-length samples of size >= 2")
     x = np.asarray(xs, dtype=float)
     y = np.asarray(ys, dtype=float)
+    # Checked directly: a rounded mean leaves a constant sample's deviations
+    # a few ulps from 0, and the quotient a number instead of undefined.
+    if x.min() == x.max() or y.min() == y.max():
+        raise DegenerateInputError("zero variance input")
     dx = x - x.mean()
     dy = y - y.mean()
     denom = math.sqrt(float(dx @ dx) * float(dy @ dy))

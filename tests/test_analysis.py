@@ -225,6 +225,14 @@ def test_summary_invariants():
     assert summary.q1 <= summary.median <= summary.q3
 
 
+def test_summary_counts_a_negative_score_in_the_first_bin():
+    # BERTScore F1 is negative when a remote provider's similarities are:
+    # sims [0.9, -1.0] give P = -0.05, R = 0.9 and F1 = -10.6
+    summary = summarize_scores([-30.0, 50.0])
+    assert summary.bins[0] == 1 and summary.bins[10] == 1
+    assert sum(summary.bins) == 2
+
+
 # --- correlations ------------------------------------------------------------
 
 

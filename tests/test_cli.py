@@ -22,7 +22,7 @@ from sumprobe.cli import RunConfig, build_parser, config_from_args, main
 from sumprobe.corpus import filter_corpus, load_corpus
 from sumprobe.errors import HarnessError
 from sumprobe.llmgen import ChatCompletionsClient, GenerationCache
-from sumprobe.metrics import RemoteEmbeddingProvider
+from sumprobe.metrics import EmbeddingTable, RemoteEmbeddingProvider
 from sumprobe.pylex import Category
 from sumprobe.subtok import BpeTokenizer, FallbackTokenizer, code_subwords
 from sumprobe.transform import Variant, apply_variant, donor_assignment, donor_entries
@@ -479,6 +479,49 @@ def test_score_tokenizes_each_distinct_text_once(tmp_path, monkeypatch, tokenize
         descriptions.add(json.loads(line)["generated"])
     assert calls and len(calls) == len(set(calls))
     assert len(calls) <= len(lexemes) + len(descriptions)
+
+
+def test_score_scores_each_text_pair_once_across_models(tmp_path, monkeypatch):
+    """Two echo models give the same text pairs. Score runs BLEU-4 and
+    BERTScore once per distinct pair, for the records and every model's
+    re-pairings, and each model's pairings equal a run of that model alone."""
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, 12, seed=7)
+    runs = {}
+    for models in (("a",), ("b",), ("a", "b")):
+        out = runs[models] = tmp_path / "-".join(models)
+        assert run_cli("--seed", 5, "--out", out, "transform", "--corpus", corpus) == 0
+        for model in models:
+            assert run_cli("--seed", 5, "--out", out, "generate",
+                           "--model", model, "--mock", "echo") == 0
+
+    bleu_pairs, bert_pairs = [], []
+    bleu4, bertscores = sumprobe.metrics.bleu4, EmbeddingTable.bertscores
+
+    def counting_bleu4(candidate, reference, *args):
+        bleu_pairs.append((tuple(candidate), tuple(reference)))
+        return bleu4(candidate, reference, *args)
+
+    def counting_bertscores(self, pairs):
+        bert_pairs.extend((tuple(ref), tuple(gen)) for ref, gen in pairs)
+        return bertscores(self, pairs)
+
+    monkeypatch.setattr(sumprobe.metrics, "bleu4", counting_bleu4)
+    monkeypatch.setattr(EmbeddingTable, "bertscores", counting_bertscores)
+    counts, rows = {}, {}
+    for models, out in runs.items():
+        bleu_pairs.clear()
+        bert_pairs.clear()
+        assert run_cli("--seed", 5, "--out", out, "score") == 0
+        assert bleu_pairs and len(set(bleu_pairs)) == len(bleu_pairs)
+        assert bert_pairs and len(set(bert_pairs)) == len(bert_pairs)
+        counts[models] = (len(bleu_pairs), len(bert_pairs))
+        rows[models] = (out / "pairings.jsonl").read_text().splitlines()[1:]  # no header
+    # the second model's text pairs are the first one's
+    assert counts[("a", "b")] == counts[("a",)] == counts[("b",)]
+    for model in ("a", "b"):
+        assert [row for row in rows[("a", "b")] if json.loads(row)["model_id"] == model] \
+            == rows[(model,)]
 
 
 def test_repeated_variant_is_transformed_once(tmp_path, corpus5, capsys):

@@ -419,6 +419,16 @@ def test_spearman_average_ties():
     assert abs(value - expect) < 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 7, 10])
+@pytest.mark.parametrize("value", [0.1, 1 / 3, 0.7])
+def test_pearson_refuses_any_constant_sample(value, n):
+    # a rounded mean can leave a constant sample's deviations a few ulps from 0
+    varied = [float(i) for i in range(n)]
+    for xs, ys in (([value] * n, varied), (varied, [value] * n)):
+        with pytest.raises(DegenerateInputError):
+            pearson(xs, ys)
+
+
 def test_degenerate_inputs():
     with pytest.raises(DegenerateInputError):
         pearson([1.0], [2.0])

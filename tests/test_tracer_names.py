@@ -6,10 +6,12 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import random
 from pathlib import Path
 
+from sumprobe.analysis import derangement
 from sumprobe.cli import main
-from sumprobe.corpus import load_run
+from sumprobe.corpus import load_corpus, load_run
 
 from corpusgen import write_corpus
 
@@ -51,10 +53,25 @@ def test_score_runs_the_traced_kernels(tmp_path):
         with tracer_module.Tracer() as tracer:
             assert main(common + ["score"]) == 0
     calls = tracer_module.aggregate(tracer.spans())
-    originals = sum(1 for rec in records if rec.variant == "original")
-    # each record with a generation, and three re-pairings of the originals
-    bertscore_pairs = sum(1 for rec in records if rec.generated) + 3 * originals
+    references = {
+        (path.stem, ex.id): ex.reference
+        for path in (out / "variants").iterdir()
+        for ex in load_corpus(path)[0]
+    }
+    # (candidate, reference) of each record and of the three re-pairings of
+    # the originals, which share one derangement
+    record_pairs = [(rec.generated, references[(rec.variant, rec.example_id)])
+                    for rec in records]
+    originals = [rec for rec in records if rec.variant == "original"]
+    refs = [references[("original", rec.example_id)] for rec in originals]
+    gens = [rec.generated for rec in originals]
+    perm = derangement(len(refs), random.Random(4))
+    repaired = [(side[perm[i]], other[i])
+                for side, other in ((gens, refs), (refs, refs), (gens, gens))
+                for i in range(len(refs))]
+    bertscore_pairs = sum(1 for rec in records if rec.generated) + len(repaired)
     assert calls["cli.cmd_score.calls"] == 1
-    assert calls["metrics.bleu4.calls"] == len(records) + 3 * originals
+    # each distinct text pair is scored once
+    assert calls["metrics.bleu4.calls"] == len(set(record_pairs + repaired))
     assert calls["analysis.paired_vs_random.calls"] > 0
     assert 0 < calls["metrics.bertscore.calls"] < bertscore_pairs
