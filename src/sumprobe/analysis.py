@@ -100,6 +100,7 @@ class PairingMode(str, Enum):
 
 HIST_BIN_WIDTH = 5
 HIST_BINS = 100 // HIST_BIN_WIDTH
+_HIST_LABELS = tuple(f"{i * HIST_BIN_WIDTH}-{(i + 1) * HIST_BIN_WIDTH}" for i in range(HIST_BINS))
 
 
 @dataclass(frozen=True)
@@ -262,6 +263,11 @@ def emit_report(
             writer.writerows(rows)
         written.append(path)
 
+    def write_svg(name: str, title: str, labels: Sequence[str], series: list) -> None:
+        path = out_dir / name
+        path.write_text(grouped_bars(title, labels, series), encoding="utf-8")
+        written.append(path)
+
     # summary.csv: per-variant / per-model score means
     rows = []
     for model_id, variant in group_keys:
@@ -284,10 +290,9 @@ def emit_report(
         rows,
     )
 
-    # buckets.csv: BLEU per reference-copy-rate bucket
+    # buckets.csv: BLEU per reference-copy-rate bucket; per model+variant,
+    # the copy-rate histograms and the per-bucket BLEU medians
     rows = []
-    bucket_medians: dict[tuple[str, str], list[float]] = {}
-    bucket_sizes: dict[tuple[str, str], list[int]] = {}
     for model_id, variant in group_keys:
         recs = groups[(model_id, variant)]
         by_key = {r.key: r for r in recs}
@@ -310,8 +315,21 @@ def emit_report(
                 ]
             )
             medians.append(statistics.median(bleus) if bleus else 0.0)
-        bucket_medians[(model_id, variant)] = medians
-        bucket_sizes[(model_id, variant)] = [len(b.record_keys) for b in buckets]
+        gen_hist = [0.0] * len(BUCKET_LABELS)
+        for rec in recs:
+            m = rec.metrics
+            if m.p_copy_generated_matched is not None:
+                label = bucket_label_from_counts(
+                    m.p_copy_generated_matched, m.p_copy_generated_total
+                )
+                gen_hist[BUCKET_LABELS.index(label)] += 1
+        slug = f"{_slug(model_id)}_{_slug(variant)}"
+        write_svg(f"pcopy_{slug}.svg", f"copy-rate distribution ({model_id}, {variant})",
+                  BUCKET_LABELS, [("reference", [float(len(b.record_keys)) for b in buckets]),
+                                  ("generated", gen_hist)])
+        write_svg(f"bleu_buckets_{slug}.svg",
+                  f"median BLEU-4 per copy-rate bucket ({model_id}, {variant})",
+                  BUCKET_LABELS, [("median BLEU-4", medians)])
     write_csv(
         "buckets.csv",
         ["model_id", "variant", "bucket", "count", "mean_bleu4", "median_bleu4"],
@@ -372,61 +390,12 @@ def emit_report(
             )
             if pairing in (PairingMode.REF_VS_OWN_GEN, PairingMode.REF_VS_RANDOM_GEN):
                 series.append((pairing.value, [float(b) for b in summary.bins]))
-        svg_path = out_dir / f"{metric_name}_paired_{_slug(model_id)}.svg"
-        bin_labels = [
-            f"{i * HIST_BIN_WIDTH}-{(i + 1) * HIST_BIN_WIDTH}"
-            for i in range(HIST_BINS)
-        ]
-        svg_path.write_text(
-            grouped_bars(
-                f"{metric_name}: corresponding vs random pairs ({model_id})",
-                bin_labels,
-                series,
-            ),
-            encoding="utf-8",
-        )
-        written.append(svg_path)
+        write_svg(f"{metric_name}_paired_{_slug(model_id)}.svg",
+                  f"{metric_name}: corresponding vs random pairs ({model_id})",
+                  _HIST_LABELS, series)
     write_csv(
         "distributions.csv",
         ["model_id", "metric", "pairing", "count", "mean", "median", "q1", "q3"],
         rows,
     )
-
-    # p_copy histograms and per-bucket BLEU medians, per model+variant
-    for model_id, variant in group_keys:
-        recs = groups[(model_id, variant)]
-        ref_hist = bucket_sizes[(model_id, variant)]  # in BUCKET_LABELS order
-        gen_hist = [0] * len(BUCKET_LABELS)
-        for rec in recs:
-            m = rec.metrics
-            if m.p_copy_generated_matched is None:
-                continue
-            label = bucket_label_from_counts(
-                m.p_copy_generated_matched, m.p_copy_generated_total
-            )
-            gen_hist[BUCKET_LABELS.index(label)] += 1
-        name = f"pcopy_{_slug(model_id)}_{_slug(variant)}.svg"
-        path = out_dir / name
-        path.write_text(
-            grouped_bars(
-                f"copy-rate distribution ({model_id}, {variant})",
-                list(BUCKET_LABELS),
-                [
-                    ("reference", [float(v) for v in ref_hist]),
-                    ("generated", [float(v) for v in gen_hist]),
-                ],
-            ),
-            encoding="utf-8",
-        )
-        written.append(path)
-        path = out_dir / f"bleu_buckets_{_slug(model_id)}_{_slug(variant)}.svg"
-        path.write_text(
-            grouped_bars(
-                f"median BLEU-4 per copy-rate bucket ({model_id}, {variant})",
-                list(BUCKET_LABELS),
-                [("median BLEU-4", bucket_medians[(model_id, variant)])],
-            ),
-            encoding="utf-8",
-        )
-        written.append(path)
     return written

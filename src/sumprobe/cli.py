@@ -1,8 +1,12 @@
 """Command-line front end: transform -> generate -> score -> analyze.
 
-Stages hand off through files in the run directory, so each stage can be
-re-run independently and a full pipeline is reproducible byte-for-byte from
-(corpus, config, seed, cache):
+This module handles arguments only: an INI file plus flag overrides, one
+SETTINGS row per setting (only the API key is read from the environment,
+SUMPROBE_API_KEY), and each stage's checks, printed line and exit code.
+The score stage's phases are in `score.py`. Stages hand off through files
+in the run directory, so each stage can be re-run independently and a
+full pipeline is reproducible byte-for-byte from (corpus, config, seed,
+cache):
 
     out/variants/<variant>.jsonl   transformed corpora
     out/rejects.jsonl              filtered-out examples with reasons
@@ -11,9 +15,6 @@ re-run independently and a full pipeline is reproducible byte-for-byte from
     out/pairings.jsonl             corresponding vs re-paired score distributions
     out/cache/                     LLM response cache
     out/report/                    CSV + SVG report
-
-Configuration comes from an INI file plus flag overrides, one SETTINGS row
-per setting; only the API key is read from the environment (SUMPROBE_API_KEY).
 """
 
 from __future__ import annotations
@@ -21,50 +22,39 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
-import hashlib
-import json
 import logging
 import math
 import os
 import sys
-from collections.abc import Callable, Iterable
-from dataclasses import asdict, dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import llmgen, metrics
-from .analysis import (
-    DistSummary,
-    PairingMode,
-    attribute_copies,
-    bucket_label_from_counts,
-    emit_report,
-    pairing_distributions,
-)
+from . import llmgen, metrics, score
+from .analysis import emit_report
 from .corpus import (
-    EvalRecord,
     Example,
     FilterReason,
     RunRecord,
     filter_corpus,
     load_corpus,
     load_run,
+    load_variant,
     save_run,
     screen_example,
     write_jsonl,
 )
-from .errors import HarnessError
+from .errors import HarnessError, PrerequisiteError
 from .metrics import HashedOneHotProvider, RemoteEmbeddingProvider
 from .pylex import Category, UnlexableError
-from .subtok import split_code, tokenizer_from_spec
-from .transform import VARIANT_ORDER, DonorEntry, Snippet, Variant, donor_assignment
+from .subtok import tokenizer_from_spec
+from .transform import (
+    VARIANT_ORDER, DonorEntry, Snippet, Variant, donor_assignment, record_sort_key,
+)
 
 log = logging.getLogger(__name__)
 
 API_KEY_ENV = "SUMPROBE_API_KEY"
-
-
-class PrerequisiteError(HarnessError):
-    """An upstream stage has not produced its artifact yet."""
 
 
 @dataclass
@@ -247,10 +237,6 @@ def _parse_variants(names: list[str]) -> list[Variant]:
     return list(out)
 
 
-def _record_sort_key(rec: RunRecord):
-    return (rec.model_id, VARIANT_ORDER.get(rec.variant, 99), rec.variant, rec.example_id)
-
-
 def cmd_transform(config: RunConfig) -> int:
     seed = config.require_seed()
     if not config.corpus_path:
@@ -321,18 +307,6 @@ def _variant_rows(
         yield {"id": ex.id, "code": code, "docstring": ex.reference}
 
 
-def _load_variant_examples(config: RunConfig, variant_value: str) -> list[Example]:
-    path = config.variants_dir / f"{variant_value}.jsonl"
-    if not path.exists():
-        raise PrerequisiteError(
-            f"missing {path}; run `sumprobe transform` first"
-        )
-    examples, errors = load_corpus(path)
-    if errors:
-        raise HarnessError(f"{path}: {len(errors)} unreadable lines")
-    return examples
-
-
 def _present_variants(config: RunConfig) -> list[str]:
     if not config.variants_dir.exists():
         raise PrerequisiteError(
@@ -388,7 +362,7 @@ def cmd_generate(config: RunConfig) -> int:
     def builds():
         # One variant file at a time, as the dispatcher asks for requests.
         for variant_value in _present_variants(config):
-            for ex in _load_variant_examples(config, variant_value):
+            for ex in load_variant(config.variants_dir, variant_value):
                 if config.mock:
                     references[ex.id] = ex.reference
                 order.append((ex.id, variant_value))
@@ -414,7 +388,7 @@ def cmd_generate(config: RunConfig) -> int:
         merged = {rec.key: rec for rec in load_run(config.runs_path)}
     for rec in new_records:
         merged[rec.key] = rec
-    ordered = sorted(merged.values(), key=_record_sort_key)
+    ordered = sorted(merged.values(), key=record_sort_key)
     save_run(ordered, config.runs_path)
     write_jsonl(config.out / "errors_generate.jsonl", errors)
     for err in errors:
@@ -430,7 +404,6 @@ def cmd_score(config: RunConfig) -> int:
         raise PrerequisiteError(
             f"missing {config.runs_path}; run `sumprobe generate` first"
         )
-    records = load_run(config.runs_path)
     tokenize = tokenizer_from_spec(config.tokenizer)
     if config.embedding_endpoint:
         provider: metrics.EmbeddingProvider = RemoteEmbeddingProvider(
@@ -438,260 +411,16 @@ def cmd_score(config: RunConfig) -> int:
         )
     else:
         provider = HashedOneHotProvider(config.embedding_dim)
-
-    examples: dict[tuple[str, str], Example] = {}
-    for variant_value in sorted({rec.variant for rec in records}):
-        for ex in _load_variant_examples(config, variant_value):
-            examples[(variant_value, ex.id)] = ex
-
-    # Pass 1: tokenize each distinct description once (references repeat
-    # across variants, and echoes equal them) and collect the distinct
-    # subwords of every record that needs BERTScore, and of every original
-    # record, which the re-paired BERTScore may pair with any other.
-    subwords: dict[str, list[str]] = {}
-    needed: dict[str, None] = {}
-    record_pairs: dict[tuple[str, str], None] = {}  # (reference, generation) texts
-    for rec in records:
-        ex = examples.get((rec.variant, rec.example_id))
-        if ex is None:
-            continue
-        for text in (ex.reference, rec.generated):
-            if text not in subwords:
-                subwords[text] = tokenize(text)
-        if subwords[rec.generated]:
-            record_pairs[(ex.reference, rec.generated)] = None
-        if subwords[rec.generated] or rec.variant == Variant.ORIGINAL.value:
-            needed.update(dict.fromkeys(subwords[ex.reference]))
-            needed.update(dict.fromkeys(subwords[rec.generated]))
-    table = metrics.EmbeddingTable(provider, needed)
-    if table.error is not None:
-        # Each record that needs BERTScore reports it below.
-        log.warning("embedding fetch failed: %s", table.error)
-
-    # Both metrics depend only on the text pair, so each distinct pair is
-    # scored once per run, for the records and every model's re-pairings.
-    # (reference, generation) texts -> BERTScore, or the error that fails it.
-    berts: dict[tuple[str, str], metrics.BertScoreResult | HarnessError] = {}
-
-    def score_berts(pairs: Iterable[tuple[str, str]]) -> None:
-        """Add to `berts` the (reference, generation) pairs it lacks."""
-        missing = list(dict.fromkeys(pair for pair in pairs if pair not in berts))
-        berts.update(zip(missing, table.bertscores(
-            [(subwords[reference], subwords[generation]) for reference, generation in missing]
-        )))
-
-    score_berts(record_pairs)
-
-    ngrams = metrics.NgramTable()
-    bleus: dict[tuple[str, str], float] = {}  # (candidate, reference) texts -> BLEU-4
-
-    def bleu(candidate: str, reference: str) -> float:
-        value = bleus.get((candidate, reference))
-        if value is not None:
-            return value
-        ref_words = metrics.split_description(reference, config.lowercase_bleu)
-        if ref_words:
-            value = metrics.bleu4(
-                metrics.split_description(candidate, config.lowercase_bleu),
-                ref_words,
-                ngrams,
-            ).value
-        else:
-            # Only a re-pairing puts a generation on the reference side;
-            # an empty one scores 0, as in bertscore_f1.
-            value = 0.0
-        bleus[(candidate, reference)] = value
-        return value
-
-    def bleu_scores(pairs: list[tuple[str, str]]) -> list[float]:
-        return [bleu(candidate, reference) for candidate, reference in pairs]
-
-    def bertscore_f1(pairs: list[tuple[str, str]]) -> list[float]:
-        score_berts([(reference, candidate) for candidate, reference in pairs])
-        scores = []
-        for candidate, reference in pairs:
-            result = berts[(reference, candidate)]
-            if isinstance(result, metrics.EmptySequenceError):
-                scores.append(0.0)  # an empty description, as in bleu
-            elif isinstance(result, HarnessError):
-                raise result
-            else:
-                scores.append(result.f1)
-        return scores
-
-    # Pass 2: score each record from the cached subwords and BERTScores.
-    # One split_code memo for the batch classifies and tokenizes each
-    # distinct code lexeme once.
-    code_memo: dict[str, tuple[int | None, list[str]]] = {}
-    errors: list[dict] = []
-    scored: list[RunRecord] = []
-    originals: dict[tuple[str, str, str], str] = {}  # key -> reference
-    for rec in records:
-        ex = examples.get((rec.variant, rec.example_id))
-        if ex is None:
-            errors.append(
-                {"stage": "score", "where": f"{rec.example_id}/{rec.variant}",
-                 "error": "example missing from variant corpus"}
-            )
-            scored.append(replace(rec, metrics=None))
-            continue
-        try:
-            scored.append(_score_record(
-                rec, ex, tokenize, subwords, code_memo, berts, bleu
-            ))
-        except HarnessError as exc:
-            errors.append(
-                {"stage": "score", "where": f"{rec.example_id}/{rec.variant}", "error": str(exc)}
-            )
-            # Not the scores of an earlier run, which may have used another
-            # tokenizer or embedding provider.
-            scored.append(replace(rec, metrics=None))
-            continue
-        if rec.variant == Variant.ORIGINAL.value:
-            originals[rec.key] = ex.reference
-    scored.sort(key=_record_sort_key)
-    save_run(scored, config.runs_path)
-    header = {
-        "seed": seed,
-        "tokenizer_id": tokenize.tokenizer_id,
-        "provider_id": provider.provider_id,
-        "lowercase_bleu": config.lowercase_bleu,
-        "records_digest": _originals_digest(scored),
-    }
-    rows = _pairing_rows(
-        scored, originals, seed, {"bleu4": bleu_scores, "bertscore_f1": bertscore_f1}, errors
+    scored, errors = score.score_run(
+        config.runs_path, config.variants_dir, config.pairings_path,
+        seed, tokenize, provider, config.lowercase_bleu,
     )
-    write_jsonl(config.pairings_path, [header] + rows)
     write_jsonl(config.out / "errors_score.jsonl", errors)
     for err in errors:
         log.warning("score error at %s: %s", err["where"], err["error"])
     print(f"score: {len(scored)} records scored with tokenizer "
           f"{tokenize.tokenizer_id}, {len(errors)} errors")
     return 0 if len(errors) <= config.max_errors else 1
-
-
-def _score_record(
-    rec: RunRecord,
-    ex: Example,
-    tokenize,
-    subwords: dict[str, list[str]],
-    code_memo: dict[str, tuple[int | None, list[str]]],
-    berts: dict[tuple[str, str], metrics.BertScoreResult | HarnessError],
-    bleu: Callable[[str, str], float],
-) -> RunRecord:
-    """Score one record; `subwords` holds its descriptions' subwords,
-    `code_memo` is the code split's memo, `berts` holds its (reference,
-    generation) BERTScore if it has a generation."""
-    ref_sw, gen_sw = subwords[ex.reference], subwords[rec.generated]
-    code = split_code(ex.code, tokenize, code_memo)
-    code_set = code.source.keys()  # the code's distinct subwords
-    ref_copy = metrics.p_copy(code_set, ref_sw, tokenize.tokenizer_id)
-    eval_rec = EvalRecord(
-        bleu4=bleu(rec.generated, ex.reference),
-        p_copy_reference=ref_copy.value,
-        p_copy_reference_matched=ref_copy.matched,
-        p_copy_reference_total=ref_copy.total,
-        copy_attribution=attribute_copies(code, ref_sw, gen_sw),
-        tokenizer_id=tokenize.tokenizer_id,
-        bucket=bucket_label_from_counts(ref_copy.matched, ref_copy.total),
-    )
-    if gen_sw:
-        gen_copy = metrics.p_copy(code_set, gen_sw, tokenize.tokenizer_id)
-        eval_rec.p_copy_generated = gen_copy.value
-        eval_rec.p_copy_generated_matched = gen_copy.matched
-        eval_rec.p_copy_generated_total = gen_copy.total
-        bert = berts[(ex.reference, rec.generated)]
-        if isinstance(bert, HarnessError):
-            raise bert
-        eval_rec.bertscore_precision = bert.precision
-        eval_rec.bertscore_recall = bert.recall
-        eval_rec.bertscore_f1 = bert.f1
-    else:
-        eval_rec.bertscore_precision = 0.0
-        eval_rec.bertscore_recall = 0.0
-        eval_rec.bertscore_f1 = 0.0
-    return RunRecord(
-        example_id=rec.example_id,
-        variant=rec.variant,
-        model_id=rec.model_id,
-        generated=rec.generated,
-        metrics=eval_rec,
-    )
-
-
-def _originals_digest(records: list[RunRecord]) -> str:
-    """Digest of the original-variant records' generations and stored
-    scores, in run-file order: ties a pairings file to its run file."""
-    h = hashlib.sha256()
-    for rec in records:
-        if rec.variant == Variant.ORIGINAL.value:
-            m = rec.metrics
-            row = [rec.model_id, rec.example_id, rec.generated,
-                   m and m.bleu4, m and m.bertscore_f1]
-            h.update(json.dumps(row).encode() + b"\n")
-    return h.hexdigest()
-
-
-def _pairing_rows(
-    scored: list[RunRecord],
-    originals: dict[tuple[str, str, str], str],
-    seed: int,
-    scorers: dict[str, metrics.Scorer],
-    errors: list[dict],
-) -> list[dict]:
-    """pairings.jsonl rows: per model with two or more original records
-    scored in this run (`originals`: key -> reference), in run-file order,
-    and per metric, the four `pairing_distributions`."""
-    by_model: dict[str, list[RunRecord]] = {}
-    for rec in scored:
-        if rec.key in originals:
-            by_model.setdefault(rec.model_id, []).append(rec)
-    rows = []
-    for model_id, recs in sorted(by_model.items()):
-        if len(recs) < 2:
-            continue
-        pairs = [(originals[rec.key], rec.generated) for rec in recs]
-        for metric_name, scorer in sorted(scorers.items()):
-            own = [getattr(rec.metrics, metric_name) for rec in recs]
-            try:
-                summaries = pairing_distributions(pairs, own, seed, scorer)
-            except HarnessError as exc:
-                errors.append({"stage": "score", "where": f"{model_id}/{metric_name} pairings",
-                               "error": str(exc)})
-                continue
-            rows.extend(
-                {"model_id": model_id, "metric": metric_name, "pairing": pairing.value,
-                 **asdict(summary)}
-                for pairing, summary in summaries.items()
-            )
-    return rows
-
-
-def _read_pairings(
-    path: Path, expected: dict
-) -> dict[tuple[str, str], dict[PairingMode, DistSummary]]:
-    """The distributions of a pairings file whose header holds the
-    `expected` values (seed, tokenizer and records digest)."""
-    rerun = f"rerun `sumprobe score --seed {expected['seed']}`"
-    if not path.exists():
-        raise PrerequisiteError(f"missing {path}; {rerun}")
-    distributions: dict[tuple[str, str], dict[PairingMode, DistSummary]] = {}
-    try:
-        header, *rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-        stale = [name for name, value in expected.items() if header.get(name) != value]
-        for row in rows:
-            key = (row.pop("model_id"), row.pop("metric"))
-            pairing = PairingMode(row.pop("pairing"))
-            distributions.setdefault(key, {})[pairing] = DistSummary(
-                **{**row, "bins": tuple(row["bins"])}
-            )
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise PrerequisiteError(f"cannot read {path} ({exc}); {rerun}") from exc
-    if stale:
-        raise PrerequisiteError(
-            f"{path} was written for another run (its {', '.join(stale)} differ); {rerun}"
-        )
-    return distributions
 
 
 def cmd_analyze(config: RunConfig) -> int:
@@ -723,11 +452,7 @@ def cmd_analyze(config: RunConfig) -> int:
             f"but analyze was given {tokenizer_id!r}; pass the tokenizer "
             "that `sumprobe score` used"
         )
-    distributions = _read_pairings(config.pairings_path, {
-        "seed": seed,
-        "tokenizer_id": tokenizer_id,
-        "records_digest": _originals_digest(records),
-    })
+    distributions = score.read_pairings(config.pairings_path, seed, tokenizer_id, records)
     written = emit_report(records, distributions, config.report)
     print(f"analyze: wrote {len(written)} file(s) to {config.report}")
     return 0

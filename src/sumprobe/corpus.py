@@ -14,7 +14,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import HarnessError
+from .errors import HarnessError, PrerequisiteError
 from .pylex import UnlexableError, lex
 
 
@@ -161,6 +161,17 @@ def load_corpus(path: str | Path) -> tuple[list[Example], list[LineError]]:
         seen_ids.add(ex_id)
         examples.append(Example(id=ex_id, code=code, reference=reference))
     return examples, errors
+
+
+def load_variant(variants_dir: str | Path, variant: str) -> list[Example]:
+    """The examples of the variant file that `transform` wrote for `variant`."""
+    path = Path(variants_dir) / f"{variant}.jsonl"
+    if not path.exists():
+        raise PrerequisiteError(f"missing {path}; run `sumprobe transform` first")
+    examples, errors = load_corpus(path)
+    if errors:
+        raise CorpusError(f"{path}: {len(errors)} unreadable lines")
+    return examples
 
 
 def screen_example(

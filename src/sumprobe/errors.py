@@ -3,3 +3,7 @@
 
 class HarnessError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class PrerequisiteError(HarnessError):
+    """An upstream stage has not produced its artifact yet."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import Example
+from .corpus import Example, RunRecord
 from .errors import HarnessError
 from .pylex import (
     KEYWORDS,
@@ -46,6 +46,10 @@ class Variant(str, Enum):
 
 # Run records and report groups are ordered by variant in this order.
 VARIANT_ORDER = {v.value: i for i, v in enumerate(Variant)}
+
+
+def record_sort_key(rec: RunRecord):
+    return (rec.model_id, VARIANT_ORDER.get(rec.variant, 99), rec.variant, rec.example_id)
 
 
 class DonorCollisionError(HarnessError):

@@ -1022,6 +1022,27 @@ def test_failed_rescore_keeps_no_earlier_scores(tmp_path, monkeypatch, capsys):
     assert "sumprobe score" in capsys.readouterr().err
 
 
+def test_score_reports_a_record_whose_example_is_missing(tmp_path):
+    out = echo_run(tmp_path)
+    assert run_cli("--seed", 5, "--out", out, "score") == 0
+    variant = out / "variants" / "no_function_body.jsonl"
+    rows = variant.read_text().splitlines(keepends=True)
+    missing = (json.loads(rows[2])["id"], "no_function_body")
+    variant.write_text("".join(rows[:2] + rows[3:]))
+
+    assert run_cli("--seed", 5, "--out", out, "score") == 1
+    assert score_errors(out) == [{"stage": "score", "where": "/".join(missing),
+                                  "error": "example missing from variant corpus"}]
+    runs = {(r["example_id"], r["variant"]): r
+            for r in map(json.loads, (out / "runs.jsonl").read_text().splitlines())}
+    assert len(runs) == 40
+    # not the scores of the earlier run
+    assert runs.pop(missing)["metrics"] is None
+    assert all(r["metrics"]["bleu4"] == 100.0 for r in runs.values())
+    assert run_cli("--seed", 5, "--out", out, "score", "--max-errors", 1) == 0
+    assert len(score_errors(out)) == 1
+
+
 def test_zero_vector_fails_only_records_with_that_token(tmp_path):
     out = echo_run(tmp_path)
     subwords = record_subwords(out)

@@ -1,0 +1,69 @@
+"""The score stage's phases, called one by one."""
+
+import contextlib
+import io
+import json
+
+from sumprobe import score
+from sumprobe.cli import main
+from sumprobe.corpus import load_run
+from sumprobe.metrics import EmbeddingTable, HashedOneHotProvider
+from sumprobe.subtok import FallbackTokenizer
+
+from corpusgen import write_corpus
+
+
+def joined_run(tmp_path):
+    """A two-model echo run whose generations are not all echoes, with one
+    example missing from a variant file, joined with its examples."""
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, 24, seed=13)
+    out = tmp_path / "out"
+    common = ["--seed", "6", "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(common + ["transform", "--corpus", str(corpus)]) == 0
+        for model in ("a", "b"):
+            assert main(common + ["generate", "--model", model, "--mock", "echo"]) == 0
+    runs = out / "runs.jsonl"
+    rows = [json.loads(line) for line in runs.read_text().splitlines()]
+    for i, row in enumerate(rows):
+        if i % 7 == 3:
+            row["generated"] = ""
+        elif i % 3 == 1:
+            row["generated"] = rows[i - 1]["generated"]
+    runs.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    variant = out / "variants" / "original.jsonl"
+    lines = variant.read_text().splitlines(keepends=True)
+    variant.write_text("".join(lines[:5] + lines[6:]))
+    return score.join_examples(load_run(runs), out / "variants")
+
+
+def test_record_phase_is_shardable(tmp_path):
+    """Records scored in contiguous slices, each with its own code memo and
+    all with one PairScores, give the rows, error rows and re-pairings of a
+    single pass: a record's scores depend on the record, its example and
+    the shared tables alone."""
+    joined = joined_run(tmp_path)
+    tokenize = FallbackTokenizer()
+    subwords = score.tokenize_descriptions(joined, tokenize)
+
+    def pair_scores():
+        tokens = (sw for words in subwords.values() for sw in words)
+        return score.PairScores(subwords, EmbeddingTable(HashedOneHotProvider(64), tokens), False)
+
+    whole_pairs = pair_scores()
+    whole, whole_errors = score.score_records(joined, tokenize, whole_pairs)
+    assert len(whole_errors) == 2  # the missing example, once per model
+    assert len({r.metrics.bertscore_f1 for r in whole if r.metrics is not None}) > 2
+
+    pairs = pair_scores()
+    cuts = [0, 7, len(joined) // 2, len(joined)]
+    sharded, sharded_errors = [], []
+    for start, end in zip(cuts, cuts[1:]):
+        rows, errors = score.score_records(joined[start:end], tokenize, pairs)
+        sharded += rows
+        sharded_errors += errors
+    assert [r.to_dict() for r in sharded] == [r.to_dict() for r in whole]
+    assert sharded_errors == whole_errors
+    repaired = score.pairing_rows(joined, sharded, 6, pairs)
+    assert repaired[0] and repaired == score.pairing_rows(joined, whole, 6, whole_pairs)

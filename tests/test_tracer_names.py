@@ -6,6 +6,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import json
 import random
 from pathlib import Path
 
@@ -75,3 +76,31 @@ def test_score_runs_the_traced_kernels(tmp_path):
     assert calls["metrics.bleu4.calls"] == len(set(record_pairs + repaired))
     assert calls["analysis.paired_vs_random.calls"] > 0
     assert 0 < calls["metrics.bertscore.calls"] < bertscore_pairs
+
+
+def test_score_runs_the_traced_copy_rate_and_attribution(tmp_path):
+    """Score's copy rate and copy attribution go through the names the
+    tracer wraps: one `p_copy` per description with subwords and one
+    `attribute_copies` per scored record, as the run file shows."""
+    tracer_module = load_tracer()
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, 20, seed=11)
+    out = tmp_path / "out"
+    common = ["--seed", "4", "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(common + ["transform", "--corpus", str(corpus)]) == 0
+        assert main(common + ["generate", "--model", "m", "--mock", "echo"]) == 0
+        runs = out / "runs.jsonl"
+        rows = [json.loads(line) for line in runs.read_text().splitlines()]
+        for row in rows[::4]:
+            row["generated"] = ""  # no generated copy rate
+        runs.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with tracer_module.Tracer() as tracer:
+            assert main(common + ["score"]) == 0
+    calls = tracer_module.aggregate(tracer.spans())
+    records = load_run(runs)
+    assert all(rec.metrics is not None for rec in records)
+    with_generation = [rec for rec in records if rec.metrics.p_copy_generated_total is not None]
+    assert 0 < len(with_generation) < len(records)
+    assert calls["analysis.attribute_copies.calls"] == len(records)
+    assert calls["metrics.p_copy.calls"] == len(records) + len(with_generation)
