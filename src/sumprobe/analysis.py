@@ -6,13 +6,15 @@ correlations, and the CSV/SVG report.
 from __future__ import annotations
 
 import csv
+import io
 import random
 import re
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import RunRecord
 from .errors import HarnessError
@@ -178,6 +180,8 @@ def paired_vs_random(
 
 
 _RE_PAIRINGS = (PairingMode.REF_VS_RANDOM_GEN, PairingMode.REF_VS_REF, PairingMode.GEN_VS_GEN)
+# The two pairings a paired chart shows.
+_PLOTTED_PAIRINGS = (PairingMode.REF_VS_OWN_GEN, PairingMode.REF_VS_RANDOM_GEN)
 
 
 def pairing_distributions(
@@ -217,6 +221,17 @@ def correlate(
 
 
 _CORRELATED_PAIRS = (("p_copy_reference", "bleu4"), ("bleu4", "bertscore_f1"))
+_MEAN_METRICS = ("bleu4", "bertscore_f1", "p_copy_reference", "p_copy_generated")
+
+# Name and header of each CSV in the report.
+_CSV_HEADERS = {
+    "summary.csv": ("model_id", "variant", "records", *(f"mean_{m}" for m in _MEAN_METRICS)),
+    "buckets.csv": ("model_id", "variant", "bucket", "count", "mean_bleu4", "median_bleu4"),
+    "attribution.csv": ("model_id", "variant", "category", "code_subwords",
+                        "copied_to_reference", "copied_to_generated"),
+    "correlations.csv": ("model_id", "variant", "metric_a", "metric_b", "pearson", "spearman"),
+    "distributions.csv": ("model_id", "metric", "pairing", "count", "mean", "median", "q1", "q3"),
+}
 
 
 def _slug(text: str) -> str:
@@ -227,8 +242,10 @@ def _fnum(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _mean_of(values: list[float]) -> float | None:
-    return statistics.fmean(values) if values else None
+def _mean_of(values: Iterable[float | None]) -> float | None:
+    """Mean of the values that are not None; None if there are none."""
+    present = [v for v in values if v is not None]
+    return statistics.fmean(present) if present else None
 
 
 def emit_report(
@@ -242,160 +259,91 @@ def emit_report(
     Every record must carry its scores, copy attribution included.
     `distributions` maps (model id, metric) to the `pairing_distributions`
     that `score` computed. Output is a pure function of the arguments, so
-    identical runs produce byte-identical files.
+    identical runs produce byte-identical files. Model ids whose charts
+    would share a file name are refused before any file is written.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    scored = [r for r in records if r.metrics is not None]
     groups: dict[tuple[str, str], list[RunRecord]] = {}
-    for rec in scored:
-        groups.setdefault((rec.model_id, rec.variant), []).append(rec)
-    group_keys = sorted(
-        groups, key=lambda k: (k[0], VARIANT_ORDER.get(k[1], 99), k[1])
-    )
+    for rec in records:
+        if rec.metrics is not None:
+            groups.setdefault((rec.model_id, rec.variant), []).append(rec)
+    group_keys = sorted(groups, key=lambda k: (k[0], VARIANT_ORDER.get(k[1], 99), k[1]))
+    rows: dict[str, list[list[str]]] = {name: [] for name in _CSV_HEADERS}
+    files: dict[str, str] = {}  # report file name -> its text
+    owners: dict[str, tuple[str, str]] = {}
 
-    def write_csv(name: str, header: list[str], rows: list[list[str]]) -> None:
-        path = out_dir / name
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-        written.append(path)
+    def chart(name: str, owner: tuple[str, str], title: str, labels: Sequence[str],
+              series: list) -> None:
+        # `owner` is (model id, variant or metric); slugs can make two
+        # owners' file names equal, and one chart would replace the other
+        first = owners.setdefault(name, owner)
+        if first != owner:
+            raise HarnessError(f"model ids {first[0]!r} ({first[1]}) and {owner[0]!r} "
+                               f"({owner[1]}) would both write report/{name}; rename one")
+        files[name] = grouped_bars(title, labels, series)
 
-    def write_svg(name: str, title: str, labels: Sequence[str], series: list) -> None:
-        path = out_dir / name
-        path.write_text(grouped_bars(title, labels, series), encoding="utf-8")
-        written.append(path)
-
-    # summary.csv: per-variant / per-model score means
-    rows = []
     for model_id, variant in group_keys:
         recs = groups[(model_id, variant)]
-        rows.append(
-            [
-                model_id,
-                variant,
-                str(len(recs)),
-                _fnum(_mean_of([r.metrics.bleu4 for r in recs if r.metrics.bleu4 is not None])),
-                _fnum(_mean_of([r.metrics.bertscore_f1 for r in recs if r.metrics.bertscore_f1 is not None])),
-                _fnum(_mean_of([r.metrics.p_copy_reference for r in recs if r.metrics.p_copy_reference is not None])),
-                _fnum(_mean_of([r.metrics.p_copy_generated for r in recs if r.metrics.p_copy_generated is not None])),
-            ]
-        )
-    write_csv(
-        "summary.csv",
-        ["model_id", "variant", "records", "mean_bleu4", "mean_bertscore_f1",
-         "mean_p_copy_reference", "mean_p_copy_generated"],
-        rows,
-    )
+        means = [_mean_of(getattr(r.metrics, metric) for r in recs) for metric in _MEAN_METRICS]
+        rows["summary.csv"].append([model_id, variant, str(len(recs)), *map(_fnum, means)])
 
-    # buckets.csv: BLEU per reference-copy-rate bucket; per model+variant,
-    # the copy-rate histograms and the per-bucket BLEU medians
-    rows = []
-    for model_id, variant in group_keys:
-        recs = groups[(model_id, variant)]
+        # BLEU per reference-copy-rate bucket, and both copy-rate histograms
         by_key = {r.key: r for r in recs}
-        medians = []
         buckets = bucketize(recs)
+        medians = []
         for bucket in buckets:
-            bleus = [
-                by_key[k].metrics.bleu4
-                for k in bucket.record_keys
-                if by_key[k].metrics.bleu4 is not None
-            ]
-            rows.append(
-                [
-                    model_id,
-                    variant,
-                    bucket.label,
-                    str(len(bucket.record_keys)),
-                    _fnum(_mean_of(bleus)),
-                    _fnum(statistics.median(bleus) if bleus else None),
-                ]
-            )
-            medians.append(statistics.median(bleus) if bleus else 0.0)
-        gen_hist = [0.0] * len(BUCKET_LABELS)
-        for rec in recs:
-            m = rec.metrics
-            if m.p_copy_generated_matched is not None:
-                label = bucket_label_from_counts(
-                    m.p_copy_generated_matched, m.p_copy_generated_total
-                )
-                gen_hist[BUCKET_LABELS.index(label)] += 1
+            bleus = [by_key[k].metrics.bleu4 for k in bucket.record_keys]
+            bleus = [b for b in bleus if b is not None]
+            median = statistics.median(bleus) if bleus else None
+            rows["buckets.csv"].append([model_id, variant, bucket.label, str(len(bucket.record_keys)),
+                                        _fnum(_mean_of(bleus)), _fnum(median)])
+            medians.append(0.0 if median is None else median)
+        generated = Counter(
+            bucket_label_from_counts(m.p_copy_generated_matched, m.p_copy_generated_total)
+            for m in [r.metrics for r in recs]
+            if m.p_copy_generated_matched is not None
+        )
         slug = f"{_slug(model_id)}_{_slug(variant)}"
-        write_svg(f"pcopy_{slug}.svg", f"copy-rate distribution ({model_id}, {variant})",
-                  BUCKET_LABELS, [("reference", [float(len(b.record_keys)) for b in buckets]),
-                                  ("generated", gen_hist)])
-        write_svg(f"bleu_buckets_{slug}.svg",
-                  f"median BLEU-4 per copy-rate bucket ({model_id}, {variant})",
-                  BUCKET_LABELS, [("median BLEU-4", medians)])
-    write_csv(
-        "buckets.csv",
-        ["model_id", "variant", "bucket", "count", "mean_bleu4", "median_bleu4"],
-        rows,
-    )
+        chart(f"pcopy_{slug}.svg", (model_id, variant),
+              f"copy-rate distribution ({model_id}, {variant})",
+              BUCKET_LABELS, [("reference", [float(len(b.record_keys)) for b in buckets]),
+                              ("generated", [float(generated[b]) for b in BUCKET_LABELS])])
+        chart(f"bleu_buckets_{slug}.svg", (model_id, variant),
+              f"median BLEU-4 per copy-rate bucket ({model_id}, {variant})",
+              BUCKET_LABELS, [("median BLEU-4", medians)])
 
-    # attribution.csv: copied token types, summed over examples
-    rows = []
-    for model_id, variant in group_keys:
-        totals = [[0] * len(ATTRIBUTION_CATEGORIES) for _ in range(3)]
-        for rec in groups[(model_id, variant)]:
-            for total, counts in zip(totals, rec.metrics.copy_attribution):
-                for i, count in enumerate(counts):
-                    total[i] += count
-        for i, category in enumerate(ATTRIBUTION_CATEGORIES):
-            rows.append([model_id, variant, category] + [str(t[i]) for t in totals])
-    write_csv(
-        "attribution.csv",
-        ["model_id", "variant", "category", "code_subwords",
-         "copied_to_reference", "copied_to_generated"],
-        rows,
-    )
+        # copied token types: each side's counts summed column by column
+        sides = zip(*(r.metrics.copy_attribution for r in recs))
+        totals = [map(sum, zip(*side)) for side in sides]
+        for category, *counts in zip(ATTRIBUTION_CATEGORIES, *totals, strict=True):
+            rows["attribution.csv"].append([model_id, variant, category, *map(str, counts)])
 
-    # correlations.csv: does the copy rate track BLEU-4, and BLEU-4 BERTScore?
-    rows = []
-    for model_id, variant in group_keys:
+        # does the copy rate track BLEU-4, and BLEU-4 BERTScore?
         for metric_a, metric_b in _CORRELATED_PAIRS:
             try:
-                pair = correlate(groups[(model_id, variant)], metric_a, metric_b)
-                cells = [_fnum(v) for v in pair]
+                cells = [_fnum(v) for v in correlate(recs, metric_a, metric_b)]
             except DegenerateInputError:
                 cells = ["", ""]
-            rows.append([model_id, variant, metric_a, metric_b] + cells)
-    write_csv(
-        "correlations.csv",
-        ["model_id", "variant", "metric_a", "metric_b", "pearson", "spearman"],
-        rows,
-    )
+            rows["correlations.csv"].append([model_id, variant, metric_a, metric_b, *cells])
 
-    # distributions.csv + SVGs: corresponding vs randomly re-paired scores
-    rows = []
+    # corresponding vs randomly re-paired scores
     for model_id, metric_name in sorted(distributions):
         summaries = distributions[(model_id, metric_name)]
-        series = []
         for pairing in PairingMode:
-            summary = summaries[pairing]
-            rows.append(
-                [
-                    model_id,
-                    metric_name,
-                    pairing.value,
-                    str(summary.count),
-                    _fnum(summary.mean),
-                    _fnum(summary.median),
-                    _fnum(summary.q1),
-                    _fnum(summary.q3),
-                ]
-            )
-            if pairing in (PairingMode.REF_VS_OWN_GEN, PairingMode.REF_VS_RANDOM_GEN):
-                series.append((pairing.value, [float(b) for b in summary.bins]))
-        write_svg(f"{metric_name}_paired_{_slug(model_id)}.svg",
-                  f"{metric_name}: corresponding vs random pairs ({model_id})",
-                  _HIST_LABELS, series)
-    write_csv(
-        "distributions.csv",
-        ["model_id", "metric", "pairing", "count", "mean", "median", "q1", "q3"],
-        rows,
-    )
-    return written
+            s = summaries[pairing]
+            rows["distributions.csv"].append([model_id, metric_name, pairing.value, str(s.count),
+                                              *map(_fnum, (s.mean, s.median, s.q1, s.q3))])
+        chart(f"{metric_name}_paired_{_slug(model_id)}.svg", (model_id, metric_name),
+              f"{metric_name}: corresponding vs random pairs ({model_id})", _HIST_LABELS,
+              [(p.value, [float(b) for b in summaries[p].bins]) for p in _PLOTTED_PAIRINGS])
+
+    for name, header in _CSV_HEADERS.items():
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows[name])
+        files[name] = text.getvalue()
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out_dir / name).write_text(text, encoding="utf-8", newline="")
+    return [out_dir / name for name in files]

@@ -145,12 +145,22 @@ class FallbackTokenizer:
 
 
 class BpeTokenizer:
+    """`encode` under one vocabulary, run once per distinct word: BPE
+    merges within a word only, so a word's pieces never change."""
+
     def __init__(self, vocab: SubwordVocab, name: str = "bpe") -> None:
         self.vocab = vocab
         self.tokenizer_id = name
+        self._pieces: dict[str, list[str]] = {}  # word -> encode(word)
 
     def __call__(self, text: str) -> list[str]:
-        return encode(text, self.vocab)
+        out: list[str] = []
+        for word in text.split():
+            pieces = self._pieces.get(word)
+            if pieces is None:
+                pieces = self._pieces[word] = encode(word, self.vocab)
+            out.extend(pieces)
+        return out
 
 
 def tokenizer_from_spec(spec: str) -> Tokenizer:

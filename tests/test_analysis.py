@@ -366,6 +366,13 @@ def test_emit_report_layout_and_determinism(tmp_path):
         assert any(child.tag.endswith("rect") for child in root.iter())
 
 
+def test_emit_report_returns_the_files_it_wrote(tmp_path):
+    records, distributions = build_report_inputs()
+    written = emit_report(records, distributions, tmp_path)
+    assert len(written) == len(set(written))
+    assert sorted(written) == sorted(tmp_path.iterdir())
+
+
 def test_emit_report_empty_bucket_rows_have_count_zero(tmp_path):
     records, distributions = build_report_inputs()
     emit_report(records, distributions, tmp_path)

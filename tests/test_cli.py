@@ -134,6 +134,24 @@ def test_analyze_refuses_another_tokenizer(tmp_path, corpus5, bpe_vocab, capsys)
     assert run_cli("--seed", 1, "--out", out, "analyze", "--tokenizer", bpe_vocab) == 0
 
 
+def test_analyze_refuses_model_ids_whose_charts_share_a_file(tmp_path, capsys):
+    """`a/b` and `a_b` give the same chart file names, so one model's
+    charts would replace the other's: analyze exits 2 naming both ids and
+    writes no report file."""
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, 20, seed=11)
+    out = tmp_path / "out"
+    assert run_cli("--seed", 1, "--out", out, "transform", "--corpus", corpus) == 0
+    for model in ("a/b", "a_b"):
+        assert run_cli("--seed", 1, "--out", out, "generate", "--model", model, "--mock", "echo") == 0
+    assert run_cli("--seed", 1, "--out", out, "score") == 0
+    capsys.readouterr()
+    assert run_cli("--seed", 1, "--out", out, "analyze") == 2
+    err = capsys.readouterr().err
+    assert "'a/b'" in err and "'a_b'" in err
+    assert not (out / "report").exists()
+
+
 def test_analyze_does_no_lexing(tmp_path, corpus5, monkeypatch):
     out = tmp_path / "out"
     for args in (
@@ -422,6 +440,28 @@ GOLDEN_SCORE_DIGESTS = {
     },
 }
 
+# sha256 of every report file that analyze writes from the fallback golden
+# run: each CSV cell and each chart, byte for byte
+GOLDEN_REPORT_DIGESTS = {
+    "attribution.csv": "7198c5defdd70891d7a65f4fb3ca277f45aee14730338eb2ff0a55e7c4050765",
+    "bertscore_f1_paired_m.svg": "8063a7f1e9c972c456d299fefae4254409c28800d3abf8679d6322d836b04c9b",
+    "bleu4_paired_m.svg": "1cce087b11f7e3bf4a8b668b8be461319ddce290d6305d1c9dc63e6e94436dd1",
+    "bleu_buckets_m_adversarial_names.svg": "4edc9370faaaf59ff6d8dd94c7923f93c335f42db70806964a20f5fa2a8eb3eb",
+    "bleu_buckets_m_no_code_structure.svg": "a82aa6fbb8e4aef4e4d4cd725b942e5618ec6bde36ce6a39b69cb8e47cd98c18",
+    "bleu_buckets_m_no_function_body.svg": "af44330018d5b2eea3d2e421731044c60ddfb6d2417f435bb3ace862a49c26fe",
+    "bleu_buckets_m_obfuscated_names.svg": "11cec6840b47a46fe8ffc37f3da8813703eb5dc723d0e92a1768211e41d122e8",
+    "bleu_buckets_m_original.svg": "7f99f8b2334a99993945250f07ef564aa2db14441e38bf86a7e2b890d518f5db",
+    "buckets.csv": "8ababc03654e28f2b1b36235079f095319eb2ec1760a8b88700b8b697d57d2fb",
+    "correlations.csv": "293a47093db2cf4844de56ebfa7dee09d1ca49e3c365ca4b7806e5c03908b3f2",
+    "distributions.csv": "4d49fc65902e709d475f59dd85531729f11543090d5e1849cb0e3785e9b0dcd8",
+    "pcopy_m_adversarial_names.svg": "0e3e52316b465ac70e86c6cdae0d7c7e3e2c0a8f3e2009d6d25d76236ef9b39f",
+    "pcopy_m_no_code_structure.svg": "11f92af9de8e5f8e41ec25c9918c0d5c4928523a577d78a517cad3f7b3e0e836",
+    "pcopy_m_no_function_body.svg": "b6515975a56dad073809c66972f57d5c2d7d19892f8160829c8beab21031a1f7",
+    "pcopy_m_obfuscated_names.svg": "132a2f04494e26b4dc7e859e464b08a5111f5dc2a34eb11a19757494e8a7964a",
+    "pcopy_m_original.svg": "5c6952e4a56f28e101ebf0f5c0d85774011b91f72aaee6a50efc0bd6e9121f53",
+    "summary.csv": "c03043fea8016d346a28f5ef591efa41befa10e3b06ac0b191609fc83ddd2c09",
+}
+
 
 @pytest.mark.parametrize("tokenizer", sorted(GOLDEN_SCORE_DIGESTS))
 def test_score_outputs_match_golden_digests(tmp_path, tokenizer):
@@ -441,6 +481,12 @@ def test_score_outputs_match_golden_digests(tmp_path, tokenizer):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("runs.jsonl", "pairings.jsonl")}
     assert digests == GOLDEN_SCORE_DIGESTS[tokenizer]
+    if tokenizer == "fallback":
+        assert run_cli("--seed", 3, "--out", out, "analyze", "--tokenizer", spec) == 0
+        report = out / "report"
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in report.iterdir()}
+        assert digests == GOLDEN_REPORT_DIGESTS
 
 
 @pytest.mark.parametrize("tokenizer", ["fallback", "bpe"])

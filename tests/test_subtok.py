@@ -86,6 +86,32 @@ def test_encode_concat_reproduces_nonwhitespace():
         assert "".join(out) == "".join(text.split())
 
 
+# One tokenizer for every example below, so later texts meet words whose
+# pieces it has kept.
+_SHARED_BPE = BpeTokenizer(make_vocab(
+    [("t", "o"), ("to", "k"), ("e", "n"), ("k", "en"), ("▁t", "o"), ("▁to", "k")], boundary="▁"
+))
+
+
+@settings(max_examples=500, derandomize=True)
+@given(st.text(alphabet="toke n▁_1\t\n\u3000\x1cé", max_size=40))
+def test_bpe_tokenizer_equals_encode(text):
+    assert _SHARED_BPE(text) == encode(text, _SHARED_BPE.vocab)
+
+
+def test_bpe_tokenizer_encodes_each_distinct_word_once(monkeypatch):
+    words = []
+
+    def counting(text, vocab, encode=encode):
+        words.append(text)
+        return encode(text, vocab)
+
+    monkeypatch.setattr("sumprobe.subtok.encode", counting)
+    tokenize = BpeTokenizer(make_vocab([("a", "b")]))
+    assert tokenize("ab c ab") + tokenize("c abab") == ["ab", "c", "ab", "c", "ab", "ab"]
+    assert words == ["ab", "c", "abab"]
+
+
 def test_load_vocab_roundtrip(tmp_path):
     path = tmp_path / "vocab.json"
     path.write_text(json.dumps({"merges": ["e x", "ex t"], "vocab": ["e", "x", "t", "ex", "ext"]}))

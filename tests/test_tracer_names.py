@@ -104,3 +104,28 @@ def test_score_runs_the_traced_copy_rate_and_attribution(tmp_path):
     assert 0 < len(with_generation) < len(records)
     assert calls["analysis.attribute_copies.calls"] == len(records)
     assert calls["metrics.p_copy.calls"] == len(records) + len(with_generation)
+
+
+def test_analyze_runs_the_traced_report_layers(tmp_path):
+    """One analyze is one `emit_report`, which buckets each (model,
+    variant) group once and draws each SVG of the report with one
+    `grouped_bars` call."""
+    tracer_module = load_tracer()
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, 20, seed=11)
+    out = tmp_path / "out"
+    common = ["--seed", "4", "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(common + ["transform", "--corpus", str(corpus)]) == 0
+        for model in ("m", "n"):
+            assert main(common + ["generate", "--model", model, "--mock", "echo"]) == 0
+        assert main(common + ["score"]) == 0
+        with tracer_module.Tracer() as tracer:
+            assert main(common + ["analyze"]) == 0
+    calls = tracer_module.aggregate(tracer.spans())
+    groups = {(rec.model_id, rec.variant) for rec in load_run(out / "runs.jsonl")}
+    svgs = list((out / "report").glob("*.svg"))
+    assert len(groups) == 10 and len(svgs) == 2 * len(groups) + 4
+    assert calls["analysis.emit_report.calls"] == 1
+    assert calls["analysis.bucketize.calls"] == len(groups)
+    assert calls["svgplot.grouped_bars.calls"] == len(svgs)
