@@ -1,7 +1,7 @@
 """Command-line front end: transform -> generate -> score -> analyze.
 
 This module handles arguments only: an INI file plus flag overrides, one
-SETTINGS row per setting (only the API key is read from the environment,
+`RunConfig` field per setting (only the API key is read from the environment,
 SUMPROBE_API_KEY), and each stage's checks, printed line and exit code.
 The score stage's phases are in `score.py`. Stages hand off through files
 in the run directory, so each stage can be re-run independently and a
@@ -27,8 +27,9 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Any
 
 from . import llmgen, metrics, score
 from .analysis import emit_report
@@ -57,72 +58,29 @@ log = logging.getLogger(__name__)
 API_KEY_ENV = "SUMPROBE_API_KEY"
 
 
-@dataclass
-class RunConfig:
-    corpus_path: str = ""
-    train_path: str = ""
-    min_tokens: int = 3
-    max_tokens: int = 256
-    variants: list[str] = field(default_factory=lambda: [v.value for v in Variant])
-    model_id: str = ""
-    endpoint: str = ""
-    mock: str = ""
-    temperature: float = 0.0
-    gen_max_tokens: int = 128
-    shots: int = llmgen.DEFAULT_SHOT_COUNT
-    tokenizer: str = "fallback"
-    embedding_endpoint: str = ""
-    embedding_dim: int = 256
-    seed: int | None = None
-    out_dir: str = "out"
-    jobs: int = 4
-    max_errors: int = 0
-    lowercase_bleu: bool = False
-    report_dir: str = ""
-
-    def require_seed(self) -> int:
-        if self.seed is None:
-            raise HarnessError("a seed is required (--seed or [run] seed = ...)")
-        return self.seed
-
-    @property
-    def out(self) -> Path:
-        return Path(self.out_dir)
-
-    @property
-    def variants_dir(self) -> Path:
-        return self.out / "variants"
-
-    @property
-    def runs_path(self) -> Path:
-        return self.out / "runs.jsonl"
-
-    @property
-    def pairings_path(self) -> Path:
-        return self.out / "pairings.jsonl"
-
-    @property
-    def cache_dir(self) -> Path:
-        return self.out / "cache"
-
-    @property
-    def report(self) -> Path:
-        return Path(self.report_dir) if self.report_dir else self.out / "report"
-
-
 @dataclass(frozen=True)
 class Setting:
-    """How one `RunConfig` field is set: the INI key `section.option`,
-    whose text `parse` converts, and `flag`, which the subcommands of
-    `stages` take (no stages: a global flag, given before the stage)."""
+    """How one `RunConfig` field, `attr`, is set: the INI key
+    `section.option`, whose text `parse` converts and checks, and `flag`,
+    which the subcommands of `stages` take (no stages: a global flag,
+    given before the stage)."""
 
-    attr: str
     key: str
     parse: Callable[[str], object]
     flag: str
     stages: tuple[str, ...]
     help: str
     options: dict | None = None  # argparse options in place of type=parse
+    attr: str = ""
+
+
+def _setting(initial, *how, **options) -> Any:
+    """A `RunConfig` field that starts as `initial` (a list is copied for
+    each config) and whose metadata holds its `Setting(*how)`."""
+    metadata = {"setting": Setting(*how, options=options or None)}
+    if isinstance(initial, list):
+        return field(default_factory=initial.copy, metadata=metadata)
+    return field(default=initial, metadata=metadata)
 
 
 def _boolean(text: str) -> bool:
@@ -149,49 +107,83 @@ def _checked(parse: Callable[[str], object], holds: Callable, name: str) -> Call
 _finite_float = _checked(float, math.isfinite, "finite float")
 _non_negative_int = _checked(int, lambda n: n >= 0, "int >= 0")
 _positive_int = _checked(int, lambda n: n >= 1, "int >= 1")
+_mock = _checked(str, lambda name: name in ("", "echo"), "mock")
 
 
-SETTINGS = (
-    Setting("corpus_path", "corpus.path", str, "--corpus", ("transform",),
-            "JSONL corpus with code/docstring fields"),
-    Setting("train_path", "corpus.train_path", str, "--shots-corpus", ("generate",),
-            "JSONL training corpus for few-shot examples"),
-    Setting("min_tokens", "corpus.min_tokens", int, "--min-tokens", ("transform",),
-            "min description tokens (default 3)"),
-    Setting("max_tokens", "corpus.max_tokens", int, "--max-tokens", ("transform",),
-            "max description tokens (default 256)"),
-    Setting("variants", "run.variants", lambda s: [v.strip() for v in s.split(",") if v.strip()],
-            "--variant", ("transform",), "variant name or 'all' (repeatable)",
-            {"action": "append"}),
-    Setting("model_id", "model.id", str, "--model", ("generate",),
-            "model id recorded in run records"),
-    Setting("endpoint", "model.endpoint", str, "--endpoint", ("generate",),
-            "chat-completions endpoint URL"),
-    Setting("mock", "model.mock", str, "--mock", ("generate",),
-            "use a mock client instead of HTTP", {"choices": ("echo",)}),
-    Setting("temperature", "model.temperature", _finite_float, "--temperature", ("generate",),
-            "decoding temperature (default 0)"),
-    Setting("gen_max_tokens", "model.max_tokens", int, "--gen-max-tokens", ("generate",),
-            "max new tokens (default 128)"),
-    Setting("shots", "model.shots", _non_negative_int, "--shots", ("generate",),
-            "few-shot example count (default 10)"),
-    Setting("tokenizer", "tokenizer.spec", str, "--tokenizer", ("score", "analyze"),
-            "'fallback' or path to a vocab JSON file"),
-    Setting("embedding_endpoint", "embedding.endpoint", str, "--embedding-endpoint", ("score",),
-            "remote embedding service URL"),
-    Setting("embedding_dim", "embedding.dim", int, "--embedding-dim", ("score",),
-            "hashed one-hot dimension (default 256)"),
-    Setting("seed", "run.seed", int, "--seed", (), "seed for all randomized steps (required)"),
-    Setting("out_dir", "run.out", str, "--out", (), "run directory (default: out)"),
-    Setting("jobs", "run.jobs", _positive_int, "--jobs", (), "parallel workers for generation"),
-    Setting("max_errors", "run.max_errors", int, "--max-errors", ("transform", "score"),
-            "tolerated record errors (default 0)"),
-    Setting("lowercase_bleu", "report.lowercase_bleu", _boolean, "--lowercase-bleu", ("score",),
-            "lowercase descriptions before BLEU tokenization",
-            {"action": "store_true", "default": None}),
-    Setting("report_dir", "report.dir", str, "--report", ("analyze",),
-            "report directory (default: <out>/report)"),
-)
+@dataclass
+class RunConfig:
+    """A run's settings: each field is one setting, read from the INI file
+    and then from the flags, as the `Setting` in its metadata says."""
+
+    corpus_path: str = _setting("", "corpus.path", str, "--corpus", ("transform",),
+                                "JSONL corpus with code/docstring fields")
+    train_path: str = _setting("", "corpus.train_path", str, "--shots-corpus", ("generate",),
+                               "JSONL training corpus for few-shot examples")
+    min_tokens: int = _setting(3, "corpus.min_tokens", int, "--min-tokens", ("transform",),
+                               "min description tokens (default 3)")
+    max_tokens: int = _setting(256, "corpus.max_tokens", int, "--max-tokens", ("transform",),
+                               "max description tokens (default 256)")
+    variants: list[str] = _setting(
+        [v.value for v in Variant], "run.variants",
+        lambda s: [v.strip() for v in s.split(",") if v.strip()],
+        "--variant", ("transform",), "variant name or 'all' (repeatable)", action="append")
+    model_id: str = _setting("", "model.id", str, "--model", ("generate",),
+                             "model id recorded in run records")
+    endpoint: str = _setting("", "model.endpoint", str, "--endpoint", ("generate",),
+                             "chat-completions endpoint URL")
+    mock: str = _setting("", "model.mock", _mock, "--mock", ("generate",),
+                         "'echo' to answer with each reference instead of calling HTTP")
+    temperature: float = _setting(0.0, "model.temperature", _finite_float, "--temperature",
+                                  ("generate",), "decoding temperature (default 0)")
+    gen_max_tokens: int = _setting(128, "model.max_tokens", int, "--gen-max-tokens",
+                                   ("generate",), "max new tokens (default 128)")
+    shots: int = _setting(llmgen.DEFAULT_SHOT_COUNT, "model.shots", _non_negative_int,
+                          "--shots", ("generate",), "few-shot example count (default 10)")
+    tokenizer: str = _setting("fallback", "tokenizer.spec", str, "--tokenizer",
+                              ("score", "analyze"), "'fallback' or path to a vocab JSON file")
+    embedding_endpoint: str = _setting("", "embedding.endpoint", str, "--embedding-endpoint",
+                                       ("score",), "remote embedding service URL")
+    embedding_dim: int = _setting(256, "embedding.dim", int, "--embedding-dim", ("score",),
+                                  "hashed one-hot dimension (default 256)")
+    seed: int | None = _setting(None, "run.seed", int, "--seed", (),
+                                "seed for all randomized steps (required)")
+    out_dir: str = _setting("out", "run.out", str, "--out", (), "run directory (default: out)")
+    jobs: int = _setting(4, "run.jobs", _positive_int, "--jobs", (),
+                         "parallel workers for generation")
+    max_errors: int = _setting(0, "run.max_errors", _non_negative_int, "--max-errors",
+                               ("transform", "score"), "tolerated record errors (default 0)")
+    lowercase_bleu: bool = _setting(
+        False, "report.lowercase_bleu", _boolean, "--lowercase-bleu", ("score",),
+        "lowercase descriptions before BLEU tokenization", action="store_true", default=None)
+    report_dir: str = _setting("", "report.dir", str, "--report", ("analyze",),
+                               "report directory (default: <out>/report)")
+
+    @property
+    def out(self) -> Path:
+        return Path(self.out_dir)
+
+    @property
+    def variants_dir(self) -> Path:
+        return self.out / "variants"
+
+    @property
+    def runs_path(self) -> Path:
+        return self.out / "runs.jsonl"
+
+    @property
+    def pairings_path(self) -> Path:
+        return self.out / "pairings.jsonl"
+
+    @property
+    def cache_dir(self) -> Path:
+        return self.out / "cache"
+
+    @property
+    def report(self) -> Path:
+        return Path(self.report_dir) if self.report_dir else self.out / "report"
+
+
+SETTINGS = tuple(replace(f.metadata["setting"], attr=f.name) for f in fields(RunConfig))
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -237,8 +229,17 @@ def _parse_variants(names: list[str]) -> list[Variant]:
     return list(out)
 
 
+def _finish(config: RunConfig, stage: str, errors: list[dict], tolerated: float, line: str) -> int:
+    """End `stage`: write its error rows to `errors_<stage>.jsonl`, log
+    each, print `<stage>: <line>`, and fail if more than `tolerated`."""
+    write_jsonl(config.out / f"errors_{stage}.jsonl", errors)
+    for err in errors:
+        log.warning("%s error at %s: %s", stage, err["where"], err["error"])
+    print(f"{stage}: {line}")
+    return 0 if len(errors) <= tolerated else 1
+
+
 def cmd_transform(config: RunConfig) -> int:
-    seed = config.require_seed()
     if not config.corpus_path:
         raise HarnessError("transform needs a corpus (--corpus or [corpus] path)")
     variants = _parse_variants(config.variants)
@@ -269,18 +270,15 @@ def cmd_transform(config: RunConfig) -> int:
         donors = donor_assignment([
             DonorEntry(ex.id, snippet.name, snippet.identifiers)
             for ex, snippet in accepted if snippet.name is not None
-        ], seed)
+        ], config.seed)
     for variant in variants:
         write_jsonl(
             config.variants_dir / f"{variant.value}.jsonl",
             _variant_rows(accepted, variant, donors, errors),
         )
-    write_jsonl(config.out / "errors_transform.jsonl", errors)
-    for err in errors:
-        log.warning("transform error at %s: %s", err["where"], err["error"])
-    print(f"transform: {len(accepted)} accepted, {len(rejects)} rejected, "
-          f"{len(errors)} errors, {len(variants)} variant file(s)")
-    return 0 if len(errors) <= config.max_errors else 1
+    return _finish(config, "transform", errors, config.max_errors,
+                   f"{len(accepted)} accepted, {len(rejects)} rejected, "
+                   f"{len(errors)} errors, {len(variants)} variant file(s)")
 
 
 def _variant_rows(
@@ -293,12 +291,7 @@ def _variant_rows(
     error row instead."""
     for ex, snippet in accepted:
         try:
-            donor = None
-            if variant is Variant.ADVERSARIAL_NAMES:
-                donor = donors.get(ex.id)
-                if donor is None:
-                    raise HarnessError("no usable donor name in the corpus")
-            code = snippet.text(variant, donor)
+            code = snippet.text(variant, donors.get(ex.id))
         except HarnessError as exc:
             errors.append(
                 {"stage": "transform", "where": f"{ex.id}/{variant.value}", "error": str(exc)}
@@ -309,28 +302,23 @@ def _variant_rows(
 
 def _present_variants(config: RunConfig) -> list[str]:
     if not config.variants_dir.exists():
-        raise PrerequisiteError(
-            f"missing {config.variants_dir}; run `sumprobe transform` first"
-        )
+        raise PrerequisiteError(f"missing {config.variants_dir}; run `sumprobe transform` first")
     names = [p.stem for p in config.variants_dir.glob("*.jsonl")]
     return sorted(names, key=lambda n: (VARIANT_ORDER.get(n, 99), n))
 
 
 def cmd_generate(config: RunConfig) -> int:
-    seed = config.require_seed()
     if not config.model_id:
         raise HarnessError("generate needs a model id (--model or [model] id)")
     shots: list[tuple[str, str]] = []
     if config.train_path:
         train_examples, _ = load_corpus(config.train_path)
         train_accepted, _ = filter_corpus(train_examples, config.min_tokens, config.max_tokens)
-        shots = llmgen.select_shots(train_accepted, config.shots, seed)
+        shots = llmgen.select_shots(train_accepted, config.shots, config.seed)
     elif not config.mock:
         log.warning("no [corpus] train_path configured; prompting zero-shot")
 
     if config.mock:
-        if config.mock != "echo":
-            raise HarnessError(f"unknown mock {config.mock!r} (only 'echo')")
         # Filled as the variants are read; transform leaves references
         # untouched, so one map serves every variant.
         references: dict[str, str] = {}
@@ -380,7 +368,7 @@ def cmd_generate(config: RunConfig) -> int:
                 example_id=example_id,
                 variant=variant_value,
                 model_id=config.model_id,
-                generated=result.text,
+                generated=result.raw_text if config.mock else result.text,  # echoes stay verbatim
             ))
 
     merged: dict[tuple[str, str, str], RunRecord] = {}
@@ -390,20 +378,14 @@ def cmd_generate(config: RunConfig) -> int:
         merged[rec.key] = rec
     ordered = sorted(merged.values(), key=record_sort_key)
     save_run(ordered, config.runs_path)
-    write_jsonl(config.out / "errors_generate.jsonl", errors)
-    for err in errors:
-        log.warning("generate error at %s: %s", err["where"], err["error"])
-    print(f"generate: {len(new_records)} generations for model {config.model_id}, "
-          f"{len(errors)} errors, run file {config.runs_path}")
-    return 0
+    return _finish(config, "generate", errors, math.inf,
+                   f"{len(new_records)} generations for model {config.model_id}, "
+                   f"{len(errors)} errors, run file {config.runs_path}")
 
 
 def cmd_score(config: RunConfig) -> int:
-    seed = config.require_seed()
     if not config.runs_path.exists():
-        raise PrerequisiteError(
-            f"missing {config.runs_path}; run `sumprobe generate` first"
-        )
+        raise PrerequisiteError(f"missing {config.runs_path}; run `sumprobe generate` first")
     tokenize = tokenizer_from_spec(config.tokenizer)
     if config.embedding_endpoint:
         provider: metrics.EmbeddingProvider = RemoteEmbeddingProvider(
@@ -413,18 +395,14 @@ def cmd_score(config: RunConfig) -> int:
         provider = HashedOneHotProvider(config.embedding_dim)
     scored, errors = score.score_run(
         config.runs_path, config.variants_dir, config.pairings_path,
-        seed, tokenize, provider, config.lowercase_bleu,
+        config.seed, tokenize, provider, config.lowercase_bleu,
     )
-    write_jsonl(config.out / "errors_score.jsonl", errors)
-    for err in errors:
-        log.warning("score error at %s: %s", err["where"], err["error"])
-    print(f"score: {len(scored)} records scored with tokenizer "
-          f"{tokenize.tokenizer_id}, {len(errors)} errors")
-    return 0 if len(errors) <= config.max_errors else 1
+    return _finish(config, "score", errors, config.max_errors,
+                   f"{len(scored)} records scored with tokenizer "
+                   f"{tokenize.tokenizer_id}, {len(errors)} errors")
 
 
 def cmd_analyze(config: RunConfig) -> int:
-    seed = config.require_seed()
     if not config.runs_path.exists():
         raise PrerequisiteError(
             f"missing {config.runs_path}; run `sumprobe generate` and `sumprobe score` first"
@@ -452,7 +430,7 @@ def cmd_analyze(config: RunConfig) -> int:
             f"but analyze was given {tokenizer_id!r}; pass the tokenizer "
             "that `sumprobe score` used"
         )
-    distributions = score.read_pairings(config.pairings_path, seed, tokenizer_id, records)
+    distributions = score.read_pairings(config.pairings_path, config.seed, tokenizer_id, records)
     written = emit_report(records, distributions, config.report)
     print(f"analyze: wrote {len(written)} file(s) to {config.report}")
     return 0
@@ -503,6 +481,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         config = config_from_args(args)
+        if config.seed is None:
+            raise HarnessError("a seed is required (--seed or [run] seed = ...)")
         return globals()[f"cmd_{args.command}"](config)
     except HarnessError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -251,7 +251,9 @@ def load_run(path: str | Path) -> list[RunRecord]:
         raise CorpusError(f"cannot read run file {path}: {exc}") from exc
     records: list[RunRecord] = []
     seen: set[tuple[str, str, str]] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Split at "\n" alone: `str.splitlines` also splits at the U+2028,
+    # U+2029 and U+0085 that `write_jsonl` leaves unescaped in strings.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -304,17 +304,6 @@ class EmbeddingTable:
         self._rows = {tok: i for i, tok in enumerate(distinct)}
         self._zero = {distinct[i] for i in np.flatnonzero(~nonzero[:, 0])}
 
-    def vectors(self, tokens: Sequence[str]) -> np.ndarray:
-        """One unit vector per token, in order."""
-        if self.error is not None:
-            raise self.error
-        if not tokens:
-            return np.zeros((0, 0))
-        index = [self._rows[tok] for tok in tokens]
-        if self._zero and not self._zero.isdisjoint(tokens):
-            raise DimensionMismatchError("provider returned a zero vector")
-        return self._matrix[index]
-
     def bertscores(
         self, pairs: Sequence[tuple[Sequence[str], Sequence[str]]]
     ) -> list[BertScoreResult | HarnessError]:
@@ -360,8 +349,14 @@ class EmbeddingTable:
 
 
 def embed(tokens: Sequence[str], provider: EmbeddingProvider) -> np.ndarray:
-    """One L2-normalized vector per token."""
-    return EmbeddingTable(provider, tokens).vectors(tokens)
+    """One L2-normalized vector per token, in order, from an
+    `EmbeddingTable` of the tokens."""
+    table = EmbeddingTable(provider, tokens)
+    if table.error is not None:
+        raise table.error
+    if table._zero:
+        raise DimensionMismatchError("provider returned a zero vector")
+    return table._matrix[[table._rows[tok] for tok in tokens]]
 
 
 def bertscore(x: np.ndarray, x_hat: np.ndarray) -> list[BertScoreResult]:

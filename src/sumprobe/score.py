@@ -262,7 +262,8 @@ def read_pairings(
         raise PrerequisiteError(f"missing {path}; {rerun}")
     distributions: dict[tuple[str, str], dict[PairingMode, DistSummary]] = {}
     try:
-        header, *rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        lines = path.read_text(encoding="utf-8").split("\n")  # as `corpus.load_run`
+        header, *rows = [json.loads(line) for line in lines if line]
         stale = [name for name, value in expected.items() if header.get(name) != value]
         for row in rows:
             key = (row.pop("model_id"), row.pop("metric"))

@@ -236,7 +236,8 @@ class Snippet:
         letter shift, `adversarial_names` with `donor`. Raises
         NoFunctionError when the variant needs a def the snippet lacks,
         ShiftCollisionError when the shifted name is already taken,
-        DonorCollisionError or InvalidDonorError for an unusable donor."""
+        DonorCollisionError or InvalidDonorError for an unusable donor,
+        and HarnessError for no donor."""
         if variant is Variant.ORIGINAL:
             return self.code
         if variant in self.failures:
@@ -248,7 +249,7 @@ class Snippet:
             return shifted.join(self.segments)
         if variant is Variant.ADVERSARIAL_NAMES:
             if donor is None:
-                raise ValueError("adversarial_names requires a donor name")
+                raise HarnessError("no usable donor name in the corpus")
             return _adversarial_name(donor, self.name, self.identifiers).join(self.segments)
         return self.texts[variant]
 

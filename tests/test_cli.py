@@ -19,7 +19,7 @@ import pytest
 import sumprobe.metrics
 import sumprobe.pylex
 from sumprobe.cli import RunConfig, build_parser, config_from_args, main
-from sumprobe.corpus import filter_corpus, load_corpus
+from sumprobe.corpus import filter_corpus, load_corpus, load_run
 from sumprobe.errors import HarnessError
 from sumprobe.llmgen import ChatCompletionsClient, GenerationCache
 from sumprobe.metrics import EmbeddingTable, RemoteEmbeddingProvider
@@ -79,6 +79,36 @@ def test_full_mock_pipeline(tmp_path, corpus5):
     assert original["records"] == "5"
     # echo returns the reference for every variant, so all rows are perfect
     assert all(float(r["mean_bleu4"]) == 100.0 for r in rows)
+
+
+def test_echo_is_verbatim_and_scores_100(tmp_path):
+    """The echo is each reference as it is, not the first paragraph of it
+    without code fences, so every record scores exactly 100."""
+    references = [
+        "Adds two numbers.\n\nReturns their sum as an int.",
+        "Squares a number:\n```\nsquare(3) == 9\n```",
+        "  Returns the first item of the list.  \n",
+        "Joins the parts\u0085with commas\u2028between them.",
+    ]
+    codes = [
+        "def add(a, b):\n    return a + b\n",
+        "def square(x):\n    return x * x\n",
+        "def first(items):\n    return items[0]\n",
+        "def join(parts):\n    return ','.join(parts)\n",
+    ]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"id": f"e{i}", "code": code, "docstring": reference}) + "\n"
+        for i, (code, reference) in enumerate(zip(codes, references))
+    ))
+    out = tmp_path / "out"
+    assert run_cli("--seed", 2, "--out", out, "transform", "--corpus", corpus,
+                   "--variant", "original") == 0
+    assert run_cli("--seed", 2, "--out", out, "generate", "--model", "m", "--mock", "echo") == 0
+    assert run_cli("--seed", 2, "--out", out, "score") == 0
+    records = load_run(out / "runs.jsonl")
+    assert [rec.generated for rec in records] == references
+    assert all(rec.metrics.bleu4 == rec.metrics.bertscore_f1 == 100.0 for rec in records)
 
 
 def test_score_is_idempotent(tmp_path, corpus5):
@@ -731,7 +761,7 @@ SETTING_CASES = [
     ("model_id", "model.id", "m1", "m1", ["--model", "m2"], "m2", ("generate",), ""),
     ("endpoint", "model.endpoint", "http://a", "http://a",
      ["--endpoint", "http://b"], "http://b", ("generate",), ""),
-    ("mock", "model.mock", "replay", "replay", ["--mock", "echo"], "echo", ("generate",), ""),
+    ("mock", "model.mock", "echo", "echo", ["--mock", ""], "", ("generate",), ""),
     ("temperature", "model.temperature", "0.5", 0.5,
      ["--temperature", "0.9"], 0.9, ("generate",), 0.0),
     ("gen_max_tokens", "model.max_tokens", "64", 64,
@@ -916,6 +946,26 @@ def test_out_of_range_settings_are_refused(tmp_path, corpus5, key, flag, text, c
     assert run_cli("--config", ini, "--seed", 1, "--out", out, *generate) == 2
     assert f"bad config value {key}: invalid" in capsys.readouterr().err
     assert not (out / "runs.jsonl").exists()
+
+
+@pytest.mark.parametrize("key, flag, text", [
+    ("run.max_errors", "--max-errors", "-1"),
+    ("model.mock", "--mock", "replay"),
+])
+def test_stage_settings_out_of_range_are_refused(tmp_path, corpus5, key, flag, text, capsys):
+    out = tmp_path / "out"
+    if flag == "--max-errors":
+        stage = ["transform", "--corpus", corpus5]
+    else:
+        stage = ["generate", "--model", "m"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--seed", 1, "--out", out, *stage, f"{flag}={text}")
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
+    ini = write_ini(tmp_path / "run.ini", key, text)
+    assert run_cli("--config", ini, "--seed", 1, "--out", out, *stage) == 2
+    assert f"bad config value {key}: invalid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_least_settings_in_range_are_taken():

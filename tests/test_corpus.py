@@ -166,6 +166,18 @@ def test_run_roundtrip_is_byte_stable(tmp_path):
     assert path.read_bytes() == first
 
 
+def test_run_roundtrip_keeps_unicode_line_breaks(tmp_path):
+    # `write_jsonl` leaves these unescaped, and `str.splitlines` splits at them.
+    breaks = "\u2028\u2029\u0085"
+    records = [
+        RunRecord(f"e{breaks}1", "original", f"m{breaks}", f"one{breaks}two"),
+        RunRecord("e2", "original", f"m{breaks}", "three"),
+    ]
+    path = tmp_path / "runs.jsonl"
+    save_run(records, path)
+    assert load_run(path) == records
+
+
 def test_run_duplicate_key_names_the_key(tmp_path):
     records = [
         RunRecord("e1", "original", "m", "a"),

@@ -336,21 +336,21 @@ def test_embedding_table_fetches_each_token_once(monkeypatch):
     table = EmbeddingTable(provider, ["a", "b", "a", "c", "d", "e", "b"])
     assert provider.calls == [["a", "b", "c"], ["d", "e"]]
     assert table.error is None
-    first = table.vectors(["e", "a", "e"])
-    # each row equals the one-text embedding of its token, bit for bit
-    assert np.array_equal(first, embed(["e", "a", "e"], CountingProvider()))
-    for tok in "abcde":
-        assert np.array_equal(table.vectors([tok]), embed([tok], CountingProvider()))
+    pairs = [(["e", "a", "e"], list("abcde")), *(([tok], [tok]) for tok in "abcde")]
+    clean = CountingProvider()
+    for (ref, gen), result in zip(pairs, table.bertscores(pairs)):
+        # each score is that of the one-text embeddings, bit for bit
+        assert result == one_pair_bertscore(embed(ref, clean), embed(gen, clean))
     assert len(provider.calls) == 2  # lookups never fetch
 
 
 def test_embedding_table_zero_vector_fails_only_its_lookups():
     table = EmbeddingTable(CountingProvider(zero={"z"}), ["a", "z", "b"])
     assert table.error is None
-    assert table.vectors(["a", "b"]).shape == (2, 6)
-    with pytest.raises(DimensionMismatchError, match="zero vector"):
-        table.vectors(["a", "z"])
-    assert np.allclose(np.linalg.norm(table.vectors(["b", "a"]), axis=1), 1.0)
+    clean, zero, same = table.bertscores([(["a"], ["b"]), (["a"], ["z"]), (["b", "a"], ["b", "a"])])
+    assert isinstance(clean, BertScoreResult)
+    assert isinstance(zero, DimensionMismatchError) and "zero vector" in str(zero)
+    assert same.f1 == pytest.approx(100.0)  # unit vectors
 
 
 def test_embedding_table_remembers_a_failed_call(monkeypatch):
@@ -366,9 +366,6 @@ def test_embedding_table_remembers_a_failed_call(monkeypatch):
         # the first call's two attempts, and no call for the second batch
         assert len(hits) == 2
         assert isinstance(table.error, EndpointError)
-        with pytest.raises(EndpointError) as raised:
-            table.vectors(["a"])
-        assert raised.value is table.error
         [empty, failed] = table.bertscores([([], ["a"]), (["a"], ["b"])])
         assert isinstance(empty, EmptySequenceError)
         assert failed is table.error

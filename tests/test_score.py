@@ -67,3 +67,19 @@ def test_record_phase_is_shardable(tmp_path):
     assert sharded_errors == whole_errors
     repaired = score.pairing_rows(joined, sharded, 6, pairs)
     assert repaired[0] and repaired == score.pairing_rows(joined, whole, 6, whole_pairs)
+
+
+def test_pairings_keep_a_model_id_with_a_line_separator(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, 4, seed=13)
+    out = tmp_path / "out"
+    common = ["--seed", "6", "--out", str(out)]
+    model = "m\u2028x"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(common + ["transform", "--corpus", str(corpus), "--variant", "original"]) == 0
+        assert main(common + ["generate", "--model", model, "--mock", "echo"]) == 0
+        assert main(common + ["score"]) == 0
+    distributions = score.read_pairings(
+        out / "pairings.jsonl", 6, FallbackTokenizer().tokenizer_id, load_run(out / "runs.jsonl")
+    )
+    assert sorted(distributions) == [(model, "bertscore_f1"), (model, "bleu4")]

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from sumprobe.corpus import Example
+from sumprobe.errors import HarnessError
 from sumprobe.pylex import (
     Category,
     NoFunctionError,
@@ -411,5 +412,5 @@ def test_apply_no_function_body():
 
 
 def test_apply_adversarial_needs_donor():
-    with pytest.raises(ValueError):
+    with pytest.raises(HarnessError, match="no usable donor name"):
         apply_variant(ex("def f(x):\n    return x\n"), Variant.ADVERSARIAL_NAMES)
