@@ -27,7 +27,7 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -71,13 +71,13 @@ class Setting:
     stages: tuple[str, ...]
     help: str
     options: dict | None = None  # argparse options in place of type=parse
-    attr: str = ""
+    attr: str = field(kw_only=True)
 
 
 def _setting(initial, *how, **options) -> Any:
-    """A `RunConfig` field that starts as `initial` (a list is copied for
-    each config) and whose metadata holds its `Setting(*how)`."""
-    metadata = {"setting": Setting(*how, options=options or None)}
+    """A `RunConfig` field that starts as `initial` (a list is copied for each
+    config) and whose metadata builds its `Setting(*how)` from the field name."""
+    metadata = {"setting": functools.partial(Setting, *how, options=options or None)}
     if isinstance(initial, list):
         return field(default_factory=initial.copy, metadata=metadata)
     return field(default=initial, metadata=metadata)
@@ -183,7 +183,7 @@ class RunConfig:
         return Path(self.report_dir) if self.report_dir else self.out / "report"
 
 
-SETTINGS = tuple(replace(f.metadata["setting"], attr=f.name) for f in fields(RunConfig))
+SETTINGS = tuple(f.metadata["setting"](attr=f.name) for f in fields(RunConfig))
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -302,7 +302,9 @@ def _variant_rows(
 
 def _present_variants(config: RunConfig) -> list[str]:
     if not config.variants_dir.exists():
-        raise PrerequisiteError(f"missing {config.variants_dir}; run `sumprobe transform` first")
+        raise PrerequisiteError(
+            f"missing {config.variants_dir}; run `sumprobe transform` first"
+        )
     names = [p.stem for p in config.variants_dir.glob("*.jsonl")]
     return sorted(names, key=lambda n: (VARIANT_ORDER.get(n, 99), n))
 
@@ -385,7 +387,9 @@ def cmd_generate(config: RunConfig) -> int:
 
 def cmd_score(config: RunConfig) -> int:
     if not config.runs_path.exists():
-        raise PrerequisiteError(f"missing {config.runs_path}; run `sumprobe generate` first")
+        raise PrerequisiteError(
+            f"missing {config.runs_path}; run `sumprobe generate` first"
+        )
     tokenize = tokenizer_from_spec(config.tokenizer)
     if config.embedding_endpoint:
         provider: metrics.EmbeddingProvider = RemoteEmbeddingProvider(

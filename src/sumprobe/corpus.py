@@ -230,6 +230,21 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
         raise
 
 
+def read_jsonl(path: str | Path) -> list:
+    """The rows that `write_jsonl` wrote to `path`, skipping blank lines;
+    text that is not UTF-8, or a line that is not JSON, raises ValueError."""
+    rows = []
+    # Split at "\n" alone: `str.splitlines` also splits at the U+2028,
+    # U+2029 and U+0085 that `write_jsonl` leaves unescaped in strings.
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
+        if line.strip():
+            try:
+                rows.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+    return rows
+
+
 def save_run(records: Sequence[RunRecord], path: str | Path) -> None:
     """Write run records as JSONL; duplicate keys are refused up front."""
     seen: set[tuple[str, str, str]] = set()
@@ -244,24 +259,15 @@ def save_run(records: Sequence[RunRecord], path: str | Path) -> None:
 
 
 def load_run(path: str | Path) -> list[RunRecord]:
-    path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        records = [RunRecord.from_dict(row) for row in read_jsonl(path)]
     except OSError as exc:
         raise CorpusError(f"cannot read run file {path}: {exc}") from exc
-    records: list[RunRecord] = []
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorpusError(f"bad run record in {path}: {exc}") from exc
     seen: set[tuple[str, str, str]] = set()
-    # Split at "\n" alone: `str.splitlines` also splits at the U+2028,
-    # U+2029 and U+0085 that `write_jsonl` leaves unescaped in strings.
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = RunRecord.from_dict(json.loads(line))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise CorpusError(f"{path}:{lineno}: bad run record: {exc}") from exc
+    for rec in records:
         if rec.key in seen:
             raise DuplicateRunKeyError(rec.key)
         seen.add(rec.key)
-        records.append(rec)
     return records

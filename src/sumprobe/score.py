@@ -28,7 +28,9 @@ from .analysis import (
     bucket_label_from_counts,
     pairing_distributions,
 )
-from .corpus import EvalRecord, Example, RunRecord, load_run, load_variant, save_run, write_jsonl
+from .corpus import (
+    EvalRecord, Example, RunRecord, load_run, load_variant, read_jsonl, save_run, write_jsonl,
+)
 from .errors import HarnessError, PrerequisiteError
 from .subtok import Tokenizer, split_code
 from .transform import Variant, record_sort_key
@@ -262,8 +264,7 @@ def read_pairings(
         raise PrerequisiteError(f"missing {path}; {rerun}")
     distributions: dict[tuple[str, str], dict[PairingMode, DistSummary]] = {}
     try:
-        lines = path.read_text(encoding="utf-8").split("\n")  # as `corpus.load_run`
-        header, *rows = [json.loads(line) for line in lines if line]
+        header, *rows = read_jsonl(path)
         stale = [name for name, value in expected.items() if header.get(name) != value]
         for row in rows:
             key = (row.pop("model_id"), row.pop("metric"))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumprobe.cli import main
+from sumprobe.corpus import read_jsonl
 from sumprobe.metrics import bleu4, split_description
 from sumprobe.transform import Variant
 
@@ -44,10 +45,6 @@ lines = st.lists(
               st.one_of(st.none(), st.sampled_from(["a", "b", "c\u2028d", "é"]))),
     min_size=1, max_size=8,
 )
-
-
-def read_jsonl(path: Path) -> list[dict]:
-    return [json.loads(line) for line in path.read_text(encoding="utf-8").split("\n") if line]
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)

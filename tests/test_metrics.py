@@ -336,9 +336,11 @@ def test_embedding_table_fetches_each_token_once(monkeypatch):
     table = EmbeddingTable(provider, ["a", "b", "a", "c", "d", "e", "b"])
     assert provider.calls == [["a", "b", "c"], ["d", "e"]]
     assert table.error is None
-    pairs = [(["e", "a", "e"], list("abcde")), *(([tok], [tok]) for tok in "abcde")]
+    # Every pair of one-token texts: a row swapped or misplaced in the table
+    # changes the dot product of each pair that holds its token.
+    pairs = [(["e", "a", "e"], list("abcde")), *(([x], [y]) for x in "abcde" for y in "abcde")]
     clean = CountingProvider()
-    for (ref, gen), result in zip(pairs, table.bertscores(pairs)):
+    for (ref, gen), result in zip(pairs, table.bertscores(pairs), strict=True):
         # each score is that of the one-text embeddings, bit for bit
         assert result == one_pair_bertscore(embed(ref, clean), embed(gen, clean))
     assert len(provider.calls) == 2  # lookups never fetch
