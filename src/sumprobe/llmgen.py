@@ -11,6 +11,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import random
 import threading
@@ -204,14 +205,19 @@ class GenerationCache:
         return self.directory / f"{key}.json"
 
     def get(self, key: str) -> dict | None:
-        path = self._path(key)
+        """The entry stored under `key`, or None unless it is one that
+        `put` could have written: a `raw_text` string, a finite `latency`
+        number and a `usage` dict, the last two optional."""
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+            entry = json.loads(self._path(key).read_text(encoding="utf-8"))
+        except (OSError, ValueError):  # unreadable, not UTF-8 or not JSON
             return None
-        if not isinstance(raw, dict) or "raw_text" not in raw:
+        if not isinstance(entry, dict) or not isinstance(entry.get("raw_text"), str):
             return None
-        return raw
+        latency = entry.get("latency", 0.0)
+        if type(latency) not in (int, float) or not math.isfinite(latency):
+            return None
+        return entry if isinstance(entry.get("usage", {}), dict) else None
 
     def put(self, key: str, entry: dict) -> None:
         with self._write_lock:
@@ -259,8 +265,8 @@ def _cached(req: GenRequest, cache: GenerationCache) -> GenResponse | None:
     return GenResponse(
         text=postprocess(raw),
         raw_text=raw,
-        latency=float(entry.get("latency", 0.0)),
-        usage=entry.get("usage") or {},
+        latency=entry.get("latency", 0.0),
+        usage=entry.get("usage", {}),
         from_cache=True,
     )
 

@@ -132,6 +132,26 @@ def test_corrupt_cache_entry_only_costs_itself(tmp_path):
     assert client.calls == 3
 
 
+@pytest.mark.parametrize("data", [
+    b'{"raw_text": "x", "latency": "slow"}',
+    b'{"raw_text": 5}',
+    b'{"raw_text": "x", "usage": "x"}',
+    b'{"raw_text": "x", "latency": NaN}',
+    b'{"raw_text": "\xff"}',
+])
+def test_malformed_cache_entry_is_requeried_and_rewritten(tmp_path, data):
+    cache = GenerationCache(tmp_path / "cache")
+    client = CountingClient()
+    req = GenRequest("m", "prompt")
+    generate(req, client, cache)
+    path = tmp_path / "cache" / f"{req.cache_key}.json"
+    path.write_bytes(data)
+    again = generate(req, client, cache)
+    assert not again.from_cache and client.calls == 2
+    assert json.loads(path.read_text(encoding="utf-8"))["raw_text"] == "a fine summary"
+    assert generate(req, client, cache).from_cache and client.calls == 2
+
+
 def test_echo_client_returns_reference():
     ex = make_example()
     client = EchoClient({ex.id: ex.reference})
