@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import RunRecord
+from .corpus import RunRecord, write_text
 from .errors import HarnessError
 from .metrics import DegenerateInputError, Scorer, bleu_scorer, pearson, spearman
 # Not used here; perfbench/selftest.py checks that the tracer wraps this alias.
@@ -343,7 +343,6 @@ def emit_report(
         writer.writerows(rows[name])
         files[name] = text.getvalue()
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
-        (out_dir / name).write_text(text, encoding="utf-8", newline="")
+        write_text(out_dir / name, text)
     return [out_dir / name for name in files]

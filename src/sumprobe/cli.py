@@ -119,10 +119,10 @@ class RunConfig:
                                 "JSONL corpus with code/docstring fields")
     train_path: str = _setting("", "corpus.train_path", str, "--shots-corpus", ("generate",),
                                "JSONL training corpus for few-shot examples")
-    min_tokens: int = _setting(3, "corpus.min_tokens", int, "--min-tokens", ("transform",),
-                               "min description tokens (default 3)")
-    max_tokens: int = _setting(256, "corpus.max_tokens", int, "--max-tokens", ("transform",),
-                               "max description tokens (default 256)")
+    min_tokens: int = _setting(3, "corpus.min_tokens", _non_negative_int, "--min-tokens",
+                               ("transform",), "min description tokens (default 3)")
+    max_tokens: int = _setting(256, "corpus.max_tokens", _positive_int, "--max-tokens",
+                               ("transform",), "max description tokens (default 256)")
     variants: list[str] = _setting(
         [v.value for v in Variant], "run.variants",
         lambda s: [v.strip() for v in s.split(",") if v.strip()],
@@ -135,7 +135,7 @@ class RunConfig:
                          "'echo' to answer with each reference instead of calling HTTP")
     temperature: float = _setting(0.0, "model.temperature", _finite_float, "--temperature",
                                   ("generate",), "decoding temperature (default 0)")
-    gen_max_tokens: int = _setting(128, "model.max_tokens", int, "--gen-max-tokens",
+    gen_max_tokens: int = _setting(128, "model.max_tokens", _positive_int, "--gen-max-tokens",
                                    ("generate",), "max new tokens (default 128)")
     shots: int = _setting(llmgen.DEFAULT_SHOT_COUNT, "model.shots", _non_negative_int,
                           "--shots", ("generate",), "few-shot example count (default 10)")
@@ -271,11 +271,14 @@ def cmd_transform(config: RunConfig) -> int:
             DonorEntry(ex.id, snippet.name, snippet.identifiers)
             for ex, snippet in accepted if snippet.name is not None
         ], config.seed)
-    for variant in variants:
-        write_jsonl(
-            config.variants_dir / f"{variant.value}.jsonl",
-            _variant_rows(accepted, variant, donors, errors),
-        )
+    written = [config.variants_dir / f"{variant.value}.jsonl" for variant in variants]
+    for path, variant in zip(written, variants):
+        write_jsonl(path, _variant_rows(accepted, variant, donors, errors))
+    # variants/ holds this run's variants only: a stale one from an earlier
+    # corpus would be generated, scored and reported beside them.
+    for path in config.variants_dir.glob("*.jsonl"):
+        if path not in written:
+            path.unlink()
     return _finish(config, "transform", errors, config.max_errors,
                    f"{len(accepted)} accepted, {len(rejects)} rejected, "
                    f"{len(errors)} errors, {len(variants)} variant file(s)")
@@ -338,27 +341,24 @@ def cmd_generate(config: RunConfig) -> int:
     # and costs nothing to recompute, so it runs uncached.
     cache = None if config.mock else llmgen.GenerationCache(config.cache_dir)
 
-    def request(ex: Example) -> llmgen.GenRequest:
-        return llmgen.GenRequest(
-            model_id=config.model_id,
-            prompt=llmgen.build_prompt(ex, [s for s in shots if s[0] != ex.code]).render(),
-            temperature=config.temperature,
-            max_tokens=config.gen_max_tokens,
-            example_id=ex.id,
-        )
-
     order: list[tuple[str, str]] = []  # (example id, variant) of each request
 
-    def builds():
+    def requests():
         # One variant file at a time, as the dispatcher asks for requests.
         for variant_value in _present_variants(config):
             for ex in load_variant(config.variants_dir, variant_value):
                 if config.mock:
                     references[ex.id] = ex.reference
                 order.append((ex.id, variant_value))
-                yield functools.partial(request, ex)
+                yield llmgen.GenRequest(
+                    model_id=config.model_id,
+                    prompt=llmgen.build_prompt(ex, shots).render(),
+                    temperature=config.temperature,
+                    max_tokens=config.gen_max_tokens,
+                    example_id=ex.id,
+                )
 
-    results = llmgen.dispatch(builds(), client, cache, config.jobs)
+    results = llmgen.dispatch(requests(), client, cache, config.jobs)
     new_records: list[RunRecord] = []
     errors: list[dict] = []
     for (example_id, variant_value), result in zip(order, results):

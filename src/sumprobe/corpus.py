@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import HarnessError, PrerequisiteError
 from .pylex import UnlexableError, lex
@@ -212,22 +213,35 @@ def filter_corpus(
     return accepted, rejected
 
 
-def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
-    """Write one JSON object per line to a temporary file beside `path`,
-    then move it over `path`: a write that fails part-way leaves the
-    previous file as it was."""
+@contextmanager
+def _replacing(path: str | Path) -> Iterator[IO[str]]:
+    """A UTF-8 text file, written unchanged (no newline translation), that
+    is a temporary file beside `path` until it is moved over `path`: a
+    write that fails part-way leaves the previous file as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        encode = json.JSONEncoder(ensure_ascii=False).encode  # one per file, not per row
-        with tmp.open("w", encoding="utf-8", newline="\n") as fh:
-            for row in rows:
-                fh.write(encode(row) + "\n")
+        with tmp.open("w", encoding="utf-8", newline="") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
+    """Write one JSON object per line, replacing `path` whole."""
+    encode = json.JSONEncoder(ensure_ascii=False).encode  # one per file, not per row
+    with _replacing(path) as fh:
+        for row in rows:
+            fh.write(encode(row) + "\n")
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write `text` as it is, replacing `path` whole."""
+    with _replacing(path) as fh:
+        fh.write(text)
 
 
 def read_jsonl(path: str | Path) -> list:

@@ -12,7 +12,6 @@ import hashlib
 import json
 import logging
 import math
-import os
 import random
 import threading
 import time
@@ -22,8 +21,7 @@ from typing import (
     Callable, ClassVar, Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable,
 )
 
-from .corpus import Example
-from .errors import HarnessError
+from .corpus import Example, write_text
 from .httpjson import (  # with the errors a RetryingClient raises
     EndpointError,
     JsonClient,
@@ -45,10 +43,6 @@ INSTRUCTION = (
 DEFAULT_SHOT_COUNT = 10
 
 
-class TargetInShotsError(HarnessError):
-    pass
-
-
 @dataclass(frozen=True)
 class PromptSpec:
     instruction: str
@@ -64,11 +58,9 @@ class PromptSpec:
 
 
 def build_prompt(ex: Example, shots: Sequence[tuple[str, str]]) -> PromptSpec:
-    """Instruction, then the shot pairs, then the target snippet."""
-    for code, _ in shots:
-        if code == ex.code:
-            raise TargetInShotsError(f"target {ex.id} appears among the shots")
-    return PromptSpec(INSTRUCTION, tuple(shots), ex.code)
+    """Instruction, then the shot pairs, then the target snippet. A shot
+    whose code is the target's is left out: a target is never its own shot."""
+    return PromptSpec(INSTRUCTION, tuple(s for s in shots if s[0] != ex.code), ex.code)
 
 
 def select_shots(
@@ -109,11 +101,15 @@ class GenRequest:
 
 @dataclass
 class GenResponse:
-    text: str  # post-processed
     raw_text: str
     latency: float
     usage: dict = field(default_factory=dict)
     from_cache: bool = False
+
+    @property
+    def text(self) -> str:
+        """The reply post-processed, as a chat model's record stores it."""
+        return postprocess(self.raw_text)
 
 
 class CompletionClient(Protocol):
@@ -221,9 +217,7 @@ class GenerationCache:
 
     def put(self, key: str, entry: dict) -> None:
         with self._write_lock:
-            tmp = self._path(key).with_suffix(".tmp")
-            tmp.write_text(json.dumps(entry, ensure_ascii=False), encoding="utf-8")
-            os.replace(tmp, self._path(key))
+            write_text(self._path(key), json.dumps(entry, ensure_ascii=False))
 
 
 def _drop_fenced_blocks(text: str, markers_only: bool = False) -> list[str]:
@@ -257,14 +251,12 @@ def postprocess(text: str) -> str:
     return " ".join(paragraph)
 
 
-def _cached(req: GenRequest, cache: GenerationCache) -> GenResponse | None:
-    entry = cache.get(req.cache_key)
+def _cached(key: str, cache: GenerationCache) -> GenResponse | None:
+    entry = cache.get(key)
     if entry is None:
         return None
-    raw = entry["raw_text"]
     return GenResponse(
-        text=postprocess(raw),
-        raw_text=raw,
+        raw_text=entry["raw_text"],
         latency=entry.get("latency", 0.0),
         usage=entry.get("usage", {}),
         from_cache=True,
@@ -272,41 +264,38 @@ def _cached(req: GenRequest, cache: GenerationCache) -> GenResponse | None:
 
 
 def _store(
-    req: GenRequest, cache: GenerationCache | None, raw: str, latency: float, usage: dict
+    req: GenRequest, key: str, cache: GenerationCache, raw: str, latency: float, usage: dict
 ) -> GenResponse:
-    """Write the raw response to the cache, then post-process it."""
-    if cache is not None:
-        cache.put(
-            req.cache_key,
-            {
-                "model_id": req.model_id,
-                "example_id": req.example_id,
-                "raw_text": raw,
-                "latency": latency,
-                "usage": usage,
-            },
-        )
-    return GenResponse(text=postprocess(raw), raw_text=raw, latency=latency, usage=usage)
+    """Write the raw response to the cache under `key`."""
+    cache.put(
+        key,
+        {
+            "model_id": req.model_id,
+            "example_id": req.example_id,
+            "raw_text": raw,
+            "latency": latency,
+            "usage": usage,
+        },
+    )
+    return GenResponse(raw_text=raw, latency=latency, usage=usage)
 
 
 def dispatch(
-    builds: Iterable[Callable[[], GenRequest]],
+    requests: Iterable[GenRequest],
     client: CompletionClient | RetryingClient,
     cache: GenerationCache | None = None,
     jobs: int = 1,
 ) -> list[GenResponse | Exception]:
     """Generate every request with at most `jobs` in flight.
 
-    Each item of `builds` makes its request when called. The iterable is
-    read only as workers free up, and a build is called once to find its
-    cache key, when there is a cache, and once more for each attempt, so
-    only the requests in flight or waiting to be retried are held. Item i
-    of the result is request i's GenResponse, or the HarnessError or
-    OSError that failed it. With a cache, requests with equal cache keys
-    share one lookup, one call and one write. The requests run through
-    `httpjson.retry_all`: a RetryingClient's `attempt` is retried on
-    TransientEndpointError by its own policy; a plain client's `complete`
-    is called once.
+    `requests` is read only as workers free up, so only the requests in
+    flight or waiting to be retried are held. With a cache, each request's
+    cache key is computed once, when it is read, and requests with equal
+    keys share one lookup, one call and one write. Item i of the result is
+    request i's GenResponse, or the HarnessError or OSError that failed it.
+    The requests run through `httpjson.retry_all`: a RetryingClient's
+    `attempt` is retried on TransientEndpointError by its own policy; a
+    plain client's `complete` is called once.
     """
     if isinstance(client, RetryingClient):
         call, policy = client.attempt, client
@@ -314,27 +303,29 @@ def dispatch(
         call, policy = client.complete, None
     slot: list[int] = []  # request i takes the result of distinct request slot[i]
 
-    def attempt(build: Callable[[], GenRequest], attempts: int) -> GenResponse:
-        # Built here, so that only the prompts in flight are held rendered.
-        req = build()
-        if attempts == 0 and cache is not None:
-            hit = _cached(req, cache)
+    def attempt(req: GenRequest, key: str | None, attempts: int) -> GenResponse:
+        if cache is None:
+            return GenResponse(*call(req))
+        if attempts == 0:
+            hit = _cached(key, cache)
             if hit is not None:
                 return hit
         raw, latency, usage = call(req)
-        return _store(req, cache, raw, latency, usage)
+        return _store(req, key, cache, raw, latency, usage)
 
     def distinct() -> Iterator[Callable[[int], GenResponse]]:
         first: dict[str, int] = {}
-        for build in builds:
+        for req in requests:
+            key = None
             if cache is None:
                 slot.append(len(slot))
             else:
+                key = req.cache_key
                 n = len(first)
-                slot.append(first.setdefault(build().cache_key, n))
+                slot.append(first.setdefault(key, n))
                 if slot[-1] != n:
                     continue
-            yield functools.partial(attempt, build)
+            yield functools.partial(attempt, req, key)
 
     results = retry_all(distinct(), policy, jobs)
     return [results[j] for j in slot]
@@ -345,7 +336,7 @@ def generate(
 ) -> GenResponse:
     """Serve from the cache when possible; otherwise call the client and
     store the raw response before returning."""
-    (result,) = dispatch([lambda: req], client, cache)
+    (result,) = dispatch([req], client, cache)
     if isinstance(result, Exception):
         raise result
     return result

@@ -11,11 +11,13 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+import sumprobe.llmgen
 import sumprobe.metrics
 import sumprobe.pylex
 from sumprobe.cli import RunConfig, build_parser, config_from_args, main
@@ -951,10 +953,15 @@ def test_out_of_range_settings_are_refused(tmp_path, corpus5, key, flag, text, c
 @pytest.mark.parametrize("key, flag, text", [
     ("run.max_errors", "--max-errors", "-1"),
     ("model.mock", "--mock", "replay"),
+    ("corpus.min_tokens", "--min-tokens", "-1"),
+    ("corpus.max_tokens", "--max-tokens", "-1"),
+    ("corpus.max_tokens", "--max-tokens", "0"),
+    ("model.max_tokens", "--gen-max-tokens", "-5"),
+    ("model.max_tokens", "--gen-max-tokens", "0"),
 ])
 def test_stage_settings_out_of_range_are_refused(tmp_path, corpus5, key, flag, text, capsys):
     out = tmp_path / "out"
-    if flag == "--max-errors":
+    if flag in ("--max-errors", "--min-tokens", "--max-tokens"):
         stage = ["transform", "--corpus", corpus5]
     else:
         stage = ["generate", "--model", "m"]
@@ -969,8 +976,12 @@ def test_stage_settings_out_of_range_are_refused(tmp_path, corpus5, key, flag, t
 
 
 def test_least_settings_in_range_are_taken():
-    config = parsed_config("--jobs", "1", "generate", "--shots", "0", "--temperature", "-0.5")
-    assert (config.jobs, config.shots, config.temperature) == (1, 0, -0.5)
+    config = parsed_config("--jobs", "1", "generate", "--shots", "0", "--temperature", "-0.5",
+                           "--gen-max-tokens", "1")
+    assert (config.jobs, config.shots, config.temperature, config.gen_max_tokens) == \
+        (1, 0, -0.5, 1)
+    config = parsed_config("transform", "--min-tokens", "0", "--max-tokens", "1")
+    assert (config.min_tokens, config.max_tokens) == (0, 1)
 
 
 def test_console_entry_point(tmp_path, corpus5):
@@ -1369,3 +1380,123 @@ def test_generate_sends_each_distinct_prompt_once(tmp_path):
         assert len((out / "runs.jsonl").read_text().splitlines()) == 11 * 5
         runs.append((out / "runs.jsonl").read_bytes())
     assert runs[0] == runs[1]
+
+
+def variant_rows(out):
+    return [json.loads(line)
+            for path in sorted((out / "variants").iterdir())
+            for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def test_generate_renders_and_hashes_each_request_once(tmp_path, corpus5, monkeypatch):
+    out = tmp_path / "out"
+    run_cli("--seed", 2, "--out", out, "transform", "--corpus", corpus5)
+    requests = len(variant_rows(out))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    llmgen = sumprobe.llmgen
+    monkeypatch.setattr(llmgen.PromptSpec, "render", counted("render", llmgen.PromptSpec.render))
+    monkeypatch.setattr(llmgen.GenRequest, "cache_key",
+                        property(counted("key", llmgen.GenRequest.cache_key.fget)))
+    monkeypatch.setattr(llmgen, "postprocess", counted("postprocess", llmgen.postprocess))
+
+    def script(body, hit):
+        return 200, prompt_answer(body["messages"][0]["content"])
+
+    with serve(script) as (url, hits):
+        for run in ("cold", "warm"):
+            calls.clear()
+            assert run_cli("--seed", 2, "--jobs", 2, "--out", out, "generate", "--model", "m",
+                           "--endpoint", url) == 0
+            assert calls == {"render": requests, "key": requests, "postprocess": requests}, run
+        assert len(hits) == len({row["code"] for row in variant_rows(out)})
+    calls.clear()
+    assert run_cli("--seed", 2, "--out", out, "generate", "--model", "echo", "--mock", "echo") == 0
+    assert calls == {"render": requests}  # no key, and no post-processing of an echo
+
+
+def test_generate_records_the_reply_post_processed_and_caches_it_raw(tmp_path, corpus5):
+    out = tmp_path / "out"
+    run_cli("--seed", 2, "--out", out, "transform", "--corpus", corpus5, "--variant", "original")
+    reply = "```python\nreturn x\n```\nReturns the\n  input.\n\nSecond paragraph.\n"
+
+    def script(body, hit):
+        return 200, {"choices": [{"message": {"content": reply}}]}
+
+    with serve(script) as (url, _):
+        assert run_cli("--seed", 2, "--out", out, "generate", "--model", "m",
+                       "--endpoint", url) == 0
+    records = load_run(out / "runs.jsonl")
+    assert [rec.generated for rec in records] == ["Returns the input."] * 5
+    entries = [json.loads(path.read_text(encoding="utf-8"))
+               for path in (out / "cache").iterdir()]
+    assert [entry["raw_text"] for entry in entries] == [reply] * 5
+
+
+def test_generate_leaves_each_target_out_of_its_own_shots(tmp_path, corpus5):
+    out = tmp_path / "out"
+    run_cli("--seed", 2, "--out", out, "transform", "--corpus", corpus5)
+    shot_codes = {json.loads(line)["code"] for line in corpus5.read_text().splitlines()}
+
+    def script(body, hit):
+        return 200, prompt_answer(body["messages"][0]["content"])
+
+    with serve(script) as (url, hits):
+        assert run_cli("--seed", 2, "--out", out, "generate", "--model", "m", "--endpoint", url,
+                       "--shots-corpus", corpus5, "--shots", 10) == 0
+    prompts = sent_prompts(hits)
+    targets = [p.rsplit("Code:\n", 1)[1].removesuffix("\n\nDocumentation:") for p in prompts]
+    # all five examples are shots; a prompt whose target is one of them holds four
+    assert sorted(p.count("Code:\n") - 1 for p in prompts) == [4] * 5 + [5] * 20
+    assert all(p.count("Code:\n") - 1 == 5 - (t in shot_codes) for p, t in zip(prompts, targets))
+    # the prompts are those sent before build_prompt left the target out itself
+    assert hash_text("\0".join(sorted(prompts))) == "86e9ba2798c2"
+
+
+def test_transform_removes_the_variant_files_it_did_not_write(tmp_path):
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    write_corpus(first, 20, seed=5)
+    write_corpus(second, 10, seed=6)
+    out = tmp_path / "out"
+    run_cli("--seed", 1, "--out", out, "transform", "--corpus", first)
+    assert len(list((out / "variants").iterdir())) == 5
+    assert run_cli("--seed", 1, "--out", out, "transform", "--corpus", second,
+                   "--variant", "original") == 0
+    assert [p.name for p in (out / "variants").iterdir()] == ["original.jsonl"]
+    assert run_cli("--seed", 1, "--out", out, "generate", "--model", "m", "--mock", "echo") == 0
+    ids = [row["id"] for row in variant_rows(out)]
+    assert len(ids) == 10
+    assert sorted((rec.variant, rec.example_id) for rec in load_run(out / "runs.jsonl")) == \
+        sorted(("original", i) for i in ids)
+
+
+def test_failed_report_write_keeps_each_report_file_whole(tmp_path, corpus5):
+    out = tmp_path / "out"
+    for stage in (["transform", "--corpus", corpus5, "--variant", "original"],
+                  ["generate", "--model", "m", "--mock", "echo"], ["score"], ["analyze"]):
+        assert run_cli("--seed", 3, "--out", out, *stage) == 0
+    report = out / "report"
+    before = {p.name: p.read_bytes() for p in report.iterdir()}
+    # analyze rewrites the same files; a file-size limit just below the
+    # largest makes that one write fail part-way, as a full disk would
+    limit = max(map(len, before.values())) - 1
+    child = (
+        "import resource, signal, sys\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+        "from sumprobe.cli import main\n"
+        f"sys.exit(main(['--seed', '3', '--out', {str(out)!r}, 'analyze']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode != 0
+    assert "File too large" in proc.stderr
+    assert {p.name: p.read_bytes() for p in report.iterdir()} == before

@@ -16,7 +16,6 @@ from sumprobe.llmgen import (
     GenRequest,
     MalformedResponseError,
     RateLimitedError,
-    TargetInShotsError,
     TransientEndpointError,
     build_prompt,
     dispatch,
@@ -68,10 +67,11 @@ def test_prompt_shots_precede_target():
     assert text.index("def s0") < text.index("def s1") < text.index(ex.code)
 
 
-def test_target_in_shots_rejected():
+def test_target_is_left_out_of_its_shots():
     ex = make_example()
-    with pytest.raises(TargetInShotsError):
-        build_prompt(ex, [(ex.code, "oops")])
+    spec = build_prompt(ex, [shots(2)[0], (ex.code, "oops"), shots(2)[1]])
+    assert spec.shots == tuple(shots(2))
+    assert spec.render() == build_prompt(ex, shots(2)).render()
 
 
 def test_select_shots_deterministic_and_ordered():
@@ -217,7 +217,8 @@ def test_generate_pipeline_with_http_client(tmp_path):
 
 
 def builds(reqs):
-    return [lambda req=req: req for req in reqs]
+    """The requests as one pass over an iterator, as `dispatch` reads them."""
+    return iter(reqs)
 
 
 def test_dispatch_shares_one_call_per_cache_key_only_with_a_cache(tmp_path):
@@ -307,42 +308,37 @@ def test_dispatch_under_thread_contention():
 
 def test_dispatch_reads_and_builds_each_request_when_it_is_sent():
     drawn = []
-    built = []
     seen = []
 
     class Recorder(CountingClient):
         def complete(self, req):
-            seen.append((req.prompt, len(drawn), len(built)))
+            seen.append((req.prompt, len(drawn)))
             return super().complete(req)
 
-    def build(i):
-        built.append(i)
-        return GenRequest("m", f"p{i}")
-
-    def builds():
+    def requests():
         for i in range(4):
             drawn.append(i)
-            yield lambda i=i: build(i)
+            yield GenRequest("m", f"p{i}")
 
-    dispatch(builds(), Recorder())
-    # no request was read or rendered before the one ahead of it was answered
-    assert seen == [(f"p{i}", i + 1, i + 1) for i in range(4)]
+    dispatch(requests(), Recorder())
+    # no request was read before the one ahead of it was answered
+    assert seen == [(f"p{i}", i + 1) for i in range(4)]
 
 
 def test_dispatch_raises_what_the_requests_iterable_raises():
     class BadInput(HarnessError):
         pass
 
-    def builds():
+    def requests():
         for i in range(3):
-            yield lambda i=i: GenRequest("m", f"p{i}")
+            yield GenRequest("m", f"p{i}")
         raise BadInput("unreadable variant file")
 
     caught = []
 
     def run():
         try:
-            dispatch(builds(), CountingClient(), jobs=2)
+            dispatch(requests(), CountingClient(), jobs=2)
         except BadInput as exc:
             caught.append(exc)
 
