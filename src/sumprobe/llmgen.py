@@ -201,9 +201,9 @@ class GenerationCache:
         return self.directory / f"{key}.json"
 
     def get(self, key: str) -> dict | None:
-        """The entry stored under `key`, or None unless it is one that
-        `put` could have written: a `raw_text` string, a finite `latency`
-        number and a `usage` dict, the last two optional."""
+        """The entry stored under `key`, or None unless it is usable: a
+        `raw_text` string, a finite `latency` number and a `usage` dict,
+        the last two optional."""
         try:
             entry = json.loads(self._path(key).read_text(encoding="utf-8"))
         except (OSError, ValueError):  # unreadable, not UTF-8 or not JSON
