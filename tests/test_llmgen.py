@@ -321,7 +321,7 @@ def test_dispatch_reads_and_builds_each_request_when_it_is_sent():
             yield GenRequest("m", f"p{i}")
 
     dispatch(requests(), Recorder())
-    # no request was read before the one ahead of it was answered
+    # no request was read, and so built, before the one ahead of it was answered
     assert seen == [(f"p{i}", i + 1) for i in range(4)]
 
 
