@@ -244,8 +244,8 @@ def cmd_transform(config: RunConfig) -> int:
         raise HarnessError("transform needs a corpus (--corpus or [corpus] path)")
     variants = _parse_variants(config.variants)
     examples, line_errors = load_corpus(config.corpus_path)
-    # One pass: the filter rules, then one lex per snippet for all variants,
-    # sharing one memo of lexeme categories.
+    # One pass: the filter rules, then one scan per snippet for all
+    # variants, sharing one memo of lexeme categories.
     kinds: dict[str, Category] = {}
     accepted: list[tuple[Example, Snippet]] = []
     rejects: list[dict] = []
@@ -258,7 +258,6 @@ def cmd_transform(config: RunConfig) -> int:
             except UnlexableError:
                 reason = FilterReason.UNLEXABLE
         rejects.append({"id": ex.id, "reason": reason.value})
-    config.out.mkdir(parents=True, exist_ok=True)
     write_jsonl(config.out / "rejects.jsonl", rejects)
 
     errors = [
@@ -373,16 +372,26 @@ def cmd_generate(config: RunConfig) -> int:
                 generated=result.raw_text if config.mock else result.text,  # echoes stay verbatim
             ))
 
+    # Earlier records are kept, other models' too, only for the (example,
+    # variant) pairs of the variant files just read: a record of a corpus
+    # that transform has since replaced would be scored against nothing.
     merged: dict[tuple[str, str, str], RunRecord] = {}
+    dropped = 0
     if config.runs_path.exists():
-        merged = {rec.key: rec for rec in load_run(config.runs_path)}
+        requested = set(order)
+        for rec in load_run(config.runs_path):
+            if (rec.example_id, rec.variant) in requested:
+                merged[rec.key] = rec
+            else:
+                dropped += 1
     for rec in new_records:
         merged[rec.key] = rec
     ordered = sorted(merged.values(), key=record_sort_key)
     save_run(ordered, config.runs_path)
     return _finish(config, "generate", errors, math.inf,
                    f"{len(new_records)} generations for model {config.model_id}, "
-                   f"{len(errors)} errors, run file {config.runs_path}")
+                   f"{len(errors)} errors, {dropped} stale records dropped, "
+                   f"run file {config.runs_path}")
 
 
 def cmd_score(config: RunConfig) -> int:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import HarnessError, PrerequisiteError
-from .pylex import UnlexableError, lex
+from .pylex import UnlexableError, lexemes
 
 
 class CorpusError(HarnessError):
@@ -204,7 +204,7 @@ def filter_corpus(
         reason = screen_example(ex, min_tokens, max_tokens)
         if reason is None:
             try:
-                lex(ex.code)
+                lexemes(ex.code)
                 accepted.append(ex)
                 continue
             except UnlexableError:
@@ -214,26 +214,29 @@ def filter_corpus(
 
 
 @contextmanager
-def _replacing(path: str | Path) -> Iterator[IO[str]]:
+def _replacing(path: str | Path, what: str = "file") -> Iterator[IO[str]]:
     """A UTF-8 text file, written unchanged (no newline translation), that
     is a temporary file beside `path` until it is moved over `path`: a
-    write that fails part-way leaves the previous file as it was."""
+    write that fails part-way leaves the previous file as it was. An
+    OSError becomes the one-line CorpusError `cannot write <what> <path>`."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with tmp.open("w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise CorpusError(f"cannot write {what} {path}: {exc}") from exc
         raise
 
 
-def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
+def write_jsonl(path: str | Path, rows: Iterable[dict], what: str = "file") -> None:
     """Write one JSON object per line, replacing `path` whole."""
     encode = json.JSONEncoder(ensure_ascii=False).encode  # one per file, not per row
-    with _replacing(path) as fh:
+    with _replacing(path, what) as fh:
         for row in rows:
             fh.write(encode(row) + "\n")
 
@@ -266,10 +269,7 @@ def save_run(records: Sequence[RunRecord], path: str | Path) -> None:
         if rec.key in seen:
             raise DuplicateRunKeyError(rec.key)
         seen.add(rec.key)
-    try:
-        write_jsonl(path, (rec.to_dict() for rec in records))
-    except OSError as exc:
-        raise CorpusError(f"cannot write run file {path}: {exc}") from exc
+    write_jsonl(path, (rec.to_dict() for rec in records), "run file")
 
 
 def load_run(path: str | Path) -> list[RunRecord]:

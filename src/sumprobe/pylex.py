@@ -7,12 +7,15 @@ tokenizes code no parser would accept, which is what the downstream code
 transformations need -- their outputs are often not valid Python.
 
 `lexemes` splits a source with one regex scan and `category` classifies a
-lexeme from its text alone; `lex` joins the two into a plain tuple of
-tokens with byte spans. `transform.Snippet` lexes each snippet once and
-builds every variant's text from that tuple; `score`'s `subtok.split_code`
-walks the bare lexemes of each record's code. Besides the tokens, the
-module marks the snippet's function name and locates the span of the
-first function signature.
+lexeme from its text alone; `categories` classifies a list of lexemes
+through a memo shared across a batch. That is the one path from code to
+categorized lexemes: `transform.Snippet` builds every variant's text from
+a snippet's lexemes and their categories, and `score`'s
+`subtok.split_code` walks the lexemes of each record's code. Besides the
+lexemes, the module finds the snippet's function name
+(`function_name_at`) and the lexemes of the first function signature
+(`signature_span`). `lex` joins lexemes and categories into tokens with
+byte spans; no stage calls it.
 """
 
 from __future__ import annotations
@@ -60,16 +63,6 @@ _new_token = tuple.__new__
 class RoleToken:
     base: LexToken
     role: Role
-
-
-@dataclass(frozen=True)
-class SignatureSpan:
-    """First `def` keyword through the colon closing its parameter list."""
-
-    start: int  # byte offsets, like LexToken spans
-    end: int
-    first_token: int  # index of the `def` token
-    last_token: int  # index of the closing `:` token, inclusive
 
 
 class UnlexableError(HarnessError):
@@ -221,29 +214,40 @@ def lexemes(source: str) -> list[str]:
     return found
 
 
-def lex(source: str, kinds: dict[str, Category] | None = None) -> tuple[LexToken, ...]:
-    """Tokenize `source`; concat of the lexemes reproduces it exactly.
+def categories(found: Sequence[str], kinds: dict[str, Category] | None = None) -> list[Category]:
+    """The category of each lexeme in `found`.
 
-    `kinds` maps a lexeme to its category; pass one dict to every lex of a
+    `kinds` maps a lexeme to its category; pass one dict to every call of a
     batch and each distinct lexeme is classified once.
     """
-    found = lexemes(source)
     if kinds is None:
         kinds = {}
     for lexeme in set(found).difference(kinds):
         kinds[lexeme] = category(lexeme)
+    return list(map(kinds.__getitem__, found))
+
+
+def lex(source: str, kinds: dict[str, Category] | None = None) -> tuple[LexToken, ...]:
+    """Tokenize `source`; concat of the lexemes reproduces it exactly.
+    `kinds` is the memo of `categories`."""
+    found = lexemes(source)
     if source.isascii():  # then byte offsets are code-point offsets
         sizes = map(len, found)
     else:
         sizes = (len(lexeme.encode("utf-8")) for lexeme in found)
     offsets = list(accumulate(sizes, initial=0))
-    fields = zip(found, map(kinds.__getitem__, found), offsets, offsets[1:])
+    fields = zip(found, categories(found, kinds), offsets, offsets[1:])
     return tuple(map(_new_token, repeat(LexToken), fields))
 
 
 def function_name_at(lexemes: Sequence[str]) -> int | None:
     """Index of the snippet's function name among `lexemes`: the first
-    identifier after a `def` keyword with only whitespace between them."""
+    identifier after a `def` keyword with only whitespace between them.
+
+    This is the one name rule: the renaming variants and the copy
+    attribution also treat every later lexeme equal to the name as the
+    name (call sites and attribute positions included, so renames touch
+    all of them)."""
     end = len(lexemes)
     start = 0
     while True:
@@ -258,58 +262,41 @@ def function_name_at(lexemes: Sequence[str]) -> int | None:
         start = i
 
 
-def function_name_indices(tokens: Sequence[LexToken]) -> set[int]:
-    """Indices of the snippet's function name (function_name_at) and of
-    every later token with that lexeme (call sites and attribute positions
-    included, so renaming transforms touch all of them)."""
-    found = [tok.lexeme for tok in tokens]
-    at = function_name_at(found)
-    if at is None:
-        return set()
-    return {i for i in range(at, len(found)) if found[i] == found[at]}
-
-
 def classify_roles(tokens: Sequence[LexToken]) -> list[RoleToken]:
-    """Assign a role to every token: the function name (see
-    function_name_indices), a plain identifier, or Role.NONE for
-    non-identifiers."""
-    name_indices = function_name_indices(tokens)
+    """Assign a role to every token: the function name (function_name_at,
+    and every later token with its lexeme), a plain identifier, or
+    Role.NONE for non-identifiers."""
+    at = function_name_at([tok.lexeme for tok in tokens])
+    name = None if at is None else tokens[at].lexeme
     roles = []
     for i, tok in enumerate(tokens):
         if tok.category is not Category.IDENTIFIER:
             roles.append(RoleToken(tok, Role.NONE))
-        elif i in name_indices:
+        elif tok.lexeme == name and i >= at:
             roles.append(RoleToken(tok, Role.FUNCTION_NAME))
         else:
             roles.append(RoleToken(tok, Role.PLAIN_IDENTIFIER))
     return roles
 
 
-def signature_span(tokens: Sequence[LexToken]) -> SignatureSpan:
-    """Span of the first def through the colon after its parameter list.
+def signature_span(lexemes: Sequence[str]) -> slice:
+    """The slice of `lexemes` from the first def through the colon after
+    its parameter list.
 
     Decorators are excluded; multi-line parameter lists are handled by
     bracket depth.
     """
-    def_idx = None
-    for i, tok in enumerate(tokens):
-        if tok.category is Category.KEYWORD and tok.lexeme == "def":
-            def_idx = i
-            break
-    if def_idx is None:
-        raise NoFunctionError("no def in token stream")
+    try:
+        def_idx = lexemes.index("def")
+    except ValueError:
+        raise NoFunctionError("no def in token stream") from None
     depth = 0
-    for i in range(def_idx + 1, len(tokens)):
-        lexeme = tokens[i].lexeme
+    for i in range(def_idx + 1, len(lexemes)):
+        lexeme = lexemes[i]
         if lexeme in _OPENERS:
             depth += 1
         elif lexeme in _CLOSERS:
             depth -= 1
         elif lexeme == ":" and depth == 0:
-            return SignatureSpan(
-                start=tokens[def_idx].start,
-                end=tokens[i].end,
-                first_token=def_idx,
-                last_token=i,
-            )
+            return slice(def_idx, i + 1)
     raise NoFunctionError("def without a closing colon")

@@ -1,13 +1,14 @@
 """Code variants: rewrites that hide or distort one kind of information
 (function names, code structure, the whole body, comments).
 
-There is one path from a snippet to its variants. `Snippet.of` lexes the
-snippet once, drops its comments, and keeps what the variants need;
-`Snippet.text` returns each variant's code. Every variant but `original`
-is built from the comment-free tokens, so the models cannot lean on prose
-hidden in comments. `apply_variant` is the same path for one example and
-one variant. `donor_entries` and `donor_assignment` choose the names the
-adversarial variant writes.
+There is one path from a snippet to its variants. `Snippet.of` splits the
+snippet once into `pylex.lexemes` and their `pylex.categories`, the same
+scan that `score` walks, drops its comments, and keeps what the variants
+need; `Snippet.text` returns each variant's code. Every variant but
+`original` is built from the comment-free lexemes, so the models cannot
+lean on prose hidden in comments. `apply_variant` is the same path for
+one example and one variant. `donor_entries` and `donor_assignment`
+choose the names the adversarial variant writes.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from .errors import HarnessError
 from .pylex import (
     KEYWORDS,
     Category,
-    LexToken,
     NoFunctionError,
     UnlexableError,
-    function_name_indices,
-    lex,
+    categories,
+    function_name_at,
+    lexemes,
     signature_span,
 )
 
@@ -88,36 +89,43 @@ def shift_name(name: str) -> str:
 # --- the rules ------------------------------------------------------------
 
 
-def _comment_free(tokens: Sequence[LexToken]) -> list[LexToken]:
-    """The tokens left once comments are dropped, with the whitespace that
-    separated them from code; a comment alone on its line takes the line's
-    newline with it. Spans are those of the input."""
+def _comment_free(
+    found: Sequence[str], cats: Sequence[Category]
+) -> tuple[list[str], list[Category]]:
+    """The lexemes, and their categories, left once comments are dropped
+    with the whitespace that separated them from code; a comment alone on
+    its line takes the line's newline with it."""
     drop: set[int] = set()
-    for i, tok in enumerate(tokens):
-        if tok.category is not Category.COMMENT:
+    for i, cat in enumerate(cats):
+        if cat is not Category.COMMENT:
             continue
         drop.add(i)
         j = i - 1
-        while j >= 0 and tokens[j].category is Category.WHITESPACE:
+        while j >= 0 and cats[j] is Category.WHITESPACE:
             drop.add(j)
             j -= 1
-        whole_line = j < 0 or tokens[j].category is Category.NEWLINE
-        if whole_line and i + 1 < len(tokens) and tokens[i + 1].category is Category.NEWLINE:
+        whole_line = j < 0 or cats[j] is Category.NEWLINE
+        if whole_line and i + 1 < len(cats) and cats[i + 1] is Category.NEWLINE:
             drop.add(i + 1)
-    return [t for i, t in enumerate(tokens) if i not in drop]
+    kept = [i for i in range(len(found)) if i not in drop]
+    return [found[i] for i in kept], [cats[i] for i in kept]
 
 
-def _name_segments(tokens: Sequence[LexToken]) -> tuple[str | None, tuple[str, ...]]:
-    """The defined function name (pylex.function_name_indices), None
-    without a def, and the text between its occurrences."""
-    names = function_name_indices(tokens)
-    segments: list[list[str]] = [[]]
-    for i, tok in enumerate(tokens):
-        if i in names:
-            segments.append([])
-        else:
-            segments[-1].append(tok.lexeme)
-    return (tokens[min(names)].lexeme if names else None), tuple(map("".join, segments))
+def _name_segments(found: Sequence[str]) -> tuple[str | None, tuple[str, ...]]:
+    """The defined function name (pylex.function_name_at), None without a
+    def, and the text between it and each later occurrence."""
+    at = function_name_at(found)
+    if at is None:
+        return None, ("".join(found),)
+    name = found[at]
+    segments = []
+    start = 0
+    for i in range(at, len(found)):
+        if found[i] == name:
+            segments.append("".join(found[start:i]))
+            start = i + 1
+    segments.append("".join(found[start:]))
+    return name, tuple(segments)
 
 
 def _defined(name: str | None) -> str:
@@ -142,7 +150,7 @@ def _adversarial_name(donor: str, name: str | None, identifiers: frozenset[str])
 _STRUCTURE_KEPT = (Category.IDENTIFIER, Category.NUMBER, Category.STRING)
 
 
-def _structure_parts(tokens: Sequence[LexToken]) -> list[str]:
+def _structure_parts(found: Sequence[str], cats: Sequence[Category]) -> list[str]:
     """The text pieces left once keywords, operators and delimiters are
     dropped; everything else is kept.
 
@@ -151,42 +159,32 @@ def _structure_parts(tokens: Sequence[LexToken]) -> list[str]:
     silhouette. Lines left empty keep their newline only.
     """
     parts: list[str] = []
-    line: list[LexToken] = []
 
-    def flush(newline: LexToken | None) -> None:
-        indent = ""
-        if line and line[0].category is Category.WHITESPACE:
-            indent = line[0].lexeme
-        kept = [t for t in line if t.category in _STRUCTURE_KEPT]
+    def line(start: int, end: int) -> None:
+        kept = [found[i] for i in range(start, end) if cats[i] in _STRUCTURE_KEPT]
         if kept:
-            if indent:
-                parts.append(indent)
-            for k, tok in enumerate(kept):
-                if k:
-                    parts.append(" ")
-                parts.append(tok.lexeme)
-        if newline is not None:
-            parts.append(newline.lexeme)
-        line.clear()
+            if cats[start] is Category.WHITESPACE:
+                parts.append(found[start])  # the indentation
+            parts.append(" ".join(kept))
 
-    for tok in tokens:
-        if tok.category is Category.NEWLINE:
-            flush(tok)
-        else:
-            line.append(tok)
-    flush(None)
+    start = 0
+    for i, cat in enumerate(cats):
+        if cat is Category.NEWLINE:
+            line(start, i)
+            parts.append(found[i])
+            start = i + 1
+    line(start, len(found))
     return parts
 
 
-def _signature(tokens: Sequence[LexToken]) -> str:
+def _signature(found: Sequence[str]) -> str:
     """Exactly the first def's signature, through its colon."""
-    span = signature_span(tokens)
-    return "".join(t.lexeme for t in tokens[span.first_token : span.last_token + 1])
+    return "".join(found[signature_span(found)])
 
 
-def _identifiers(tokens: Iterable[LexToken]) -> frozenset[str]:
+def _identifiers(found: Sequence[str], cats: Sequence[Category]) -> frozenset[str]:
     # Interned: the same names recur across a corpus's snippets.
-    return frozenset(sys.intern(t.lexeme) for t in tokens if t.category is Category.IDENTIFIER)
+    return frozenset(sys.intern(w) for w, cat in zip(found, cats) if cat is Category.IDENTIFIER)
 
 
 # --- one lex per snippet --------------------------------------------------
@@ -217,15 +215,16 @@ class Snippet:
         kinds: dict[str, Category] | None = None,
     ) -> "Snippet":
         """Raises UnlexableError; every other failure is kept per variant.
-        `kinds` is lex's memo of lexeme categories."""
-        stripped = _comment_free(lex(code, kinds))
-        name, segments = _name_segments(stripped)
-        snippet = cls(code, name, _identifiers(stripped), segments)
+        `kinds` is the memo of `pylex.categories`."""
+        found = lexemes(code)
+        free, cats = _comment_free(found, categories(found, kinds))
+        name, segments = _name_segments(free)
+        snippet = cls(code, name, _identifiers(free, cats), segments)
         if Variant.NO_CODE_STRUCTURE in variants:
-            snippet.texts[Variant.NO_CODE_STRUCTURE] = "".join(_structure_parts(stripped))
+            snippet.texts[Variant.NO_CODE_STRUCTURE] = "".join(_structure_parts(free, cats))
         if Variant.NO_FUNCTION_BODY in variants:
             try:
-                snippet.texts[Variant.NO_FUNCTION_BODY] = _signature(stripped)
+                snippet.texts[Variant.NO_FUNCTION_BODY] = _signature(free)
             except NoFunctionError as exc:
                 snippet.failures[Variant.NO_FUNCTION_BODY] = str(exc)
         return snippet

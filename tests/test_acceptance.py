@@ -34,7 +34,9 @@ from sumprobe.corpus import (
 )
 from sumprobe import metrics
 from sumprobe.metrics import bertscore, bleu4, p_copy, pearson, spearman
-from sumprobe.pylex import Category, UnlexableError, function_name_indices, lex, signature_span
+from sumprobe.pylex import (
+    Category, UnlexableError, categories, function_name_at, lex, lexemes, signature_span,
+)
 from sumprobe.transform import (
     Snippet,
     Variant,
@@ -147,13 +149,15 @@ _UNSHIFT = str.maketrans(
 @criterion(3, "transformation invariants hold on the full sample corpus")
 def test_criterion_3_transform_invariants(mixed_corpus):
     """Checked on the texts `transform` writes, against the comment-free
-    tokens every transformed variant is built from."""
+    lexemes every transformed variant is built from."""
     accepted, _ = filter_corpus(mixed_corpus)
     donors = donor_assignment(donor_entries(accepted), seed=12)
     checked = 0
     for ex in accepted:
-        free = _comment_free(lex(ex.code))
-        names = function_name_indices(free)
+        found = lexemes(ex.code)
+        free, free_categories = _comment_free(found, categories(found))
+        at = function_name_at(free)
+        names = {i for i in range(at, len(free)) if free[i] == free[at]}
         snippet = Snippet.of(ex.code)
 
         relexed = lex(snippet.text(Variant.NO_CODE_STRUCTURE))
@@ -164,8 +168,7 @@ def test_criterion_3_transform_invariants(mixed_corpus):
 
         # from the comment-free lexemes: a comment inside a multi-line
         # parameter list is not part of the signature
-        span = signature_span(free)
-        expected = "".join(tok.lexeme for tok in free[span.first_token : span.last_token + 1])
+        expected = "".join(free[signature_span(free)])
         assert snippet.text(Variant.NO_FUNCTION_BODY) == expected, ex.id
 
         obfuscated = lex(snippet.text(Variant.OBFUSCATED_NAMES))
@@ -174,17 +177,17 @@ def test_criterion_3_transform_invariants(mixed_corpus):
             tok.lexeme.translate(_UNSHIFT) if i in names else tok.lexeme
             for i, tok in enumerate(obfuscated)
         )
-        assert restored == "".join(tok.lexeme for tok in free), ex.id
+        assert restored == "".join(free), ex.id
 
         adversarial = lex(snippet.text(Variant.ADVERSARIAL_NAMES, donors[ex.id]))
         assert len(adversarial) == len(free), ex.id
 
-        def rest(tokens):
-            return Counter(
-                (tok.lexeme, tok.category) for i, tok in enumerate(tokens) if i not in names
-            )
+        def rest(pairs):
+            return Counter(pair for i, pair in enumerate(pairs) if i not in names)
 
-        assert rest(adversarial) == rest(free), ex.id
+        assert rest((tok.lexeme, tok.category) for tok in adversarial) == rest(
+            zip(free, free_categories)
+        ), ex.id
         checked += 1
     assert checked == len(accepted) >= 900
 

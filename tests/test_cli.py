@@ -193,18 +193,19 @@ def test_analyze_does_no_lexing(tmp_path, corpus5, monkeypatch):
     ):
         assert run_cli("--seed", 1, "--out", out, *args) == 0
 
-    def no_lex(source):
+    def no_lex(source, *memo):
         raise AssertionError("analyze lexed code")
 
-    lex = sumprobe.pylex.lex
-    patched = 0
+    lexers = (sumprobe.pylex.lex, sumprobe.pylex.lexemes)
+    patched = Counter()
     for name, module in list(sys.modules.items()):
         if name == "sumprobe" or name.startswith("sumprobe."):
             for alias, value in list(vars(module).items()):
-                if value is lex:
-                    monkeypatch.setattr(module, alias, no_lex)
-                    patched += 1
-    assert patched >= 2
+                for lexer in lexers:
+                    if value is lexer:
+                        monkeypatch.setattr(module, alias, no_lex)
+                        patched[lexer] += 1
+    assert all(patched[lexer] >= 2 for lexer in lexers)
     assert run_cli("--seed", 1, "--out", out, "analyze") == 0
     assert (out / "report" / "attribution.csv").exists()
 
@@ -218,8 +219,12 @@ def test_transform_lexes_each_snippet_once(tmp_path, monkeypatch):
                  "docstring": "see http://example.com for it"})
     corpus.write_text("".join(json.dumps(row) + "\n" for row in rows))
 
-    lexed = []
-    lex = sumprobe.pylex.lex
+    scanned, lexed = [], []
+    lexemes, lex = sumprobe.pylex.lexemes, sumprobe.pylex.lex
+
+    def counting_lexemes(source):
+        scanned.append(source)
+        return lexemes(source)
 
     def counting_lex(source, *memo):
         lexed.append(source)
@@ -229,9 +234,11 @@ def test_transform_lexes_each_snippet_once(tmp_path, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name == "sumprobe" or name.startswith("sumprobe."):
             for alias, value in list(vars(module).items()):
-                if value is lex:
-                    monkeypatch.setattr(module, alias, counting_lex)
+                if value is lexemes:
+                    monkeypatch.setattr(module, alias, counting_lexemes)
                     patched += 1
+                elif value is lex:
+                    monkeypatch.setattr(module, alias, counting_lex)
     assert patched >= 2
     out = tmp_path / "out"
     assert run_cli("--seed", 3, "--out", out, "transform", "--corpus", corpus) == 0
@@ -241,8 +248,10 @@ def test_transform_lexes_each_snippet_once(tmp_path, monkeypatch):
         {"id": "short", "reason": "too_short"}, {"id": "url", "reason": "has_url"},
     ]
     # every example that reaches the lexability rule, once: all but the two
-    # the description rules reject
-    assert sorted(lexed) == sorted(row["code"] for row in rows[:30])
+    # the description rules reject; the scan is `lexemes`, and no `lex`
+    # builds tokens with byte spans
+    assert sorted(scanned) == sorted(row["code"] for row in rows[:30])
+    assert lexed == []
 
 
 def test_analyze_scores_nothing(tmp_path, monkeypatch):
@@ -1266,6 +1275,43 @@ def test_generate_keeps_records_when_a_cache_write_fails(tmp_path, corpus5, monk
     assert "No space left on device" in errors[0]["error"]
 
 
+def test_generate_drops_records_of_pairs_no_longer_transformed(tmp_path, capsys):
+    """A corpus transformed into a directory that held another replaces it:
+    generate keeps no record of an (example, variant) pair the variant
+    files no longer hold, so score finds every variant file it needs. It
+    keeps other models' records of the pairs it just read."""
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    write_corpus(first, 20, seed=3)
+    write_corpus(second, 10, seed=4)
+    rows = [json.loads(line) for line in second.read_text().splitlines()]
+    second.write_text("".join(json.dumps({**row, "id": "b" + row["id"]}) + "\n" for row in rows))
+    out = tmp_path / "out"
+
+    def generate(model):
+        capsys.readouterr()
+        assert run_cli("--seed", 3, "--out", out, "generate", "--model", model,
+                       "--mock", "echo") == 0
+        return capsys.readouterr().out
+
+    assert run_cli("--seed", 3, "--out", out, "transform", "--corpus", first) == 0
+    generate("m")
+    stale = len(load_run(out / "runs.jsonl"))
+    assert stale > 20
+    assert run_cli("--seed", 3, "--out", out, "transform", "--corpus", second,
+                   "--variant", "original") == 0
+    printed = generate("m")
+    ids = [row["id"] for row in rows]
+    assert sorted(rec.key for rec in load_run(out / "runs.jsonl")) == [
+        ("b" + i, "original", "m") for i in ids]
+    assert run_cli("--seed", 3, "--out", out, "score") == 0
+    assert f", {stale} stale records dropped, " in printed
+
+    generate("n")
+    assert ", 0 stale records dropped, " in generate("m")
+    assert sorted(rec.key for rec in load_run(out / "runs.jsonl")) == sorted(
+        ("b" + i, "original", model) for i in ids for model in "mn")
+
+
 def prompt_answer(prompt):
     """A summary that differs from prompt to prompt."""
     return {"choices": [{"message": {"content": f"Summary {hash_text(prompt)}."}}]}
@@ -1497,6 +1543,9 @@ def test_failed_report_write_keeps_each_report_file_whole(tmp_path, corpus5):
         [sys.executable, "-c", child], capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
-    assert proc.returncode != 0
+    # one line, as for a run file, not a traceback
+    assert proc.returncode == 2, proc.stderr
+    assert re.fullmatch(f"error: cannot write file {re.escape(str(report))}/\\S+: .*\n",
+                        proc.stderr), proc.stderr
     assert "File too large" in proc.stderr
     assert {p.name: p.read_bytes() for p in report.iterdir()} == before

@@ -7,7 +7,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumprobe.cli import main
@@ -22,6 +22,11 @@ CODES = [code for code, _ in sample_pairs(4, seed=5)] + UNLEXABLE_SNIPPETS + [
     "def größe(wert):\n    return wert * 2\n",  # non-ASCII identifiers
     "total = compute(1)\n",  # no def
     "def f(g):\n    return f(g)\n",  # the +1 shift of f is g
+    "def add(a,  # left\n        b):\n    return a + b\n",  # comment in the parameter list
+    "def half(x):\r\n    # exact\r\n    return x / 2\r\n",  # whole-line comment, CRLF
+    "def keep(v):  # def other(w):\n    return v\n",  # comment holding def
+    "def show():\n    return 'def f():'\n",  # string holding def f():
+    "# größe, in Metern\ndef area(w, h):\n    return w * h\n",  # non-ASCII comment first
 ]
 VARIANTS = [v.value for v in Variant]
 WORDS = ["returns", "the", "parsed", "value", "of", "a", "given", "key", "Adds", "sum."]
@@ -49,6 +54,7 @@ lines = st.lists(
 
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(lines, st.booleans())
+@example([(code, "returns the parsed value", None) for code in CODES], False)  # every code
 def test_echo_invariants_on_adversarial_corpora(rows, malformed):
     with tempfile.TemporaryDirectory() as tmp:
         corpus, out = Path(tmp) / "corpus.jsonl", Path(tmp) / "out"
@@ -59,13 +65,20 @@ def test_echo_invariants_on_adversarial_corpora(rows, malformed):
             text.insert(len(text) // 2, '{"code": "def f(): pass"')
         corpus.write_text("".join(line + "\n" for line in text), encoding="utf-8")
         common = ["--seed", "3", "--out", str(out)]
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(common + ["transform", "--corpus", str(corpus),
-                                  "--max-errors", "1000"]) == 0
-            assert main(common + ["generate", "--model", "m", "--mock", "echo"]) == 0
-            assert main(common + ["score", "--max-errors", "1000"]) == 0
-            accepted = read_jsonl(out / "variants" / "original.jsonl")
-            assert main(common + ["analyze"]) == (0 if accepted else 2)
+
+        def run_stages():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(common + ["transform", "--corpus", str(corpus),
+                                      "--max-errors", "1000"]) == 0
+                assert main(common + ["generate", "--model", "m", "--mock", "echo"]) == 0
+                assert main(common + ["score", "--max-errors", "1000"]) == 0
+                accepted = read_jsonl(out / "variants" / "original.jsonl")
+                assert main(common + ["analyze"]) == (0 if accepted else 2)
+            return accepted, {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        accepted, tree = run_stages()
+        # a rerun over the same directory changes no byte of any file
+        assert run_stages()[1] == tree
 
         # An error row is at `<id>/<variant>`, or at `<path>:<line>` for a
         # line of the corpus that is no example.
@@ -95,3 +108,7 @@ def test_echo_invariants_on_adversarial_corpora(rows, malformed):
             assert metrics["p_copy_generated"] == metrics["p_copy_reference"]
             ref_words = split_description(reference)
             assert metrics["bleu4"] == bleu4(ref_words, ref_words).value
+            # each copied subword is attributed to one category
+            _, copied_reference, copied_generated = metrics["copy_attribution"]
+            assert sum(copied_reference) == metrics["p_copy_reference_matched"]
+            assert sum(copied_generated) == (metrics["p_copy_generated_matched"] or 0)

@@ -17,6 +17,7 @@ from sumprobe.pylex import (
     UnterminatedStringError,
     classify_roles,
     lex,
+    lexemes,
     signature_span,
 )
 
@@ -207,9 +208,8 @@ def test_roles_only_identifiers_get_roles():
 
 
 def span_text(src):
-    stream = lex(src)
-    span = signature_span(stream)
-    return src.encode("utf-8")[span.start : span.end].decode("utf-8")
+    found = lexemes(src)
+    return "".join(found[signature_span(found)])
 
 
 def test_signature_simple():
@@ -231,9 +231,9 @@ def test_signature_skips_bracketed_colons():
 
 def test_signature_errors():
     with pytest.raises(NoFunctionError):
-        signature_span(lex("x = 1"))
+        signature_span(lexemes("x = 1"))
     with pytest.raises(NoFunctionError):
-        signature_span(lex("def f(x)"))
+        signature_span(lexemes("def f(x)"))
 
 
 def test_signature_uses_first_def():

@@ -10,9 +10,11 @@ from sumprobe.pylex import (
     NoFunctionError,
     Role,
     UnlexableError,
+    categories,
     classify_roles,
-    function_name_indices,
+    function_name_at,
     lex,
+    lexemes,
 )
 from sumprobe.transform import (
     DonorCollisionError,
@@ -32,10 +34,6 @@ from corpusgen import UNLEXABLE_SNIPPETS, sample_pairs
 
 def ex(code, reference="does a thing with words", id="e0"):
     return Example(id=id, code=code, reference=reference)
-
-
-def text(tokens):
-    return "".join(t.lexeme for t in tokens)
 
 
 _UNSHIFT = str.maketrans(
@@ -93,7 +91,8 @@ def test_strip_indented_comment_line():
 def test_strip_keeps_comment_free_input_identical():
     src = "def f(x):\n    return x\n"
     assert adversarial(src, "f") == src
-    assert _comment_free(lex(src)) == list(lex(src))
+    found = lexemes(src)
+    assert _comment_free(found, categories(found)) == (found, categories(found))
 
 
 def test_strip_keeps_blank_lines():
@@ -132,11 +131,13 @@ def test_obfuscate_requires_def():
 
 def test_obfuscate_is_inverted_by_reverse_shift():
     for code, _ in sample_pairs(60, seed=3):
-        free = _comment_free(lex(code))
-        names = function_name_indices(free)
+        found = lexemes(code)
+        free, _ = _comment_free(found, categories(found))
+        at = function_name_at(free)
+        names = {i for i in range(at, len(free)) if free[i] == free[at]}
         relexed = lex(obfuscated(code))
         back = [unshift_name(t.lexeme) if i in names else t.lexeme for i, t in enumerate(relexed)]
-        assert "".join(back) == text(free)
+        assert "".join(back) == "".join(free)
 
 
 @pytest.mark.parametrize(
