@@ -248,6 +248,10 @@ def _mean_of(values: Iterable[float | None]) -> float | None:
     return statistics.fmean(present) if present else None
 
 
+# The file names of every chart `emit_report` draws.
+_CHART_PATTERNS = ("pcopy_*.svg", "bleu_buckets_*.svg", "*_paired_*.svg")
+
+
 def emit_report(
     records: Sequence[RunRecord],
     distributions: Mapping[tuple[str, str], Mapping[PairingMode, DistSummary]],
@@ -260,7 +264,8 @@ def emit_report(
     `distributions` maps (model id, metric) to the `pairing_distributions`
     that `score` computed. Output is a pure function of the arguments, so
     identical runs produce byte-identical files. Model ids whose charts
-    would share a file name are refused before any file is written.
+    would share a file name are refused before any file is written. A chart
+    in `out_dir` that this call did not draw is removed.
     """
     groups: dict[tuple[str, str], list[RunRecord]] = {}
     for rec in records:
@@ -345,4 +350,11 @@ def emit_report(
     out_dir = Path(out_dir)
     for name, text in files.items():
         write_text(out_dir / name, text)
+    # The charts are this run's only: one drawn for a group that the run
+    # file no longer holds would stay beside them. No other file is removed,
+    # since the report directory may be the user's.
+    for pattern in _CHART_PATTERNS:
+        for path in out_dir.glob(pattern):
+            if path.name not in files:
+                path.unlink()
     return [out_dir / name for name in files]

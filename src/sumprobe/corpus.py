@@ -3,17 +3,22 @@
 Corpora are JSON Lines with CodeSearchNet-style field names: `code` holds
 the source snippet, `docstring` the reference description. Run files are
 JSON Lines of per-(example, variant, model) records.
+
+Every JSONL file is read with one module-level decoder and written with one
+encoder per file: the set-up that `json.loads` and `json.dumps` repeat on
+each call is done once, and each line reads and writes as they would.
 """
 
 from __future__ import annotations
 
 import json
+import json.encoder
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .errors import HarnessError, PrerequisiteError
 from .pylex import UnlexableError, lexemes
@@ -140,7 +145,7 @@ def load_corpus(path: str | Path) -> tuple[list[Example], list[LineError]]:
             err(f"invalid UTF-8: {exc}")
             continue
         try:
-            obj = json.loads(line)
+            obj = _decode_line(line)
         except json.JSONDecodeError as exc:
             err(f"malformed JSON: {exc}")
             continue
@@ -233,9 +238,41 @@ def _replacing(path: str | Path, what: str = "file") -> Iterator[IO[str]]:
         raise
 
 
+_DECODER = json.JSONDecoder()
+
+
+def _decode_line(line: str):
+    """`json.loads(line)`, without its per-call set-up when the line is
+    exactly one JSON value; any other line (surrounding whitespace, extra
+    data, bad JSON) goes to `json.loads`, for its value or its error."""
+    try:
+        value, end = _DECODER.raw_decode(line)
+        if end == len(line):
+            return value
+    except json.JSONDecodeError:
+        pass
+    return json.loads(line)
+
+
+def _row_encoder() -> Callable[[object], str]:
+    """`json.dumps(row, ensure_ascii=False)` as one function per file.
+    `JSONEncoder.encode` builds a C encoder on every call; this builds it
+    once, with the arguments that `JSONEncoder.iterencode` passes."""
+    encoder = json.JSONEncoder(ensure_ascii=False)
+    if json.encoder.c_make_encoder is None:
+        return encoder.encode
+    # Circular references are still refused: a failed row ends the file,
+    # so the markers it leaves behind are never read again.
+    encode = json.encoder.c_make_encoder(
+        {}, encoder.default, json.encoder.encode_basestring, encoder.indent,
+        encoder.key_separator, encoder.item_separator, encoder.sort_keys,
+        encoder.skipkeys, encoder.allow_nan)
+    return lambda row: "".join(encode(row, 0))
+
+
 def write_jsonl(path: str | Path, rows: Iterable[dict], what: str = "file") -> None:
     """Write one JSON object per line, replacing `path` whole."""
-    encode = json.JSONEncoder(ensure_ascii=False).encode  # one per file, not per row
+    encode = _row_encoder()
     with _replacing(path, what) as fh:
         for row in rows:
             fh.write(encode(row) + "\n")
@@ -256,7 +293,7 @@ def read_jsonl(path: str | Path) -> list:
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), 1):
         if line.strip():
             try:
-                rows.append(json.loads(line))
+                rows.append(_decode_line(line))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
     return rows

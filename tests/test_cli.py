@@ -1549,3 +1549,31 @@ def test_failed_report_write_keeps_each_report_file_whole(tmp_path, corpus5):
                         proc.stderr), proc.stderr
     assert "File too large" in proc.stderr
     assert {p.name: p.read_bytes() for p in report.iterdir()} == before
+
+
+def test_analyze_removes_the_charts_it_did_not_draw(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, 20, seed=5)
+    out = tmp_path / "out"
+    report = out / "report"
+
+    def stages(*transform):
+        for stage in (["transform", "--corpus", corpus, *transform],
+                      ["generate", "--model", "m", "--mock", "echo"], ["score"], ["analyze"]):
+            assert run_cli("--seed", 1, "--out", out, *stage) == 0
+
+    stages()
+    assert len(list(report.iterdir())) == 17
+    # a file of the user's, and one that only looks like a chart, are kept
+    (report / "notes.txt").write_text("mine")
+    (report / "pcopy_notes.txt").write_text("mine")
+    capsys.readouterr()
+    stages("--variant", "original")
+    printed = capsys.readouterr().out
+    assert "80 stale records dropped" in printed
+    assert f"analyze: wrote 9 file(s) to {report}\n" in printed
+    charts = {"pcopy_m_original.svg", "bleu_buckets_m_original.svg",
+              "bleu4_paired_m.svg", "bertscore_f1_paired_m.svg"}
+    assert {p.name for p in report.iterdir()} == {
+        "summary.csv", "buckets.csv", "attribution.csv", "correlations.csv",
+        "distributions.csv", "notes.txt", "pcopy_notes.txt", *charts}

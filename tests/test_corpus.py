@@ -1,6 +1,12 @@
 import json
+import json.encoder
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumprobe.corpus import (
     CorpusError,
@@ -12,8 +18,11 @@ from sumprobe.corpus import (
     filter_corpus,
     load_corpus,
     load_run,
+    read_jsonl,
     save_run,
+    write_jsonl,
 )
+from sumprobe.corpus import _decode_line, _row_encoder
 
 from corpusgen import write_corpus
 
@@ -208,3 +217,71 @@ def test_sample_corpus_loads_cleanly(tmp_path):
     assert count == 50 and len(examples) == 50 and errors == []
     accepted, _ = filter_corpus(examples)
     assert len(accepted) == 50
+
+
+# --- the JSONL codec ----------------------------------------------------------
+
+# Text with the line breaks that only "\n" splitting keeps, and non-ASCII.
+texts = st.text(st.one_of(st.characters(), st.sampled_from("\u2028\u2029\u0085é\"\\\n")))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | texts,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(texts, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(json_values, min_size=1, max_size=5))
+def test_the_per_file_encoder_is_json_dumps(rows):
+    # one encoder for all the rows, as for the rows of one file
+    encode = _row_encoder()
+    assert [encode(row) for row in rows] == [json.dumps(row, ensure_ascii=False) for row in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.jsonl"
+        write_jsonl(path, rows)
+        assert path.read_text(encoding="utf-8") == "".join(
+            json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+        assert repr(read_jsonl(path)) == repr(rows)
+
+
+def test_the_encoder_without_the_c_accelerator_is_json_dumps(monkeypatch):
+    row = {"naïve": [1.5, float("nan"), float("-inf"), None, "a\u2028b"], "k": {"x": True}}
+    expected = json.dumps(row, ensure_ascii=False)
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    assert _row_encoder()(row) == expected
+
+
+def test_the_encoder_refuses_what_json_dumps_refuses():
+    circular: list = []
+    circular.append(circular)
+    for row in (circular, {"x": object()}):
+        with pytest.raises((ValueError, TypeError)) as expected:
+            json.dumps(row, ensure_ascii=False)
+        with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+            _row_encoder()(row)
+
+
+def decoded(decode, line):
+    """The value that `decode` returns for `line`, or its error's text."""
+    try:
+        return "value", repr(decode(line))
+    except json.JSONDecodeError as exc:
+        return "error", str(exc)
+
+
+whitespace = st.text(st.sampled_from(" \t\r\n"), max_size=3)
+lines = st.one_of(
+    json_values.map(json.dumps),
+    st.tuples(whitespace, json_values.map(json.dumps), whitespace).map("".join),
+    st.tuples(json_values.map(json.dumps), st.sampled_from([" 1", "x", "{}", "]", ","])).map(
+        "".join),
+    st.tuples(json_values.map(json.dumps), st.integers(0, 40)).map(lambda p: p[0][:p[1]]),
+    st.text(max_size=20),
+    st.sampled_from(["\ufeff{}", "NaN", "-Infinity", '{"a": 1,}', "[1, 2", '"\\u12"']),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines)
+def test_decode_line_is_json_loads(line):
+    assert decoded(_decode_line, line) == decoded(json.loads, line)

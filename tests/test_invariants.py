@@ -10,8 +10,8 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sumprobe.cli import main
-from sumprobe.corpus import read_jsonl
+from sumprobe.cli import RunConfig, main
+from sumprobe.corpus import load_corpus, read_jsonl
 from sumprobe.metrics import bleu4, split_description
 from sumprobe.transform import Variant
 
@@ -27,15 +27,21 @@ CODES = [code for code, _ in sample_pairs(4, seed=5)] + UNLEXABLE_SNIPPETS + [
     "def keep(v):  # def other(w):\n    return v\n",  # comment holding def
     "def show():\n    return 'def f():'\n",  # string holding def f():
     "# größe, in Metern\ndef area(w, h):\n    return w * h\n",  # non-ASCII comment first
+    # thousands of lines and distinct identifiers
+    "def huge(v0):\n" + "".join(f"    v{i} = v{i - 1} + {i}\n" for i in range(1, 4000))
+    + "    return v3999\n",
 ]
 VARIANTS = [v.value for v in Variant]
 WORDS = ["returns", "the", "parsed", "value", "of", "a", "given", "key", "Adds", "sum."]
+MAX_TOKENS = RunConfig().max_tokens
 
 words = st.lists(st.sampled_from(WORDS), min_size=1, max_size=7).map(" ".join)
 # Multi-paragraph, fenced, whitespace-padded, with a line separator or a
-# URL, or any text; `words` alone may be under 3 words.
+# URL, longer than max_tokens, or any text; `words` alone may be under 3 words.
 references = st.one_of(
     words,
+    st.lists(st.sampled_from(WORDS), min_size=MAX_TOKENS + 1, max_size=MAX_TOKENS + 9).map(
+        " ".join),
     st.tuples(words, words).map("\n\n".join),
     st.tuples(words, words).map(lambda p: f"{p[0]}:\n```\n{p[1]}\n```"),
     words.map(lambda text: f"  {text}  \n"),
@@ -91,6 +97,11 @@ def test_echo_invariants_on_adversarial_corpora(rows, malformed):
                 line_errors += 1
         rejects = read_jsonl(out / "rejects.jsonl")
         assert len(text) == len(accepted) + len(rejects) + line_errors
+        # every description over max_tokens words is rejected as too long
+        # (no long one has a URL, and no code is empty)
+        too_long = {ex.id for ex in load_corpus(corpus)[0]
+                    if len(ex.reference.split()) > MAX_TOKENS}
+        assert {r["id"] for r in rejects if r["reason"] == "too_long"} == too_long
         examples = {(variant, ex["id"]): ex for variant in VARIANTS
                     for ex in read_jsonl(out / "variants" / f"{variant}.jsonl")}
         # each accepted example is in a variant's file or has its error row

@@ -1,0 +1,105 @@
+"""A write that fails leaves every file of the run directory whole, and a
+rerun finishes the stage: each stage's k-th replaced file, for every k,
+raises OSError just before it would replace the old one."""
+
+import contextlib
+import errno
+import io
+import shutil
+
+import pytest
+
+import sumprobe.corpus
+from sumprobe.cli import main
+
+from corpusgen import write_corpus
+
+STAGES = {
+    "transform": ["transform", "--max-errors", "100"],
+    "generate": ["generate", "--model", "m", "--mock", "echo"],
+    "score": ["score"],
+    "analyze": ["analyze"],
+}
+
+
+def tree(out):
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def run(out, corpus, stage):
+    argv = ["--seed", "4", "--out", str(out), *STAGES[stage]]
+    if stage == "transform":
+        argv += ["--corpus", str(corpus)]
+    return main(argv)
+
+
+@pytest.fixture(scope="module")
+def run_dirs(tmp_path_factory):
+    """A second corpus, and for each stage: the run directory before it,
+    after a full pipeline on a first corpus and the earlier stages on the
+    second, the tree that the stage then leaves, and the number of files
+    it replaced."""
+    tmp = tmp_path_factory.mktemp("writes")
+    first, second = tmp / "first.jsonl", tmp / "second.jsonl"
+    write_corpus(first, 6, seed=8, unlexable_every=3)
+    write_corpus(second, 8, seed=9, unlexable_every=4)
+    out = tmp / "out"
+    replaced = []
+    real = sumprobe.corpus._replacing
+
+    def counting(path, what="file"):
+        replaced.append(path)
+        return real(path, what)
+
+    dirs = {}
+    with contextlib.redirect_stdout(io.StringIO()), pytest.MonkeyPatch.context() as mp:
+        for stage in STAGES:
+            assert run(out, first, stage) == 0
+        mp.setattr(sumprobe.corpus, "_replacing", counting)
+        for stage in STAGES:
+            before = tmp / f"before_{stage}"
+            shutil.copytree(out, before)
+            replaced.clear()
+            assert run(out, second, stage) == 0
+            dirs[stage] = (before, tree(out), len(replaced))
+    return second, dirs
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_each_failed_write_leaves_whole_files_and_a_rerun_finishes(
+        tmp_path, monkeypatch, capsys, run_dirs, stage):
+    corpus, dirs = run_dirs
+    before, after, count = dirs[stage]
+    old = tree(before)
+    assert count >= 2 and after != old
+    real = sumprobe.corpus._replacing
+    for k in range(1, count + 1):
+        out = tmp_path / f"out{k}"
+        shutil.copytree(before, out)
+        calls = 0
+
+        @contextlib.contextmanager
+        def failing(path, what="file"):
+            nonlocal calls
+            calls += 1
+            with real(path, what) as fh:
+                yield fh
+                if calls == k:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+        capsys.readouterr()
+        with monkeypatch.context() as mp:
+            mp.setattr(sumprobe.corpus, "_replacing", failing)
+            assert run(out, corpus, stage) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write "), err
+        assert "No space left on device" in err[0]
+        # a file is missing (None) only where the run before or after lacks it
+        now = tree(out)
+        for name in now.keys() | old.keys() | after.keys():
+            assert now.get(name) in (old.get(name), after.get(name)), (k, name)
+        assert not list(out.rglob("*.tmp"))
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(out, corpus, stage) == 0
+        assert tree(out) == after, k
