@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import RunRecord, write_text
 from .errors import HarnessError
-from .metrics import DegenerateInputError, Scorer, bleu_scorer, pearson, spearman
+from .metrics import DegenerateInputError, Scorer, pearson, spearman
 # Not used here; perfbench/selftest.py checks that the tracer wraps this alias.
 from .pylex import lex  # noqa: F401
 from .subtok import ATTRIBUTION_CATEGORIES, CodeSubwords
@@ -152,31 +152,24 @@ def paired_vs_random(
     pairs: Sequence[tuple[str, str]],
     pairing: PairingMode,
     seed: int,
-    scorer: Scorer = bleu_scorer,
+    scorer: Scorer,
 ) -> DistSummary:
-    """Score distribution for corresponding or randomly re-paired texts.
+    """Score distribution of one of the `_RE_PAIRINGS` of the
+    (reference, generated) `pairs`, one per record.
 
-    `pairs` holds (reference, generated) texts, one per record. Random
-    pairings use a seeded derangement so no record meets itself. The
-    scorer gets every (candidate, reference) pair of the pairing in one
+    A seeded derangement re-pairs the texts, so no record meets itself.
+    The scorer gets every (candidate, reference) pair of the pairing in one
     call, so it can batch them.
     """
-    if len(pairs) < 2:
-        raise TooFewRecordsError("need at least two records")
     refs = [p[0] for p in pairs]
     gens = [p[1] for p in pairs]
-    if pairing is PairingMode.REF_VS_OWN_GEN:
-        scored = [(g, r) for r, g in zip(refs, gens)]
-    else:
-        perm = derangement(len(pairs), random.Random(seed))
-        if pairing is PairingMode.REF_VS_RANDOM_GEN:
-            candidates, references = gens, refs
-        elif pairing is PairingMode.REF_VS_REF:
-            candidates, references = refs, refs
-        else:
-            candidates, references = gens, gens
-        scored = [(candidates[perm[i]], references[i]) for i in range(len(pairs))]
-    return summarize_scores(scorer(scored))
+    candidates, references = {
+        PairingMode.REF_VS_RANDOM_GEN: (gens, refs),
+        PairingMode.REF_VS_REF: (refs, refs),
+        PairingMode.GEN_VS_GEN: (gens, gens),
+    }[pairing]
+    perm = derangement(len(pairs), random.Random(seed))
+    return summarize_scores(scorer([(candidates[j], ref) for j, ref in zip(perm, references)]))
 
 
 _RE_PAIRINGS = (PairingMode.REF_VS_RANDOM_GEN, PairingMode.REF_VS_REF, PairingMode.GEN_VS_GEN)

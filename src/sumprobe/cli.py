@@ -51,7 +51,7 @@ from .metrics import HashedOneHotProvider, RemoteEmbeddingProvider
 from .pylex import Category, UnlexableError
 from .subtok import tokenizer_from_spec
 from .transform import (
-    VARIANT_ORDER, DonorEntry, Snippet, Variant, donor_assignment, record_sort_key,
+    VARIANT_ORDER, Snippet, Variant, donor_assignment, donor_entries, record_sort_key,
 )
 
 log = logging.getLogger(__name__)
@@ -267,10 +267,7 @@ def cmd_transform(config: RunConfig) -> int:
     ]
     donors: dict[str, str] = {}
     if Variant.ADVERSARIAL_NAMES in variants:
-        donors = donor_assignment([
-            DonorEntry(ex.id, snippet.name, snippet.identifiers)
-            for ex, snippet in accepted if snippet.name is not None
-        ], config.seed)
+        donors = donor_assignment(donor_entries(accepted), config.seed)
     written = [config.variants_dir / f"{variant.value}.jsonl" for variant in variants]
     for path, variant in zip(written, variants):
         write_jsonl(path, _variant_rows(accepted, variant, donors, errors))
@@ -407,12 +404,12 @@ def cmd_score(config: RunConfig) -> int:
         )
     else:
         provider = HashedOneHotProvider(config.embedding_dim)
-    scored, errors = score.score_run(
+    records, errors = score.score_run(
         config.runs_path, config.variants_dir, config.pairings_path,
         config.seed, tokenize, provider, config.lowercase_bleu,
     )
     return _finish(config, "score", errors, config.max_errors,
-                   f"{len(scored)} records scored with tokenizer "
+                   f"{len(records)} records scored with tokenizer "
                    f"{tokenize.tokenizer_id}, {len(errors)} errors")
 
 

@@ -223,7 +223,9 @@ def _replacing(path: str | Path, what: str = "file") -> Iterator[IO[str]]:
     """A UTF-8 text file, written unchanged (no newline translation), that
     is a temporary file beside `path` until it is moved over `path`: a
     write that fails part-way leaves the previous file as it was. An
-    OSError becomes the one-line CorpusError `cannot write <what> <path>`."""
+    OSError, or text that UTF-8 cannot encode (a lone surrogate, which a
+    JSON `\\ud800` escape can put in a str), becomes the one-line
+    CorpusError `cannot write <what> <path>`."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -233,7 +235,7 @@ def _replacing(path: str | Path, what: str = "file") -> Iterator[IO[str]]:
         os.replace(tmp, path)
     except BaseException as exc:
         tmp.unlink(missing_ok=True)
-        if isinstance(exc, OSError):
+        if isinstance(exc, (OSError, UnicodeEncodeError)):
             raise CorpusError(f"cannot write {what} {path}: {exc}") from exc
         raise
 

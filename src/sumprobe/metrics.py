@@ -3,8 +3,8 @@ BERTScore over pluggable embeddings, and correlation statistics.
 
 The remote embedding client is an `httpjson.JsonClient`: its requests are
 sent, sorted and retried as the chat client's are, and fail with the same
-`httpjson` errors. Only a reply that is JSON but not one vector per token
-(DimensionMismatchError) is particular to embeddings.
+`httpjson` errors. Only a reply that is JSON but not one row of finite
+numbers per token (DimensionMismatchError) is particular to embeddings.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class BleuScore:
 @dataclass(frozen=True)
 class PCopy:
     value: float  # 0..1
-    tokenizer_id: str
     matched: int
     total: int
 
@@ -155,11 +154,7 @@ def split_description(text: str, lowercase: bool = False) -> list[str]:
     return text.lower().split() if lowercase else text.split()
 
 
-def p_copy(
-    code_subwords: Collection[str],
-    desc_subwords: Sequence[str],
-    tokenizer_id: str = "fallback",
-) -> PCopy:
+def p_copy(code_subwords: Collection[str], desc_subwords: Sequence[str]) -> PCopy:
     """Fraction of description subword tokens whose strings also occur among
     the code's subword tokens. A set of the code's subwords (or a dict's
     keys) is used as it is; any other collection is made into one."""
@@ -167,12 +162,7 @@ def p_copy(
         raise EmptyDescriptionError("description has no subword tokens")
     code_set = code_subwords if isinstance(code_subwords, AbstractSet) else set(code_subwords)
     matched = sum(1 for tok in desc_subwords if tok in code_set)
-    return PCopy(
-        value=matched / len(desc_subwords),
-        tokenizer_id=tokenizer_id,
-        matched=matched,
-        total=len(desc_subwords),
-    )
+    return PCopy(matched / len(desc_subwords), matched, len(desc_subwords))
 
 
 class EmbeddingProvider(Protocol):
@@ -262,9 +252,10 @@ class EmbeddingTable:
 
     Holds one matrix with a row per token, a token -> row index and the
     tokens whose vector is zero; such a token fails only the lookups that
-    contain it. `error` is the first failed provider call, or None. It
-    stops the fetching, so a dead service costs one call's retries, and
-    every lookup raises it.
+    contain it. `error` is the first failed provider call, or None; a
+    call whose vectors hold a NaN or an infinity fails with
+    DimensionMismatchError. It stops the fetching, so a dead service costs
+    one call's retries, and every lookup raises it.
     """
 
     def __init__(self, provider: EmbeddingProvider, tokens: Iterable[str]) -> None:
@@ -282,6 +273,8 @@ class EmbeddingTable:
                     raise DimensionMismatchError(
                         f"provider returned shape {vectors.shape} for {len(batch)} tokens"
                     )
+                if not np.isfinite(vectors).all():
+                    raise DimensionMismatchError("provider returned a NaN or infinite value")
                 if matrix is None:
                     matrix = np.empty((len(distinct), vectors.shape[1]))
                 elif vectors.shape[1] != matrix.shape[1]:
@@ -430,10 +423,3 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 # Scores (candidate, reference) text pairs: one score per pair, in order.
 Scorer = Callable[[Sequence[tuple[str, str]]], list[float]]
-
-
-def bleu_scorer(pairs: Sequence[tuple[str, str]]) -> list[float]:
-    return [
-        bleu4(split_description(candidate), split_description(reference)).value
-        for candidate, reference in pairs
-    ]

@@ -4,11 +4,13 @@ and each model's corresponding vs re-paired score distributions.
 `score_run` runs one function per phase: `join_examples` reads each variant
 file once and pairs each record with its example; `tokenize_descriptions`
 tokenizes each distinct description once, and the `EmbeddingTable` holds
-the subwords of all of them; `score_records` scores each record with
-`score_record`, a function of the record, its example and the run's shared
-tables (`PairScores`); `pairing_rows` computes each model's
-`pairing_distributions`. `score_run` writes `pairings.jsonl` and
-`read_pairings` reads it, so its format is decided here alone.
+the subwords of all of them; `score_records` returns each record's
+`EvalRecord` from `score_record`, a function of the record, its example
+and the run's shared tables (`PairScores`), and changes no record;
+`score_run` sets those scores on the loaded records and saves them;
+`pairing_rows` computes each model's `pairing_distributions` from them.
+`score_run` writes `pairings.jsonl` and `read_pairings` reads it, so its
+format is decided here alone.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import hashlib
 import json
 import logging
 from collections.abc import Iterable, Sequence
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from . import metrics
@@ -126,17 +128,17 @@ def score_record(
     tokenize: Tokenizer,
     pairs: PairScores,
     code_memo: dict[str, tuple[int | None, list[str]]],
-) -> RunRecord:
-    """`rec` with its scores against `ex`, or the HarnessError that fails
-    it. `code_memo` is `split_code`'s memo; `pairs` holds the BERTScore of
-    the record's (reference, generation) pair."""
+) -> EvalRecord:
+    """`rec`'s scores against `ex`, or the HarnessError that fails it.
+    `code_memo` is `split_code`'s memo; `pairs` holds the BERTScore of the
+    record's (reference, generation) pair."""
     ref_sw, gen_sw = pairs.subwords[ex.reference], pairs.subwords[rec.generated]
     code = split_code(ex.code, tokenize, code_memo)
     code_set = code.source.keys()  # the code's distinct subwords
-    ref_copy = metrics.p_copy(code_set, ref_sw, tokenize.tokenizer_id)
-    gen_copy = metrics.p_copy(code_set, gen_sw, tokenize.tokenizer_id) if gen_sw else None
+    ref_copy = metrics.p_copy(code_set, ref_sw)
+    gen_copy = metrics.p_copy(code_set, gen_sw) if gen_sw else None
     bert = pairs.bert(ex.reference, rec.generated)
-    return replace(rec, metrics=EvalRecord(
+    return EvalRecord(
         bleu4=pairs.bleu(rec.generated, ex.reference),
         bertscore_precision=bert.precision,
         bertscore_recall=bert.recall,
@@ -150,44 +152,41 @@ def score_record(
         copy_attribution=attribute_copies(code, ref_sw, gen_sw),
         tokenizer_id=tokenize.tokenizer_id,
         bucket=bucket_label_from_counts(ref_copy.matched, ref_copy.total),
-    ))
+    )
 
 
 def score_records(
     joined: Joined, tokenize: Tokenizer, pairs: PairScores
-) -> tuple[list[RunRecord], list[dict]]:
-    """Each joined record scored, in order, and an error row for each one
-    that fails. A failed record keeps no metrics, not the scores of an
-    earlier run, which may have used another tokenizer or embedding
-    provider. The records' BERTScores are scored in one batch first, and
-    one `split_code` memo for the call classifies and tokenizes each
-    distinct code lexeme once."""
+) -> tuple[list[EvalRecord | None], list[dict]]:
+    """Each joined record's scores, in order, and an error row for each one
+    that fails; a failed record's scores are None, not those of an earlier
+    run, which may have used another tokenizer or embedding provider.
+    Changes none of the records. The records' BERTScores are scored in one
+    batch first, and one `split_code` memo for the call classifies and
+    tokenizes each distinct code lexeme once."""
     pairs.add_berts((ex.reference, rec.generated) for rec, ex in joined if ex is not None)
     code_memo: dict[str, tuple[int | None, list[str]]] = {}
-    scored: list[RunRecord] = []
+    scores: list[EvalRecord | None] = []
     errors: list[dict] = []
     for rec, ex in joined:
         try:
             if ex is None:
                 raise HarnessError("example missing from variant corpus")
-            scored.append(score_record(rec, ex, tokenize, pairs, code_memo))
+            scores.append(score_record(rec, ex, tokenize, pairs, code_memo))
         except HarnessError as exc:
             errors.append(
                 {"stage": "score", "where": f"{rec.example_id}/{rec.variant}", "error": str(exc)}
             )
-            scored.append(replace(rec, metrics=None))
-    return scored, errors
+            scores.append(None)
+    return scores, errors
 
 
-def pairing_rows(
-    joined: Joined, scored: list[RunRecord], seed: int, pairs: PairScores
-) -> tuple[list[dict], list[dict]]:
+def pairing_rows(joined: Joined, seed: int, pairs: PairScores) -> tuple[list[dict], list[dict]]:
     """pairings.jsonl rows and error rows. For each model with two or more
-    original records that `scored` (`score_records` of `joined`) holds
-    scores for, in run-file order, and for each metric: the four
-    `pairing_distributions`."""
+    original records that hold scores, in run-file order, and for each
+    metric: the four `pairing_distributions`."""
     by_model: dict[str, list[tuple[str, RunRecord]]] = {}  # (reference, record)
-    for (_, ex), rec in zip(joined, scored):
+    for rec, ex in joined:
         if rec.variant == Variant.ORIGINAL.value and rec.metrics is not None:
             by_model.setdefault(rec.model_id, []).append((ex.reference, rec))
     rows: list[dict] = []
@@ -230,7 +229,8 @@ def score_run(
     tokenize: Tokenizer, provider: metrics.EmbeddingProvider, lowercase_bleu: bool,
 ) -> tuple[list[RunRecord], list[dict]]:
     """Score the run file at `runs_path` in place and write its pairings
-    file; returns the scored records and the error rows."""
+    file; returns the records, each with its scores or None, and the error
+    rows."""
     joined = join_examples(load_run(runs_path), variants_dir)
     subwords = tokenize_descriptions(joined, tokenize)
     table = metrics.EmbeddingTable(provider, (sw for words in subwords.values() for sw in words))
@@ -238,18 +238,21 @@ def score_run(
         # Each record that needs BERTScore reports it.
         log.warning("embedding fetch failed: %s", table.error)
     pairs = PairScores(subwords, table, lowercase_bleu)
-    scored, errors = score_records(joined, tokenize, pairs)
-    save_run(scored, runs_path)
-    rows, pairing_errors = pairing_rows(joined, scored, seed, pairs)
+    scores, errors = score_records(joined, tokenize, pairs)
+    records = [rec for rec, _ in joined]
+    for rec, rec_scores in zip(records, scores):
+        rec.metrics = rec_scores
+    save_run(records, runs_path)
+    rows, pairing_errors = pairing_rows(joined, seed, pairs)
     header = {
         "seed": seed,
         "tokenizer_id": tokenize.tokenizer_id,
         "provider_id": provider.provider_id,
         "lowercase_bleu": lowercase_bleu,
-        "records_digest": originals_digest(scored),
+        "records_digest": originals_digest(records),
     }
     write_jsonl(pairings_path, [header] + rows)
-    return scored, errors + pairing_errors
+    return records, errors + pairing_errors
 
 
 def read_pairings(

@@ -7,8 +7,9 @@ scan that `score` walks, drops its comments, and keeps what the variants
 need; `Snippet.text` returns each variant's code. Every variant but
 `original` is built from the comment-free lexemes, so the models cannot
 lean on prose hidden in comments. `apply_variant` is the same path for
-one example and one variant. `donor_entries` and `donor_assignment`
-choose the names the adversarial variant writes.
+one example and one variant. `donor_entries` reads each accepted
+snippet's name and identifiers, and `donor_assignment` chooses from them
+the names the adversarial variant writes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import logging
 import random
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
@@ -27,7 +28,6 @@ from .pylex import (
     KEYWORDS,
     Category,
     NoFunctionError,
-    UnlexableError,
     categories,
     function_name_at,
     lexemes,
@@ -262,7 +262,7 @@ def apply_variant(ex: Example, variant: Variant, donor: str | None = None) -> Ex
     """
     if variant is Variant.ORIGINAL:
         return ex
-    return replace(ex, code=Snippet.of(ex.code, (variant,)).text(variant, donor))
+    return Example(ex.id, Snippet.of(ex.code, (variant,)).text(variant, donor), ex.reference)
 
 
 # --- donor assignment -----------------------------------------------------
@@ -277,18 +277,11 @@ class DonorEntry(NamedTuple):
     identifiers: frozenset[str]
 
 
-def donor_entries(examples: Iterable[Example]) -> list[DonorEntry]:
-    """The donor entry of each example whose code lexes and defines a
-    function, in order."""
-    entries = []
-    for ex in examples:
-        try:
-            snippet = Snippet.of(ex.code, ())
-        except UnlexableError:
-            continue
-        if snippet.name is not None:
-            entries.append(DonorEntry(ex.id, snippet.name, snippet.identifiers))
-    return entries
+def donor_entries(accepted: Iterable[tuple[Example, Snippet]]) -> list[DonorEntry]:
+    """The donor entry of each accepted (example, snippet) whose snippet
+    defines a function, in order."""
+    return [DonorEntry(ex.id, snippet.name, snippet.identifiers)
+            for ex, snippet in accepted if snippet.name is not None]
 
 
 class _UnusedSlots:

@@ -151,7 +151,7 @@ def test_criterion_3_transform_invariants(mixed_corpus):
     """Checked on the texts `transform` writes, against the comment-free
     lexemes every transformed variant is built from."""
     accepted, _ = filter_corpus(mixed_corpus)
-    donors = donor_assignment(donor_entries(accepted), seed=12)
+    donors = donor_assignment(donor_entries((e, Snippet.of(e.code)) for e in accepted), seed=12)
     checked = 0
     for ex in accepted:
         found = lexemes(ex.code)
@@ -398,7 +398,9 @@ def test_criterion_9_determinism(tmp_path):
 def test_criterion_10_throughput(clean_corpus):
     tokenize = FallbackTokenizer()
     start = time.monotonic()
-    donors = donor_assignment(donor_entries(clean_corpus), seed=5)
+    donors = donor_assignment(
+        donor_entries((ex, Snippet.of(ex.code)) for ex in clean_corpus), seed=5
+    )
     processed = 0
     for ex in clean_corpus:
         for variant in Variant:

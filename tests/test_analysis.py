@@ -14,6 +14,7 @@ from sumprobe.analysis import (
     bucket_label_from_counts,
     bucketize,
     correlate,
+    _RE_PAIRINGS,
     derangement,
     emit_report,
     paired_vs_random,
@@ -21,7 +22,8 @@ from sumprobe.analysis import (
     summarize_scores,
 )
 from sumprobe.corpus import EvalRecord, RunRecord
-from sumprobe.metrics import DegenerateInputError, bleu4, bleu_scorer
+from sumprobe.metrics import DegenerateInputError, EmbeddingTable, HashedOneHotProvider, bleu4
+from sumprobe.score import PairScores
 from sumprobe.subtok import FallbackTokenizer, code_subwords, split_code
 
 
@@ -163,10 +165,34 @@ def test_derangement_has_no_fixed_points():
         derangement(1, random.Random(0))
 
 
+def text_bleu(pairs):
+    """BLEU-4 of (candidate, reference) texts, as score computes it."""
+    return PairScores({}, EmbeddingTable(HashedOneHotProvider(8), ()), False).bleu4(pairs)
+
+
 def test_paired_own_echo_is_all_100():
+    """The corresponding pairs' distribution is that of the given scores,
+    which are not recomputed; only the re-pairings are scored."""
     pairs = [(f"summary of item {i} works fine", f"summary of item {i} works fine") for i in range(5)]
-    summary = paired_vs_random(pairs, PairingMode.REF_VS_OWN_GEN, seed=1)
-    assert summary.median == 100.0 and summary.mean == 100.0
+    scored = []
+
+    def scorer(batch):
+        scored.extend(batch)
+        return text_bleu(batch)
+
+    out = pairing_distributions(pairs, [100.0] * 5, 1, scorer)
+    assert out[PairingMode.REF_VS_OWN_GEN] == summarize_scores([100.0] * 5)
+    assert out[PairingMode.REF_VS_OWN_GEN].median == 100.0
+    assert out[PairingMode.REF_VS_OWN_GEN].mean == 100.0
+    # three derangements of distinct texts: no scored pair is an echo
+    assert len(scored) == 15 and all(c != r for c, r in scored)
+    for pairing in _RE_PAIRINGS:
+        assert out[pairing] == paired_vs_random(pairs, pairing, 1, text_bleu)
+        assert out[pairing].median < 100.0
+    stored = [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert pairing_distributions(pairs, stored, 1, text_bleu)[PairingMode.REF_VS_OWN_GEN] == (
+        summarize_scores(stored)
+    )
 
 
 def test_paired_random_matches_exhaustive_brute_force():
@@ -183,7 +209,7 @@ def test_paired_random_matches_exhaustive_brute_force():
     ]
     expected_median = statistics.median(cross)
     for seed in (0, 1, 2, 3):
-        summary = paired_vs_random(pairs, PairingMode.REF_VS_RANDOM_GEN, seed=seed)
+        summary = paired_vs_random(pairs, PairingMode.REF_VS_RANDOM_GEN, seed, text_bleu)
         assert summary.median == pytest.approx(expected_median, abs=1e-9)
         assert summary.median < 100.0
 
@@ -194,17 +220,17 @@ def test_paired_seed_determinism():
         (f"ref {i} with {rng.randint(0, 9)} words", f"gen {i} plus {rng.randint(0, 9)}")
         for i in range(12)
     ]
-    a = paired_vs_random(pairs, PairingMode.REF_VS_RANDOM_GEN, seed=9)
-    b = paired_vs_random(pairs, PairingMode.REF_VS_RANDOM_GEN, seed=9)
+    a = paired_vs_random(pairs, PairingMode.REF_VS_RANDOM_GEN, 9, text_bleu)
+    b = paired_vs_random(pairs, PairingMode.REF_VS_RANDOM_GEN, 9, text_bleu)
     assert a == b
 
 
 def test_paired_modes_differ():
     pairs = [(f"shared prefix words {i}", f"shared prefix words {i}") for i in range(6)]
-    own = paired_vs_random(pairs, PairingMode.REF_VS_OWN_GEN, seed=2)
-    rand = paired_vs_random(pairs, PairingMode.REF_VS_RANDOM_GEN, seed=2)
-    ref_ref = paired_vs_random(pairs, PairingMode.REF_VS_REF, seed=2)
-    gen_gen = paired_vs_random(pairs, PairingMode.GEN_VS_GEN, seed=2)
+    own = summarize_scores(text_bleu([(g, r) for r, g in pairs]))
+    rand = paired_vs_random(pairs, PairingMode.REF_VS_RANDOM_GEN, 2, text_bleu)
+    ref_ref = paired_vs_random(pairs, PairingMode.REF_VS_REF, 2, text_bleu)
+    gen_gen = paired_vs_random(pairs, PairingMode.GEN_VS_GEN, 2, text_bleu)
     assert own.median == 100.0
     assert rand.median < 100.0
     assert ref_ref == gen_gen  # echo: generations equal references
@@ -212,7 +238,7 @@ def test_paired_modes_differ():
 
 def test_paired_too_few_records():
     with pytest.raises(TooFewRecordsError):
-        paired_vs_random([("a b c", "a b c")], PairingMode.REF_VS_OWN_GEN, seed=0)
+        paired_vs_random([("a b c", "a b c")], PairingMode.REF_VS_RANDOM_GEN, 0, text_bleu)
 
 
 def test_summary_invariants():
@@ -294,7 +320,7 @@ def build_report_inputs():
     pairs = [(references[r.example_id], r.generated) for r in original]
     distributions = {
         ("m", "bleu4"): pairing_distributions(
-            pairs, [r.metrics.bleu4 for r in original], 3, bleu_scorer
+            pairs, [r.metrics.bleu4 for r in original], 3, text_bleu
         )
     }
     return records, distributions

@@ -27,7 +27,7 @@ from sumprobe.llmgen import ChatCompletionsClient, GenerationCache
 from sumprobe.metrics import EmbeddingTable, RemoteEmbeddingProvider
 from sumprobe.pylex import Category
 from sumprobe.subtok import BpeTokenizer, FallbackTokenizer, code_subwords
-from sumprobe.transform import Variant, apply_variant, donor_assignment, donor_entries
+from sumprobe.transform import Snippet, Variant, apply_variant, donor_assignment, donor_entries
 
 from corpusgen import write_corpus
 from httpstub import serve
@@ -670,7 +670,7 @@ def test_every_variant_row_is_apply_variant(tmp_path):
                    "--max-errors", 1000) == 0
 
     accepted, _ = filter_corpus(load_corpus(corpus)[0])
-    donors = donor_assignment(donor_entries(accepted), 5)
+    donors = donor_assignment(donor_entries((e, Snippet.of(e.code)) for e in accepted), 5)
     failed = {json.loads(line)["where"]
               for line in (out / "errors_transform.jsonl").read_text().splitlines()}
     # the no-def snippet, and whichever snippet draws `f²` as its donor
@@ -1115,6 +1115,32 @@ def test_score_against_dead_embedding_service(tmp_path, monkeypatch):
                    "--max-errors", 40) == 0
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_embedding_reply_that_is_not_finite_scores_no_record(tmp_path, bad):
+    """JSON accepts NaN and Infinity, but a vector holding one is a
+    malformed reply: every record gets an error row, and no NaN is written
+    where an echo must score 100."""
+    out = echo_run(tmp_path)
+
+    def script(body, hit):
+        vectors = [dense_vector(tok) for tok in body["tokens"]]
+        vectors[len(vectors) // 2][0] = float(bad)
+        return 200, json.dumps({"vectors": vectors})
+
+    with serve(script) as (url, hits):
+        assert run_cli("--seed", 5, "--out", out, "score", "--embedding-endpoint", url) == 1
+        assert len(hits) == 1
+    text = (out / "runs.jsonl").read_text()
+    assert bad not in text
+    runs = [json.loads(line) for line in text.splitlines()]
+    assert len(runs) == 40 and all(r["metrics"] is None for r in runs)
+    errors = score_errors(out)
+    assert sorted(e["where"] for e in errors) == sorted(
+        f"{r['example_id']}/{r['variant']}" for r in runs
+    )
+    assert all("NaN or infinite" in e["error"] for e in errors)
+
+
 def closed_port_url():
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
@@ -1273,6 +1299,30 @@ def test_generate_keeps_records_when_a_cache_write_fails(tmp_path, corpus5, monk
               for line in (out / "errors_generate.jsonl").read_text().splitlines()]
     assert [e["where"] for e in errors] == [f"{ids[2]}/original"]
     assert "No space left on device" in errors[0]["error"]
+
+
+def test_generate_reports_a_reply_that_utf8_cannot_encode(tmp_path, corpus5):
+    """A reply whose JSON escapes a lone surrogate (cut inside an emoji)
+    fails its cache write, so that request is an error row and the others
+    are saved."""
+    out = tmp_path / "out"
+    run_cli("--seed", 2, "--out", out, "transform", "--corpus", corpus5, "--variant", "original")
+    ids = [json.loads(line)["id"]
+           for line in (out / "variants" / "original.jsonl").read_text().splitlines()]
+
+    def script(body, hit):
+        return 200, {"choices": [{"message": {"content": "Smiles \ud83d" if hit == 0
+                                              else "Does a thing."}}]}
+
+    with serve(script) as (url, _):
+        assert run_cli("--seed", 2, "--out", out, "--jobs", 1, "generate", "--model", "m",
+                       "--endpoint", url) == 0
+    saved = [json.loads(line) for line in (out / "runs.jsonl").read_text().splitlines()]
+    assert sorted(r["example_id"] for r in saved) == sorted(ids[1:])
+    errors = [json.loads(line)
+              for line in (out / "errors_generate.jsonl").read_text().splitlines()]
+    assert [e["where"] for e in errors] == [f"{ids[0]}/original"]
+    assert "cannot write" in errors[0]["error"] and "surrogates not allowed" in errors[0]["error"]
 
 
 def test_generate_drops_records_of_pairs_no_longer_transformed(tmp_path, capsys):

@@ -236,12 +236,31 @@ def test_the_per_file_encoder_is_json_dumps(rows):
     # one encoder for all the rows, as for the rows of one file
     encode = _row_encoder()
     assert [encode(row) for row in rows] == [json.dumps(row, ensure_ascii=False) for row in rows]
+    text = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rows.jsonl"
+        if any("\ud800" <= ch <= "\udfff" for ch in text):
+            # UTF-8 cannot encode a lone surrogate: the write fails whole
+            with pytest.raises(CorpusError, match="cannot write"):
+                write_jsonl(path, rows)
+            assert list(Path(tmp).iterdir()) == []
+            return
         write_jsonl(path, rows)
-        assert path.read_text(encoding="utf-8") == "".join(
-            json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+        assert path.read_text(encoding="utf-8") == text
         assert repr(read_jsonl(path)) == repr(rows)
+
+
+def test_a_lone_surrogate_fails_the_write_in_one_line(tmp_path):
+    """A JSON reply can escape half of a surrogate pair (a reply cut inside
+    an emoji); UTF-8 cannot encode it, so the write is a CorpusError, as a
+    failed disk write is, and the previous file stays."""
+    path = tmp_path / "runs.jsonl"
+    write_jsonl(path, [{"generated": "smile"}])
+    cut = json.loads('"smile \\ud83d"')
+    with pytest.raises(CorpusError, match="cannot write run file .*surrogates not allowed"):
+        write_jsonl(path, [{"generated": cut}], "run file")
+    assert read_jsonl(path) == [{"generated": "smile"}]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.jsonl"]
 
 
 def test_the_encoder_without_the_c_accelerator_is_json_dumps(monkeypatch):

@@ -26,13 +26,13 @@ from sumprobe.metrics import (
     _stable_index,
     bertscore,
     bleu4,
-    bleu_scorer,
     embed,
     p_copy,
     pearson,
     spearman,
     split_description,
 )
+from sumprobe.score import PairScores
 
 from httpstub import serve
 
@@ -102,11 +102,22 @@ def test_split_description():
     assert split_description("The  cat SAT", lowercase=True) == ["the", "cat", "sat"]
 
 
-def test_bleu_scorer_on_text():
-    assert bleu_scorer([("adds two small numbers", "adds two small numbers"),
-                        ("adds numbers", "adds two small numbers")]) == [
-        100.0, bleu4(["adds", "numbers"], ["adds", "two", "small", "numbers"]).value
-    ]
+def test_pair_scores_bleu4_on_text():
+    """Score's one BLEU path on text: whitespace words, the lowercase flag,
+    and 0 where the reference side has no words."""
+    table = EmbeddingTable(HashedOneHotProvider(8), ())
+    words = ["adds", "two", "small", "numbers"]
+    assert PairScores({}, table, False).bleu4([
+        ("adds two  small\tnumbers", "adds two small numbers"),
+        ("adds numbers", "adds two small numbers"),
+        ("Adds Two Small Numbers", "adds two small numbers"),
+        ("adds numbers", " "),
+        ("", "adds numbers"),
+    ]) == [100.0, bleu4(["adds", "numbers"], words).value, 0.0, 0.0, 0.0]
+    assert PairScores({}, table, True).bleu4([
+        ("Adds Two Small Numbers", "adds two SMALL numbers"),
+        ("adds Numbers", "ADDS two small numbers"),
+    ]) == [100.0, bleu4(["adds", "numbers"], words).value]
 
 
 def test_bleu_with_one_ngram_table_matches_the_oracle_bit_for_bit():
@@ -167,10 +178,9 @@ def test_p_copy_examples():
     assert p_copy(["get"], ["get", "x"]).value == 0.5
 
 
-def test_p_copy_counts_and_id():
-    result = p_copy(["a", "b"], ["a", "a", "c"], tokenizer_id="bpe:x")
+def test_p_copy_counts():
+    result = p_copy(["a", "b"], ["a", "a", "c"])
     assert (result.matched, result.total) == (2, 3)
-    assert result.tokenizer_id == "bpe:x"
     assert result.value == 2 / 3
 
 
@@ -392,6 +402,26 @@ def test_embedding_table_rejects_a_dimension_change(monkeypatch):
     assert isinstance(table.error, DimensionMismatchError)
     assert "dimensional" in str(table.error)
     assert provider.calls == 2  # the failed call stopped the fetching
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_embedding_table_refuses_a_vector_that_is_not_finite(monkeypatch, bad):
+    monkeypatch.setattr(sumprobe.metrics, "EMBED_BATCH_TOKENS", 2)
+
+    class Poisoned(CountingProvider):
+        def vector(self, tok):
+            clean = super().vector(tok)
+            return [bad, *clean[1:]] if tok == "c" else clean
+
+    provider = Poisoned()
+    table = EmbeddingTable(provider, ["a", "b", "c", "d", "e"])
+    assert isinstance(table.error, DimensionMismatchError)
+    assert "NaN or infinite" in str(table.error)
+    assert provider.calls == [["a", "b"], ["c", "d"]]  # the failed call stopped the fetching
+    [failed] = table.bertscores([(["a"], ["b"])])
+    assert failed is table.error
+    with pytest.raises(DimensionMismatchError):
+        embed(["c"], Poisoned())
 
 
 # --- correlations ----------------------------------------------------------

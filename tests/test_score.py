@@ -40,10 +40,11 @@ def joined_run(tmp_path):
 
 def test_record_phase_is_shardable(tmp_path):
     """Records scored in contiguous slices, each with its own code memo and
-    all with one PairScores, give the rows, error rows and re-pairings of a
-    single pass: a record's scores depend on the record, its example and
-    the shared tables alone."""
+    all with one PairScores, give the scores, error rows and re-pairings of
+    a single pass, and no pass changes a record: a record's scores depend
+    on the record, its example and the shared tables alone."""
     joined = joined_run(tmp_path)
+    before = [rec.to_dict() for rec, _ in joined]
     tokenize = FallbackTokenizer()
     subwords = score.tokenize_descriptions(joined, tokenize)
 
@@ -53,20 +54,26 @@ def test_record_phase_is_shardable(tmp_path):
 
     whole_pairs = pair_scores()
     whole, whole_errors = score.score_records(joined, tokenize, whole_pairs)
+    assert len(whole) == len(joined)
     assert len(whole_errors) == 2  # the missing example, once per model
-    assert len({r.metrics.bertscore_f1 for r in whole if r.metrics is not None}) > 2
+    assert sum(scores is None for scores in whole) == 2
+    assert len({scores.bertscore_f1 for scores in whole if scores is not None}) > 2
 
     pairs = pair_scores()
     cuts = [0, 7, len(joined) // 2, len(joined)]
     sharded, sharded_errors = [], []
     for start, end in zip(cuts, cuts[1:]):
-        rows, errors = score.score_records(joined[start:end], tokenize, pairs)
-        sharded += rows
+        scores, errors = score.score_records(joined[start:end], tokenize, pairs)
+        sharded += scores
         sharded_errors += errors
-    assert [r.to_dict() for r in sharded] == [r.to_dict() for r in whole]
+    assert sharded == whole
     assert sharded_errors == whole_errors
-    repaired = score.pairing_rows(joined, sharded, 6, pairs)
-    assert repaired[0] and repaired == score.pairing_rows(joined, whole, 6, whole_pairs)
+    assert [rec.to_dict() for rec, _ in joined] == before
+
+    for (rec, _), scores in zip(joined, whole):
+        rec.metrics = scores
+    repaired = score.pairing_rows(joined, 6, pairs)
+    assert repaired[0] and repaired == score.pairing_rows(joined, 6, whole_pairs)
 
 
 def test_pairings_keep_a_model_id_with_a_line_separator(tmp_path):

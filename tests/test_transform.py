@@ -199,6 +199,18 @@ def test_adversarialize_preserves_every_other_token():
 # --- donor selection ------------------------------------------------------
 
 
+def built_entries(corpus):
+    """The donor entries of the examples that lex, from the snippets that
+    transform builds."""
+    snippets = []
+    for e in corpus:
+        try:
+            snippets.append((e, Snippet.of(e.code)))
+        except UnlexableError:
+            pass
+    return donor_entries(snippets)
+
+
 def two_example_corpus():
     return [
         ex("def load_user(a):\n    return a\n", id="a"),
@@ -208,13 +220,13 @@ def two_example_corpus():
 
 def test_two_example_corpus_swaps_names():
     corpus = two_example_corpus()
-    assert donor_assignment(donor_entries(corpus), seed=1) == {"a": "save_item", "b": "load_user"}
+    assert donor_assignment(built_entries(corpus), seed=1) == {"a": "save_item", "b": "load_user"}
 
 
 def test_donor_assignment_deterministic():
     corpus = [ex(f"def name_{i}(x):\n    return x\n", id=f"e{i}") for i in range(8)]
-    first = donor_assignment(donor_entries(corpus), seed=42)
-    second = donor_assignment(donor_entries(corpus), seed=42)
+    first = donor_assignment(built_entries(corpus), seed=42)
+    second = donor_assignment(built_entries(corpus), seed=42)
     assert first == second
     assert set(first) == {e.id for e in corpus}
     assert all(first[e.id] != f"name_{i}" for i, e in enumerate(corpus))
@@ -222,7 +234,7 @@ def test_donor_assignment_deterministic():
 
 def test_all_names_identical_has_no_donor():
     corpus = [ex("def same(x):\n    return x\n", id=f"e{i}") for i in range(3)]
-    assert donor_assignment(donor_entries(corpus), seed=0) == {}
+    assert donor_assignment(built_entries(corpus), seed=0) == {}
 
 
 def test_assignment_avoids_in_snippet_collisions():
@@ -231,7 +243,7 @@ def test_assignment_avoids_in_snippet_collisions():
         ex("def beta(x):\n    return x\n", id="b"),
         ex("def gamma(x):\n    return x\n", id="c"),
     ]
-    assignment = donor_assignment(donor_entries(corpus), seed=5)
+    assignment = donor_assignment(built_entries(corpus), seed=5)
     # alpha's code already mentions beta, so beta can never be its donor
     assert assignment["a"] == "gamma"
 
@@ -312,25 +324,25 @@ def test_donor_assignment_matches_the_quadratic_oracle(caplog):
         corpora.append((crowded_corpus(200, [f"name_{i}" for i in range(12)], seed), seed))
     with caplog.at_level(logging.INFO, logger="sumprobe.transform"):
         for corpus, seed in corpora:
-            entries = donor_entries(corpus)
+            built = built_entries(corpus)
             expected = lexed_entries(corpus)
-            assert [(e.id, e.name, set(e.identifiers)) for e in entries] == expected
-            assert donor_assignment(entries, seed) == quadratic_donor_assignment(expected, seed)
+            assert [(e.id, e.name, set(e.identifiers)) for e in built] == expected
+            assert donor_assignment(built, seed) == quadratic_donor_assignment(expected, seed)
     # the crowded corpora reach the reuse fallback, and leave targets
     # without any donor
     assert "donor pool exhausted" in caplog.text
     crowded = crowded_corpus(300, ["load", "save", "scan"], 3)
-    assert len(donor_assignment(donor_entries(crowded), 3)) < len(crowded)
+    assert len(donor_assignment(built_entries(crowded), 3)) < len(crowded)
 
 
 def test_donor_assignment_matches_the_oracle_on_generated_corpora():
     for seed in (3, 4, 5):
         corpus = [ex(code, id=f"s{i}") for i, (code, _) in enumerate(sample_pairs(2000, seed))]
-        entries = donor_entries(corpus)
+        built = built_entries(corpus)
         expected = lexed_entries(corpus)
-        assert [(e.id, e.name, set(e.identifiers)) for e in entries] == expected
+        assert [(e.id, e.name, set(e.identifiers)) for e in built] == expected
         for n in (1000, 2000):
-            got = donor_assignment(entries[:n], seed)
+            got = donor_assignment(built[:n], seed)
             assert got == quadratic_donor_assignment(expected[:n], seed)
 
 
