@@ -23,7 +23,7 @@ from .metrics import DegenerateInputError, Scorer, pearson, spearman
 from .pylex import lex  # noqa: F401
 from .subtok import ATTRIBUTION_CATEGORIES, CodeSubwords
 from .svgplot import grouped_bars
-from .transform import VARIANT_ORDER
+from .transform import variant_key
 
 
 class TooFewRecordsError(HarnessError):
@@ -264,7 +264,7 @@ def emit_report(
     for rec in records:
         if rec.metrics is not None:
             groups.setdefault((rec.model_id, rec.variant), []).append(rec)
-    group_keys = sorted(groups, key=lambda k: (k[0], VARIANT_ORDER.get(k[1], 99), k[1]))
+    group_keys = sorted(groups, key=lambda k: (k[0], variant_key(k[1])))
     rows: dict[str, list[list[str]]] = {name: [] for name in _CSV_HEADERS}
     files: dict[str, str] = {}  # report file name -> its text
     owners: dict[str, tuple[str, str]] = {}

@@ -3,7 +3,9 @@
 This module handles arguments only: an INI file plus flag overrides, one
 `RunConfig` field per setting (only the API key is read from the environment,
 SUMPROBE_API_KEY), and each stage's checks, printed line and exit code.
-The score stage's phases are in `score.py`. Stages hand off through files
+The score stage's phases are in `score.py`. `transform` screens its corpus
+and `generate` its few-shot pool with `corpus.filter_corpus`; a line of
+either that cannot be read is an error row of the stage. Stages hand off through files
 in the run directory, so each stage can be re-run independently and a
 full pipeline is reproducible byte-for-byte from (corpus, config, seed,
 cache):
@@ -36,22 +38,21 @@ from . import llmgen, metrics, score
 from .analysis import emit_report
 from .corpus import (
     Example,
-    FilterReason,
+    LineError,
     RunRecord,
     filter_corpus,
     load_corpus,
     load_run,
     load_variant,
     save_run,
-    screen_example,
     write_jsonl,
 )
 from .errors import HarnessError, PrerequisiteError
 from .metrics import HashedOneHotProvider, RemoteEmbeddingProvider
-from .pylex import Category, UnlexableError
+from .pylex import Category
 from .subtok import tokenizer_from_spec
 from .transform import (
-    VARIANT_ORDER, Snippet, Variant, donor_assignment, donor_entries, record_sort_key,
+    Snippet, Variant, donor_assignment, donor_entries, record_sort_key, variant_key,
 )
 
 log = logging.getLogger(__name__)
@@ -240,31 +241,27 @@ def _finish(config: RunConfig, stage: str, errors: list[dict], tolerated: float,
     return 0 if len(errors) <= tolerated else 1
 
 
+def _line_error_rows(stage: str, line_errors: list[LineError]) -> list[dict]:
+    """One error row of `stage` per corpus line that could not be read."""
+    return [{"stage": stage, "where": f"{err.path}:{err.line_number}", "error": err.message}
+            for err in line_errors]
+
+
 def cmd_transform(config: RunConfig) -> int:
     if not config.corpus_path:
         raise HarnessError("transform needs a corpus (--corpus or [corpus] path)")
     variants = _parse_variants(config.variants)
     examples, line_errors = load_corpus(config.corpus_path)
-    # One pass: the filter rules, then one scan per snippet for all
-    # variants, sharing one memo of lexeme categories.
+    # The filter scans each snippet it accepts once, for all variants,
+    # sharing one memo of lexeme categories.
     kinds: dict[str, Category] = {}
-    accepted: list[tuple[Example, Snippet]] = []
-    rejects: list[dict] = []
-    for ex in examples:
-        reason = screen_example(ex, config.min_tokens, config.max_tokens)
-        if reason is None:
-            try:
-                accepted.append((ex, Snippet.of(ex.code, variants, kinds)))
-                continue
-            except UnlexableError:
-                reason = FilterReason.UNLEXABLE
-        rejects.append({"id": ex.id, "reason": reason.value})
-    write_jsonl(config.out / "rejects.jsonl", rejects)
+    accepted, rejected = filter_corpus(
+        examples, config.min_tokens, config.max_tokens,
+        lambda code: Snippet.of(code, variants, kinds))
+    write_jsonl(config.out / "rejects.jsonl",
+                ({"id": ex.id, "reason": reason.value} for ex, reason in rejected))
 
-    errors = [
-        {"stage": "transform", "where": f"{err.path}:{err.line_number}", "error": err.message}
-        for err in line_errors
-    ]
+    errors = _line_error_rows("transform", line_errors)
     donors: dict[str, str] = {}
     if Variant.ADVERSARIAL_NAMES in variants:
         donors = donor_assignment(donor_entries(accepted), config.seed)
@@ -277,7 +274,7 @@ def cmd_transform(config: RunConfig) -> int:
         if path not in written:
             path.unlink()
     return _finish(config, "transform", errors, config.max_errors,
-                   f"{len(accepted)} accepted, {len(rejects)} rejected, "
+                   f"{len(accepted)} accepted, {len(rejected)} rejected, "
                    f"{len(errors)} errors, {len(variants)} variant file(s)")
 
 
@@ -305,18 +302,19 @@ def _present_variants(config: RunConfig) -> list[str]:
         raise PrerequisiteError(
             f"missing {config.variants_dir}; run `sumprobe transform` first"
         )
-    names = [p.stem for p in config.variants_dir.glob("*.jsonl")]
-    return sorted(names, key=lambda n: (VARIANT_ORDER.get(n, 99), n))
+    return sorted((p.stem for p in config.variants_dir.glob("*.jsonl")), key=variant_key)
 
 
 def cmd_generate(config: RunConfig) -> int:
     if not config.model_id:
         raise HarnessError("generate needs a model id (--model or [model] id)")
     shots: list[tuple[str, str]] = []
+    errors: list[dict] = []
     if config.train_path:
-        train_examples, _ = load_corpus(config.train_path)
-        train_accepted, _ = filter_corpus(train_examples, config.min_tokens, config.max_tokens)
-        shots = llmgen.select_shots(train_accepted, config.shots, config.seed)
+        train_examples, line_errors = load_corpus(config.train_path)
+        errors = _line_error_rows("generate", line_errors)
+        accepted, _ = filter_corpus(train_examples, config.min_tokens, config.max_tokens)
+        shots = llmgen.select_shots([ex for ex, _ in accepted], config.shots, config.seed)
     elif not config.mock:
         log.warning("no [corpus] train_path configured; prompting zero-shot")
 
@@ -357,7 +355,6 @@ def cmd_generate(config: RunConfig) -> int:
 
     results = llmgen.dispatch(requests(), client, cache, config.jobs)
     new_records: list[RunRecord] = []
-    errors: list[dict] = []
     for (example_id, variant_value), result in zip(order, results):
         if isinstance(result, Exception):
             where = f"{example_id}/{variant_value}"

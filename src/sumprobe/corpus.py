@@ -2,7 +2,9 @@
 
 Corpora are JSON Lines with CodeSearchNet-style field names: `code` holds
 the source snippet, `docstring` the reference description. Run files are
-JSON Lines of per-(example, variant, model) records.
+JSON Lines of per-(example, variant, model) records. `filter_corpus` is
+the one filter: `transform` screens the corpus with it, scanning each
+accepted snippet for its variants, and `generate` the few-shot pool.
 
 Every JSONL file is read with one module-level decoder and written with one
 encoder per file: the set-up that `json.loads` and `json.dumps` repeat on
@@ -18,10 +20,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import HarnessError, PrerequisiteError
 from .pylex import UnlexableError, lexemes
+
+T = TypeVar("T")
 
 
 class CorpusError(HarnessError):
@@ -121,7 +125,9 @@ def load_corpus(path: str | Path) -> tuple[list[Example], list[LineError]]:
 
     Lines must be JSON objects with string `code` and `docstring` fields.
     An `id` field is used when present; otherwise ids are `path:lineno`.
-    Other fields are ignored.
+    Other fields are ignored. A line whose id, code or description UTF-8
+    cannot encode (a lone surrogate, which a JSON `\\ud800` escape can
+    put in a str) is a LineError: every later write of it would fail.
     """
     path = Path(path)
     try:
@@ -161,6 +167,14 @@ def load_corpus(path: str | Path) -> tuple[list[Example], list[LineError]]:
             err("missing or non-string field 'docstring'")
             continue
         ex_id = str(obj["id"]) if "id" in obj else f"{path}:{lineno}"
+        # A lone surrogate is not ASCII, and `isascii` takes no scan.
+        if not (code.isascii() and reference.isascii() and ex_id.isascii()):
+            try:
+                for text in (ex_id, code, reference):
+                    text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                err(f"text UTF-8 cannot encode: {exc}")
+                continue
         if ex_id in seen_ids:
             err(f"duplicate id {ex_id!r}")
             continue
@@ -199,18 +213,22 @@ def screen_example(
 
 
 def filter_corpus(
-    examples: Iterable[Example], min_tokens: int = 3, max_tokens: int = 256
-) -> tuple[list[Example], list[tuple[Example, FilterReason]]]:
-    """Split examples into accepted and rejected: `screen_example`'s rules,
-    then code the lexer refuses."""
-    accepted: list[Example] = []
+    examples: Iterable[Example], min_tokens: int = 3, max_tokens: int = 256,
+    scan: Callable[[str], T] | None = None,
+) -> tuple[list[tuple[Example, T]], list[tuple[Example, FilterReason]]]:
+    """Split examples into accepted (example, `scan(example.code)`) pairs
+    and rejected (example, reason) pairs, both in corpus order:
+    `screen_example`'s rules, then code that `scan` refuses with
+    UnlexableError. `scan` defaults to `pylex.lexemes`, looked up at each
+    call."""
+    scan = scan or lexemes
+    accepted: list[tuple[Example, T]] = []
     rejected: list[tuple[Example, FilterReason]] = []
     for ex in examples:
         reason = screen_example(ex, min_tokens, max_tokens)
         if reason is None:
             try:
-                lexemes(ex.code)
-                accepted.append(ex)
+                accepted.append((ex, scan(ex.code)))
                 continue
             except UnlexableError:
                 reason = FilterReason.UNLEXABLE

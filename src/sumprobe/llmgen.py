@@ -2,7 +2,9 @@
 content-addressed response cache and a reference-echoing mock client.
 
 `dispatch` sends each distinct request once, through the cache, and leaves
-the sending, sorting and retrying of HTTP requests to `httpjson`.
+the sending, sorting and retrying of HTTP requests to `httpjson`. A cache
+entry is written by `GenerationCache.put` and read back, as a
+`GenResponse`, by `GenerationCache.get` alone.
 """
 
 from __future__ import annotations
@@ -185,11 +187,12 @@ class EchoClient:
 
 
 class GenerationCache:
-    """Directory of JSON files keyed by request hash.
+    """Directory of JSON files keyed by request hash, one response each.
 
-    Entries are independent files, so a corrupt one only costs itself: it
-    reads as a miss and is rewritten on the next fetch. Writes are
-    serialized and land atomically; reads take no lock.
+    `put` writes an entry and `get` reads it back; no other code knows
+    its format. Entries are independent files, so a corrupt one only costs
+    itself: it reads as a miss and is rewritten on the next fetch. Writes
+    are serialized and land atomically; reads take no lock.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -200,22 +203,26 @@ class GenerationCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
-    def get(self, key: str) -> dict | None:
-        """The entry stored under `key`, or None unless it is usable: a
-        `raw_text` string, a finite `latency` number and a `usage` dict,
-        the last two optional."""
+    def get(self, key: str) -> GenResponse | None:
+        """The response stored under `key`, marked `from_cache`, or None
+        unless its entry is usable: a `raw_text` string, a finite `latency`
+        number (default 0.0) and a `usage` dict (default empty)."""
         try:
             entry = json.loads(self._path(key).read_text(encoding="utf-8"))
         except (OSError, ValueError):  # unreadable, not UTF-8 or not JSON
             return None
         if not isinstance(entry, dict) or not isinstance(entry.get("raw_text"), str):
             return None
-        latency = entry.get("latency", 0.0)
-        if type(latency) not in (int, float) or not math.isfinite(latency):
+        latency, usage = entry.get("latency", 0.0), entry.get("usage", {})
+        if (type(latency) not in (int, float) or not math.isfinite(latency)
+                or not isinstance(usage, dict)):
             return None
-        return entry if isinstance(entry.get("usage", {}), dict) else None
+        return GenResponse(entry["raw_text"], latency, usage, from_cache=True)
 
-    def put(self, key: str, entry: dict) -> None:
+    def put(self, key: str, req: GenRequest, resp: GenResponse) -> None:
+        """Store `resp`, the raw reply to `req`, under `key`."""
+        entry = {"model_id": req.model_id, "example_id": req.example_id,
+                 "raw_text": resp.raw_text, "latency": resp.latency, "usage": resp.usage}
         with self._write_lock:
             write_text(self._path(key), json.dumps(entry, ensure_ascii=False))
 
@@ -251,35 +258,6 @@ def postprocess(text: str) -> str:
     return " ".join(paragraph)
 
 
-def _cached(key: str, cache: GenerationCache) -> GenResponse | None:
-    entry = cache.get(key)
-    if entry is None:
-        return None
-    return GenResponse(
-        raw_text=entry["raw_text"],
-        latency=entry.get("latency", 0.0),
-        usage=entry.get("usage", {}),
-        from_cache=True,
-    )
-
-
-def _store(
-    req: GenRequest, key: str, cache: GenerationCache, raw: str, latency: float, usage: dict
-) -> GenResponse:
-    """Write the raw response to the cache under `key`."""
-    cache.put(
-        key,
-        {
-            "model_id": req.model_id,
-            "example_id": req.example_id,
-            "raw_text": raw,
-            "latency": latency,
-            "usage": usage,
-        },
-    )
-    return GenResponse(raw_text=raw, latency=latency, usage=usage)
-
-
 def dispatch(
     requests: Iterable[GenRequest],
     client: CompletionClient | RetryingClient,
@@ -304,14 +282,14 @@ def dispatch(
     slot: list[int] = []  # request i takes the result of distinct request slot[i]
 
     def attempt(req: GenRequest, key: str | None, attempts: int) -> GenResponse:
-        if cache is None:
-            return GenResponse(*call(req))
-        if attempts == 0:
-            hit = _cached(key, cache)
+        if cache is not None and attempts == 0:
+            hit = cache.get(key)
             if hit is not None:
                 return hit
-        raw, latency, usage = call(req)
-        return _store(req, key, cache, raw, latency, usage)
+        resp = GenResponse(*call(req))
+        if cache is not None:
+            cache.put(key, req, resp)
+        return resp
 
     def distinct() -> Iterator[Callable[[int], GenResponse]]:
         first: dict[str, int] = {}

@@ -9,7 +9,8 @@ need; `Snippet.text` returns each variant's code. Every variant but
 lean on prose hidden in comments. `apply_variant` is the same path for
 one example and one variant. `donor_entries` reads each accepted
 snippet's name and identifiers, and `donor_assignment` chooses from them
-the names the adversarial variant writes.
+the names the adversarial variant writes. `variant_key` is the one order
+of variant names, for files, run records and report groups.
 """
 
 from __future__ import annotations
@@ -45,12 +46,17 @@ class Variant(str, Enum):
     NO_FUNCTION_BODY = "no_function_body"
 
 
-# Run records and report groups are ordered by variant in this order.
 VARIANT_ORDER = {v.value: i for i, v in enumerate(Variant)}
 
 
+def variant_key(name: str) -> tuple[int, str]:
+    """The one order of variant names, for variant files, run records and
+    report groups: `Variant`'s order, then any other name, by name."""
+    return (VARIANT_ORDER.get(name, len(VARIANT_ORDER)), name)
+
+
 def record_sort_key(rec: RunRecord):
-    return (rec.model_id, VARIANT_ORDER.get(rec.variant, 99), rec.variant, rec.example_id)
+    return (rec.model_id, *variant_key(rec.variant), rec.example_id)
 
 
 class DonorCollisionError(HarnessError):

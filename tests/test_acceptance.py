@@ -150,15 +150,14 @@ _UNSHIFT = str.maketrans(
 def test_criterion_3_transform_invariants(mixed_corpus):
     """Checked on the texts `transform` writes, against the comment-free
     lexemes every transformed variant is built from."""
-    accepted, _ = filter_corpus(mixed_corpus)
-    donors = donor_assignment(donor_entries((e, Snippet.of(e.code)) for e in accepted), seed=12)
+    accepted, _ = filter_corpus(mixed_corpus, scan=Snippet.of)
+    donors = donor_assignment(donor_entries(accepted), seed=12)
     checked = 0
-    for ex in accepted:
+    for ex, snippet in accepted:
         found = lexemes(ex.code)
         free, free_categories = _comment_free(found, categories(found))
         at = function_name_at(free)
         names = {i for i in range(at, len(free)) if free[i] == free[at]}
-        snippet = Snippet.of(ex.code)
 
         relexed = lex(snippet.text(Variant.NO_CODE_STRUCTURE))
         for tok in relexed:

@@ -21,7 +21,7 @@ import sumprobe.llmgen
 import sumprobe.metrics
 import sumprobe.pylex
 from sumprobe.cli import RunConfig, build_parser, config_from_args, main
-from sumprobe.corpus import filter_corpus, load_corpus, load_run
+from sumprobe.corpus import filter_corpus, load_corpus, load_run, screen_example
 from sumprobe.errors import HarnessError
 from sumprobe.llmgen import ChatCompletionsClient, GenerationCache
 from sumprobe.metrics import EmbeddingTable, RemoteEmbeddingProvider
@@ -211,14 +211,9 @@ def test_analyze_does_no_lexing(tmp_path, corpus5, monkeypatch):
 
 
 def test_transform_lexes_each_snippet_once(tmp_path, monkeypatch):
-    corpus = tmp_path / "corpus.jsonl"
-    write_corpus(corpus, 30, seed=3, unlexable_every=7)
-    rows = [json.loads(line) for line in corpus.read_text().splitlines()]
-    rows.append({"id": "short", "code": "def f(x):\n    return x\n", "docstring": "too short"})
-    rows.append({"id": "url", "code": "def g(x):\n    return x\n",
-                 "docstring": "see http://example.com for it"})
-    corpus.write_text("".join(json.dumps(row) + "\n" for row in rows))
-
+    """At n and 4n examples: the scans are the examples that pass
+    `screen_example`, one each, so the count grows with the corpus and no
+    faster."""
     scanned, lexed = [], []
     lexemes, lex = sumprobe.pylex.lexemes, sumprobe.pylex.lex
 
@@ -240,18 +235,29 @@ def test_transform_lexes_each_snippet_once(tmp_path, monkeypatch):
                 elif value is lex:
                     monkeypatch.setattr(module, alias, counting_lex)
     assert patched >= 2
-    out = tmp_path / "out"
-    assert run_cli("--seed", 3, "--out", out, "transform", "--corpus", corpus) == 0
-    rejects = [json.loads(line) for line in (out / "rejects.jsonl").read_text().splitlines()]
-    unlexable = [f"ex{i:04d}" for i in range(6, 30, 7)]
-    assert rejects == [{"id": i, "reason": "unlexable"} for i in unlexable] + [
-        {"id": "short", "reason": "too_short"}, {"id": "url", "reason": "has_url"},
-    ]
-    # every example that reaches the lexability rule, once: all but the two
-    # the description rules reject; the scan is `lexemes`, and no `lex`
-    # builds tokens with byte spans
-    assert sorted(scanned) == sorted(row["code"] for row in rows[:30])
-    assert lexed == []
+    for n in (30, 120):
+        corpus = tmp_path / f"corpus{n}.jsonl"
+        write_corpus(corpus, n, seed=3, unlexable_every=7)
+        rows = [json.loads(line) for line in corpus.read_text().splitlines()]
+        rows.append({"id": "short", "code": "def f(x):\n    return x\n", "docstring": "too short"})
+        rows.append({"id": "url", "code": "def g(x):\n    return x\n",
+                     "docstring": "see http://example.com for it"})
+        corpus.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        out = tmp_path / f"out{n}"
+        scanned.clear()
+        assert run_cli("--seed", 3, "--out", out, "transform", "--corpus", corpus) == 0
+        rejects = [json.loads(line) for line in (out / "rejects.jsonl").read_text().splitlines()]
+        unlexable = [f"ex{i:04d}" for i in range(6, n, 7)]
+        assert rejects == [{"id": i, "reason": "unlexable"} for i in unlexable] + [
+            {"id": "short", "reason": "too_short"}, {"id": "url", "reason": "has_url"},
+        ]
+        # every example that reaches the lexability rule, once: all but the
+        # two the description rules reject; the scan is `lexemes`, and no
+        # `lex` builds tokens with byte spans
+        screened = [ex.code for ex in load_corpus(corpus)[0] if screen_example(ex) is None]
+        assert len(screened) == n
+        assert sorted(scanned) == sorted(screened)
+        assert lexed == []
 
 
 def test_analyze_scores_nothing(tmp_path, monkeypatch):
@@ -669,8 +675,8 @@ def test_every_variant_row_is_apply_variant(tmp_path):
     assert run_cli("--seed", 5, "--out", out, "transform", "--corpus", corpus,
                    "--max-errors", 1000) == 0
 
-    accepted, _ = filter_corpus(load_corpus(corpus)[0])
-    donors = donor_assignment(donor_entries((e, Snippet.of(e.code)) for e in accepted), 5)
+    accepted, _ = filter_corpus(load_corpus(corpus)[0], scan=Snippet.of)
+    donors = donor_assignment(donor_entries(accepted), 5)
     failed = {json.loads(line)["where"]
               for line in (out / "errors_transform.jsonl").read_text().splitlines()}
     # the no-def snippet, and whichever snippet draws `f²` as its donor
@@ -680,7 +686,7 @@ def test_every_variant_row_is_apply_variant(tmp_path):
         path = out / "variants" / f"{variant.value}.jsonl"
         rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
         expected = []
-        for ex in accepted:
+        for ex, _ in accepted:
             if f"{ex.id}/{variant.value}" in failed:
                 with pytest.raises((HarnessError, ValueError)):
                     apply_variant(ex, variant, donors.get(ex.id))
@@ -1058,6 +1064,58 @@ def test_generate_with_shots_corpus(tmp_path, corpus5):
     assert len(records) == 5
 
 
+def corpus_with_a_cut_emoji(path):
+    """Six `corpusgen` lines, then one whose description escapes half of a
+    surrogate pair; the filter would accept it."""
+    write_corpus(path, 6, seed=1)
+    row = {"id": "cut", "code": "def f(x):\n    return x\n",
+           "docstring": "Returns the value \ud83d unchanged."}
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps(row) + "\n")
+    return path
+
+
+def test_transform_reports_a_corpus_line_that_utf8_cannot_encode(tmp_path):
+    corpus = corpus_with_a_cut_emoji(tmp_path / "c.jsonl")
+    out = tmp_path / "out"
+    assert run_cli("--seed", 1, "--out", out, "transform", "--corpus", corpus,
+                   "--max-errors", 1) == 0
+    errors = [json.loads(line)
+              for line in (out / "errors_transform.jsonl").read_text().splitlines()]
+    assert [e["where"] for e in errors] == [f"{corpus}:7"]
+    assert "surrogates not allowed" in errors[0]["error"]
+    for variant in Variant:
+        rows = (out / "variants" / f"{variant.value}.jsonl").read_text().splitlines()
+        assert len(rows) == 6
+
+
+def test_generate_reports_the_unreadable_lines_of_the_shots_corpus(tmp_path, corpus5):
+    """A line of the few-shot pool that cannot be read is a generate error
+    row, as one of the transform corpus is for transform; generate
+    tolerates errors, so it still exits 0."""
+    train = corpus_with_a_cut_emoji(tmp_path / "train.jsonl")
+    with train.open("a", encoding="utf-8") as fh:
+        fh.write("not json\n")
+    out = tmp_path / "out"
+    run_cli("--seed", 2, "--out", out, "transform", "--corpus", corpus5, "--variant", "original")
+
+    def script(body, hit):
+        return 200, {"choices": [{"message": {"content": "Does a thing."}}]}
+
+    with serve(script) as (url, hits):
+        assert run_cli("--seed", 2, "--out", out, "generate", "--model", "m",
+                       "--endpoint", url, "--shots-corpus", train) == 0
+    assert len(hits) == 5 and not any("\ud83d" in hit["messages"][0]["content"] for hit in hits)
+    errors = [json.loads(line)
+              for line in (out / "errors_generate.jsonl").read_text().splitlines()]
+    assert [(e["stage"], e["where"]) for e in errors] == [
+        ("generate", f"{train}:7"), ("generate", f"{train}:8"),
+    ]
+    assert "surrogates not allowed" in errors[0]["error"]
+    assert "malformed JSON" in errors[1]["error"]
+    assert len((out / "runs.jsonl").read_text().splitlines()) == 5
+
+
 def dense_vector(tok):
     rng = random.Random("v:" + tok)
     return [rng.gauss(0, 1) for _ in range(12)]
@@ -1279,10 +1337,10 @@ def test_generate_keeps_records_when_a_cache_write_fails(tmp_path, corpus5, monk
            for line in (out / "variants" / "original.jsonl").read_text().splitlines()]
     put = GenerationCache.put
 
-    def failing_put(self, key, entry):
-        if entry["example_id"] == ids[2]:
+    def failing_put(self, key, req, resp):
+        if req.example_id == ids[2]:
             raise OSError(28, "No space left on device")
-        put(self, key, entry)
+        put(self, key, req, resp)
 
     monkeypatch.setattr(GenerationCache, "put", failing_put)
 

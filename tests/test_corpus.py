@@ -23,6 +23,7 @@ from sumprobe.corpus import (
     write_jsonl,
 )
 from sumprobe.corpus import _decode_line, _row_encoder
+from sumprobe.pylex import lexemes
 
 from corpusgen import write_corpus
 
@@ -85,6 +86,20 @@ def test_load_explicit_and_duplicate_ids(tmp_path):
     assert len(errors) == 1 and "duplicate" in errors[0].message
 
 
+@pytest.mark.parametrize("field", ["id", "code", "docstring"])
+def test_a_lone_surrogate_in_a_field_is_a_line_error(tmp_path, field):
+    """UTF-8 cannot encode a lone surrogate, which only a JSON escape can
+    put in a line; every later write of the field would fail, so the line
+    is refused as a line that is not JSON is."""
+    row = {"id": "cut", "code": "def f(x):\n    return x\n", "docstring": "returns x"}
+    row[field] += "\ud83d"
+    lines = [json.dumps(row).encode(), json.dumps({"code": "a\u00e9", "docstring": "d"}).encode()]
+    path = write_lines(tmp_path / "c.jsonl", lines)
+    examples, errors = load_corpus(path)
+    assert [ex.code for ex in examples] == ["a\u00e9"]
+    assert [(e.line_number, "surrogates not allowed" in e.message) for e in errors] == [(1, True)]
+
+
 def test_load_missing_file():
     with pytest.raises(CorpusError):
         load_corpus("/nonexistent/corpus.jsonl")
@@ -103,7 +118,7 @@ def reject_reason(example):
     if rejected:
         assert accepted == [] and rejected[0][0] is example
         return rejected[0][1]
-    assert accepted == [example]
+    assert accepted == [(example, lexemes(example.code))]
     return None
 
 
@@ -139,7 +154,7 @@ def test_filter_is_idempotent(tmp_path):
     write_corpus(path, 80, seed=2, unlexable_every=10)
     examples, _ = load_corpus(path)
     accepted, _ = filter_corpus(examples)
-    again, rejected = filter_corpus(accepted)
+    again, rejected = filter_corpus([ex for ex, _ in accepted])
     assert rejected == []
     assert again == accepted
 

@@ -1,9 +1,12 @@
-"""A 1,000-example run writes the bytes recorded in `golden_scale.json`.
+"""Two 1,000-example runs write the bytes recorded in `golden_scale.json`:
+one on a clean corpus, and one (`with_rejects`) whose corpus has an
+unlexable snippet on every seventh line, so that `rejects.jsonl` is not
+empty and donor assignment runs on a screened corpus.
 
 The 20-example golden runs are too small to reach every copy-rate bucket
-or many ties in donor assignment; this run is large enough and takes about
-a second. `tools/scale_run.py` prints the same digests at any size.
-Updating the recorded digests is a deliberate change of output.
+or many ties in donor assignment; these runs are large enough and take
+about a second each. `tools/scale_run.py` prints the same digests at any
+size. Updating the recorded digests is a deliberate change of output.
 """
 
 import importlib.util
@@ -22,8 +25,20 @@ def load_tool():
     return module
 
 
-def test_a_thousand_example_run_is_byte_identical_to_the_golden_digests(tmp_path):
-    golden = json.loads(GOLDEN_PATH.read_text())
-    stages, digests = load_tool().run(golden["examples"], golden["seed"], tmp_path)
+def check_run(golden: dict, out: Path) -> None:
+    stages, digests = load_tool().run(
+        golden["examples"], golden["seed"], out, golden.get("unlexable_every", 0)
+    )
     assert list(stages) == ["transform", "generate", "score", "analyze"]
     assert digests == golden["digests"]
+
+
+def test_a_thousand_example_run_is_byte_identical_to_the_golden_digests(tmp_path):
+    check_run(json.loads(GOLDEN_PATH.read_text()), tmp_path)
+
+
+def test_a_run_with_rejects_is_byte_identical_to_the_golden_digests(tmp_path):
+    golden = json.loads(GOLDEN_PATH.read_text())["with_rejects"]
+    check_run(golden, tmp_path)
+    rejects = (tmp_path / "rejects.jsonl").read_text(encoding="utf-8")
+    assert rejects.count('"reason": "unlexable"') == golden["examples"] // golden["unlexable_every"]

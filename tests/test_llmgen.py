@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -221,16 +223,43 @@ def builds(reqs):
     return iter(reqs)
 
 
+class CountingCache(GenerationCache):
+    def __init__(self, directory):
+        super().__init__(directory)
+        self.gets, self.puts = Counter(), Counter()
+
+    def get(self, key):
+        self.gets[key] += 1
+        return super().get(key)
+
+    def put(self, key, req, resp):
+        self.puts[key] += 1
+        super().put(key, req, resp)
+
+
 def test_dispatch_shares_one_call_per_cache_key_only_with_a_cache(tmp_path):
+    """With a cache, a cold run gets and puts each distinct key once; a
+    warm run only gets, and returns the cold run's responses."""
     reqs = [GenRequest("m", "same prompt", example_id=f"e{i}") for i in range(3)]
+    reqs.append(GenRequest("m", "other prompt", example_id="e3"))
     client = CountingClient()
-    assert [r.text for r in dispatch(builds(reqs), client, jobs=2)] == ["a fine summary"] * 3
-    assert client.calls == 3
+    assert [r.text for r in dispatch(builds(reqs), client, jobs=2)] == ["a fine summary"] * 4
+    assert client.calls == 4
     client = CountingClient()
-    results = dispatch(builds(reqs), client, GenerationCache(tmp_path / "c"), jobs=2)
-    assert [r.text for r in results] == ["a fine summary"] * 3
-    assert client.calls == 1
-    assert len(list((tmp_path / "c").iterdir())) == 1
+    cache = CountingCache(tmp_path / "c")
+    cold = dispatch(builds(reqs), client, cache, jobs=2)
+    assert [r.text for r in cold] == ["a fine summary"] * 4
+    assert client.calls == 2
+    assert len(list((tmp_path / "c").iterdir())) == 2
+    once = Counter({req.cache_key: 1 for req in reqs})
+    assert cache.gets == cache.puts == once
+    cache.gets.clear()
+    cache.puts.clear()
+    warm = dispatch(builds(reqs), client, cache, jobs=2)
+    assert client.calls == 2
+    assert cache.gets == once and not cache.puts
+    assert all(r.from_cache for r in warm) and not any(r.from_cache for r in cold)
+    assert [dataclasses.replace(r, from_cache=False) for r in warm] == cold
 
 
 @pytest.mark.parametrize("requests,jobs,started", [(2, 8, 2), (1, 8, 0), (0, 8, 0), (5, 2, 2)])

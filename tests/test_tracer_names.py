@@ -12,7 +12,7 @@ from pathlib import Path
 
 from sumprobe.analysis import derangement
 from sumprobe.cli import main
-from sumprobe.corpus import load_corpus, load_run
+from sumprobe.corpus import load_corpus, load_run, screen_example
 
 from corpusgen import write_corpus
 
@@ -129,3 +129,25 @@ def test_analyze_runs_the_traced_report_layers(tmp_path):
     assert calls["analysis.emit_report.calls"] == 1
     assert calls["analysis.bucketize.calls"] == len(groups)
     assert calls["svgplot.grouped_bars.calls"] == len(svgs)
+
+
+def test_transform_screens_and_scans_inside_one_traced_filter(tmp_path):
+    """Transform screens its corpus with the one `filter_corpus`, which
+    scans each snippet that passes `screen_example`: one traced call, the
+    parent of every `lexemes` scan, so `corpus.filter_corpus.s` cannot
+    read 0 on a transform."""
+    tracer_module = load_tracer()
+    tracer_module.FUNCTIONS.append(("pylex.lexemes", "sumprobe.pylex", "lexemes"))
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, 40, seed=11, unlexable_every=9)
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        with tracer_module.Tracer() as tracer:
+            assert main(["--seed", "4", "--out", str(out), "transform",
+                         "--corpus", str(corpus)]) == 0
+    spans = tracer.spans()
+    (filter_id,) = [s[0] for s in spans if s[3] == "corpus.filter_corpus"]
+    scans = [s for s in spans if s[3] == "pylex.lexemes"]
+    screened = [ex for ex in load_corpus(corpus)[0] if screen_example(ex) is None]
+    assert len(scans) == len(screened) == 40
+    assert all(parent == filter_id for _, parent, *_ in scans)

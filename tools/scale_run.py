@@ -13,7 +13,9 @@ arguments wrote the same bytes.
 
 The digests cover every file under `variants/` and `report/`, plus
 `rejects.jsonl`, `runs.jsonl` and `pairings.jsonl`. `tests/golden_scale.json`
-holds those of a 1,000-example run, and a test checks them.
+holds those of two 1,000-example runs, a clean corpus and one with an
+unlexable snippet on every seventh line (`run(..., unlexable_every=7)`),
+and a test checks them.
 
 Usage: python tools/scale_run.py [--examples N] [--seed S] [--out DIR]
 """
@@ -51,13 +53,15 @@ def digests(out: Path) -> dict[str, str]:
 
 
 def run(
-    examples: int, seed: int, out: Path
+    examples: int, seed: int, out: Path, unlexable_every: int = 0
 ) -> tuple[dict[str, dict[str, float]], dict[str, str]]:
     """Run every stage into `out`; returns (stage -> seconds and peak RSS
-    in MiB, the digests). A stage that does not exit 0 raises."""
+    in MiB, the digests). `unlexable_every` > 0 puts an unlexable snippet
+    on every such line of the corpus, which transform rejects. A stage that
+    does not exit 0 raises."""
     out.mkdir(parents=True, exist_ok=True)
     corpus = out / "corpus.jsonl"
-    write_corpus(corpus, examples, seed=seed)
+    write_corpus(corpus, examples, seed=seed, unlexable_every=unlexable_every)
     common = ["--seed", str(seed), "--out", str(out), "--jobs", "1"]
     stage_argv = {
         "transform": ["transform", "--corpus", str(corpus)],
