@@ -333,7 +333,8 @@ def cmd_generate(config: RunConfig) -> int:
             config.endpoint, api_key=os.environ.get(API_KEY_ENV)
         )
     # The echo mock answers by example id, which the cache key leaves out,
-    # and costs nothing to recompute, so it runs uncached.
+    # and costs nothing to recompute, so it runs uncached; it reads no
+    # prompt, so none is rendered for it.
     cache = None if config.mock else llmgen.GenerationCache(config.cache_dir)
 
     order: list[tuple[str, str]] = []  # (example id, variant) of each request
@@ -347,7 +348,7 @@ def cmd_generate(config: RunConfig) -> int:
                 order.append((ex.id, variant_value))
                 yield llmgen.GenRequest(
                     model_id=config.model_id,
-                    prompt=llmgen.build_prompt(ex, shots).render(),
+                    prompt="" if config.mock else llmgen.build_prompt(ex, shots).render(),
                     temperature=config.temperature,
                     max_tokens=config.gen_max_tokens,
                     example_id=ex.id,

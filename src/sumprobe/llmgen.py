@@ -192,7 +192,10 @@ class GenerationCache:
     `put` writes an entry and `get` reads it back; no other code knows
     its format. Entries are independent files, so a corrupt one only costs
     itself: it reads as a miss and is rewritten on the next fetch. Writes
-    are serialized and land atomically; reads take no lock.
+    are serialized and land atomically. Gets happen as `dispatch` reads
+    the requests, under its queue's lock: a get takes some tens of
+    microseconds, mostly holding the GIL anyway, so the lock costs the
+    workers little.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -269,44 +272,49 @@ def dispatch(
     `requests` is read only as workers free up, so only the requests in
     flight or waiting to be retried are held. With a cache, each request's
     cache key is computed once, when it is read, and requests with equal
-    keys share one lookup, one call and one write. Item i of the result is
-    request i's GenResponse, or the HarnessError or OSError that failed it.
-    The requests run through `httpjson.retry_all`: a RetryingClient's
-    `attempt` is retried on TransientEndpointError by its own policy; a
-    plain client's `complete` is called once.
+    keys share one lookup, one call and one write. The lookup happens as
+    the request is read, under the queue's lock, on whichever thread reads
+    it, and a hit is answered there: only misses go to the workers, each of
+    which writes the entries of its own calls, so a run that the cache
+    answers whole starts no worker thread. Item i of the result is request
+    i's GenResponse, or the HarnessError or OSError that failed it. The
+    calls run through `httpjson.retry_all`: a RetryingClient's `attempt` is
+    retried on TransientEndpointError by its own policy; a plain client's
+    `complete` is called once.
     """
     if isinstance(client, RetryingClient):
         call, policy = client.attempt, client
     else:
         call, policy = client.complete, None
-    slot: list[int] = []  # request i takes the result of distinct request slot[i]
 
-    def attempt(req: GenRequest, key: str | None, attempts: int) -> GenResponse:
-        if cache is not None and attempts == 0:
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
+    def fetch(req: GenRequest, attempts: int) -> GenResponse:
+        return GenResponse(*call(req))
+
+    if cache is None:
+        return retry_all((functools.partial(fetch, req) for req in requests), policy, jobs)
+
+    def fetch_and_store(req: GenRequest, key: str, attempts: int) -> GenResponse:
         resp = GenResponse(*call(req))
-        if cache is not None:
-            cache.put(key, req, resp)
+        cache.put(key, req, resp)
         return resp
 
-    def distinct() -> Iterator[Callable[[int], GenResponse]]:
+    slot: list[int] = []  # request i takes distinct response slot[i]
+    found: list[GenResponse | None] = []  # distinct response j, if the cache held it
+
+    def misses() -> Iterator[Callable[[int], GenResponse]]:
         first: dict[str, int] = {}
         for req in requests:
-            key = None
-            if cache is None:
-                slot.append(len(slot))
-            else:
-                key = req.cache_key
-                n = len(first)
-                slot.append(first.setdefault(key, n))
-                if slot[-1] != n:
-                    continue
-            yield functools.partial(attempt, req, key)
+            key = req.cache_key
+            n = len(first)
+            slot.append(first.setdefault(key, n))
+            if slot[-1] == n:
+                found.append(cache.get(key))
+                if found[-1] is None:
+                    yield functools.partial(fetch_and_store, req, key)
 
-    results = retry_all(distinct(), policy, jobs)
-    return [results[j] for j in slot]
+    fetched = iter(retry_all(misses(), policy, jobs))
+    responses = [next(fetched) if hit is None else hit for hit in found]
+    return [responses[j] for j in slot]
 
 
 def generate(

@@ -1560,19 +1560,35 @@ def test_generate_renders_and_hashes_each_request_once(tmp_path, corpus5, monkey
                         property(counted("key", llmgen.GenRequest.cache_key.fget)))
     monkeypatch.setattr(llmgen, "postprocess", counted("postprocess", llmgen.postprocess))
 
+    real_start = threading.Thread.start
+
+    def counted_start(thread):
+        # Threads that generate starts, not the stub server's.
+        if threading.current_thread() is threading.main_thread():
+            calls["thread"] += 1
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+
     def script(body, hit):
         return 200, prompt_answer(body["messages"][0]["content"])
 
     with serve(script) as (url, hits):
-        for run in ("cold", "warm"):
+        # The warm run's cache answers every request as it is read: it starts
+        # no worker thread and sends no request.
+        for run, threads, sent in (("cold", 2, len({row["code"] for row in variant_rows(out)})),
+                                   ("warm", 0, 0)):
             calls.clear()
+            before = len(hits)
             assert run_cli("--seed", 2, "--jobs", 2, "--out", out, "generate", "--model", "m",
                            "--endpoint", url) == 0
-            assert calls == {"render": requests, "key": requests, "postprocess": requests}, run
-        assert len(hits) == len({row["code"] for row in variant_rows(out)})
+            assert calls == Counter(render=requests, key=requests, postprocess=requests,
+                                    thread=threads), run
+            assert len(hits) - before == sent, run
+    monkeypatch.setattr(threading.Thread, "start", real_start)
     calls.clear()
     assert run_cli("--seed", 2, "--out", out, "generate", "--model", "echo", "--mock", "echo") == 0
-    assert calls == {"render": requests}  # no key, and no post-processing of an echo
+    assert calls == {}  # no prompt, no key, and no post-processing of an echo
 
 
 def test_generate_records_the_reply_post_processed_and_caches_it_raw(tmp_path, corpus5):

@@ -16,6 +16,7 @@ from sumprobe.llmgen import (
     EndpointError,
     GenerationCache,
     GenRequest,
+    GenResponse,
     MalformedResponseError,
     RateLimitedError,
     TransientEndpointError,
@@ -262,8 +263,25 @@ def test_dispatch_shares_one_call_per_cache_key_only_with_a_cache(tmp_path):
     assert [dataclasses.replace(r, from_cache=False) for r in warm] == cold
 
 
-@pytest.mark.parametrize("requests,jobs,started", [(2, 8, 2), (1, 8, 0), (0, 8, 0), (5, 2, 2)])
-def test_dispatch_starts_no_more_threads_than_requests(monkeypatch, requests, jobs, started):
+@pytest.mark.parametrize("requests,cached,jobs,started", [
+    pytest.param(n, c, j, s, id=f"{n}-{j}-{s}" if c is None else f"{n}-{j}-{s}-{c}cached")
+    for n, c, j, s in [(2, None, 8, 2), (1, None, 8, 0), (0, None, 8, 0), (5, None, 2, 2),
+                       (5, 5, 8, 0), (7, 4, 8, 3), (7, 2, 2, 2), (3, 2, 8, 0)]
+])
+def test_dispatch_starts_no_more_threads_than_requests(
+        tmp_path, monkeypatch, requests, cached, jobs, started):
+    """Without a cache (`cached` None) every request goes to the workers.
+    With `cached` of the requests already in the cache, interleaved with the
+    misses, the hits are answered as the requests are read, and only the k
+    misses start workers: as many as k requests would uncached, so none
+    when every key is cached."""
+    reqs = [GenRequest("m", f"p{i}") for i in range(requests)]
+    cache, warm = None, set()
+    if cached is not None:
+        cache = GenerationCache(tmp_path / "c")
+        warm = set(sorted(range(requests), key=lambda i: i % 2)[:cached])
+        for i in warm:
+            cache.put(reqs[i].cache_key, reqs[i], GenResponse("a cached summary", 0.0))
     starts = []
     real_start = threading.Thread.start
 
@@ -272,9 +290,11 @@ def test_dispatch_starts_no_more_threads_than_requests(monkeypatch, requests, jo
         real_start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", counting_start)
-    reqs = [GenRequest("m", f"p{i}") for i in range(requests)]
-    results = dispatch(builds(reqs), CountingClient(), jobs=jobs)
-    assert [r.text for r in results] == ["a fine summary"] * requests
+    client = CountingClient()
+    results = dispatch(builds(reqs), client, cache, jobs=jobs)
+    assert [r.text for r in results] == [
+        "a cached summary" if i in warm else "a fine summary" for i in range(requests)]
+    assert client.calls == requests - len(warm)
     assert len(starts) == started
 
 

@@ -1,11 +1,15 @@
 """A write that fails leaves every file of the run directory whole, and a
 rerun finishes the stage: each stage's k-th replaced file, for every k,
-raises OSError just before it would replace the old one."""
+raises OSError just before it would replace the old one. A failed
+generation-cache write costs only its own record."""
 
 import contextlib
 import errno
+import hashlib
 import io
+import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ import sumprobe.corpus
 from sumprobe.cli import main
 
 from corpusgen import write_corpus
+from httpstub import serve
 
 STAGES = {
     "transform": ["transform", "--max-errors", "100"],
@@ -103,3 +108,82 @@ def test_each_failed_write_leaves_whole_files_and_a_rerun_finishes(
         with contextlib.redirect_stdout(io.StringIO()):
             assert run(out, corpus, stage) == 0
         assert tree(out) == after, k
+
+
+def cache_entries(out):
+    """Each cache entry without its `latency`, which times the call that
+    made it and so differs from run to run."""
+    entries = {}
+    for path in sorted((out / "cache").iterdir()):
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        del entry["latency"]
+        entries[path.name] = entry
+    return entries
+
+
+def test_each_failed_cache_write_costs_only_its_record(tmp_path, monkeypatch):
+    """A chat generate at --jobs 2 whose k-th cache write fails, for every k:
+    that record is one error row, no temporary file is left, every entry is
+    absent or whole, and a rerun writes what an uninterrupted run does."""
+    corpus, base = tmp_path / "corpus.jsonl", tmp_path / "base"
+    write_corpus(corpus, 4, seed=5)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--seed", "4", "--out", str(base), "transform", "--corpus", str(corpus)]) == 0
+    real = sumprobe.corpus._replacing
+
+    def script(body, hit):
+        prompt = body["messages"][0]["content"]
+        summary = hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:12]
+        return 200, {"choices": [{"message": {"content": f"Summary {summary}."}}]}
+
+    with serve(script) as (url, hits), contextlib.redirect_stdout(io.StringIO()):
+        def generate(out):
+            argv = ["--seed", "4", "--out", str(out), "--jobs", "2",
+                    "generate", "--model", "m", "--endpoint", url]
+            return main(argv)
+
+        whole = tmp_path / "whole"
+        shutil.copytree(base, whole)
+        assert generate(whole) == 0
+        runs = (whole / "runs.jsonl").read_text(encoding="utf-8").splitlines()
+        entries = cache_entries(whole)
+        # Every request has its own prompt, so each cache write is one record's.
+        assert len(hits) == len(runs) == len(entries) >= 2
+        assert (whole / "errors_generate.jsonl").read_bytes() == b""
+
+        for k in range(1, len(entries) + 1):
+            out = tmp_path / f"out{k}"
+            shutil.copytree(base, out)
+            puts = 0
+
+            @contextlib.contextmanager
+            def failing(path, what="file"):
+                nonlocal puts
+                with real(path, what) as fh:
+                    yield fh
+                    if Path(path).parent.name == "cache":
+                        puts += 1
+                        if puts == k:
+                            raise OSError(errno.ENOSPC, "No space left on device")
+
+            with monkeypatch.context() as mp:
+                mp.setattr(sumprobe.corpus, "_replacing", failing)
+                assert generate(out) == 0
+            (error,) = sumprobe.corpus.read_jsonl(out / "errors_generate.jsonl")
+            assert error["error"].startswith("cannot write ") and "No space" in error["error"]
+            assert not list(out.rglob("*.tmp"))
+            now = cache_entries(out)
+            assert len(now) == len(entries) - 1
+            assert all(entries[name] == entry for name, entry in now.items())
+            kept = (out / "runs.jsonl").read_text(encoding="utf-8").splitlines()
+            (lost,) = [line for line in runs if line not in kept]
+            assert len(kept) == len(runs) - 1
+            lost = json.loads(lost)
+            assert error["where"] == f"{lost['example_id']}/{lost['variant']}"
+
+            sent = len(hits)
+            assert generate(out) == 0
+            assert len(hits) == sent + 1  # the other records come from the cache
+            assert (out / "runs.jsonl").read_bytes() == (whole / "runs.jsonl").read_bytes()
+            assert (out / "errors_generate.jsonl").read_bytes() == b""
+            assert cache_entries(out) == entries
