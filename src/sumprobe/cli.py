@@ -15,7 +15,7 @@ cache):
     out/errors_<stage>.jsonl       record-level errors per stage
     out/runs.jsonl                 one record per (example, variant, model)
     out/pairings.jsonl             corresponding vs re-paired score distributions
-    out/cache/                     LLM response cache
+    out/cache/entries.log          LLM response cache, one line per entry
     out/report/                    CSV + SVG report
 """
 
@@ -313,8 +313,9 @@ def cmd_generate(config: RunConfig) -> int:
     if config.train_path:
         train_examples, line_errors = load_corpus(config.train_path)
         errors = _line_error_rows("generate", line_errors)
-        accepted, _ = filter_corpus(train_examples, config.min_tokens, config.max_tokens)
-        shots = llmgen.select_shots([ex for ex, _ in accepted], config.shots, config.seed)
+        if not config.mock:  # the echo renders no prompt, so it needs no shots
+            accepted, _ = filter_corpus(train_examples, config.min_tokens, config.max_tokens)
+            shots = llmgen.select_shots([ex for ex, _ in accepted], config.shots, config.seed)
     elif not config.mock:
         log.warning("no [corpus] train_path configured; prompting zero-shot")
 
@@ -332,11 +333,6 @@ def cmd_generate(config: RunConfig) -> int:
         client = llmgen.ChatCompletionsClient(
             config.endpoint, api_key=os.environ.get(API_KEY_ENV)
         )
-    # The echo mock answers by example id, which the cache key leaves out,
-    # and costs nothing to recompute, so it runs uncached; it reads no
-    # prompt, so none is rendered for it.
-    cache = None if config.mock else llmgen.GenerationCache(config.cache_dir)
-
     order: list[tuple[str, str]] = []  # (example id, variant) of each request
 
     def requests():
@@ -354,7 +350,14 @@ def cmd_generate(config: RunConfig) -> int:
                     example_id=ex.id,
                 )
 
-    results = llmgen.dispatch(requests(), client, cache, config.jobs)
+    if config.mock:
+        # The echo answers by example id, which the cache key leaves out, and
+        # costs a dict lookup, so it runs uncached on this thread; it reads
+        # no prompt, so none is rendered for it.
+        results = llmgen.dispatch(requests(), client)
+    else:
+        with llmgen.GenerationCache(config.cache_dir) as cache:
+            results = llmgen.dispatch(requests(), client, cache, config.jobs)
     new_records: list[RunRecord] = []
     for (example_id, variant_value), result in zip(order, results):
         if isinstance(result, Exception):

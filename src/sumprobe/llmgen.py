@@ -2,9 +2,10 @@
 content-addressed response cache and a reference-echoing mock client.
 
 `dispatch` sends each distinct request once, through the cache, and leaves
-the sending, sorting and retrying of HTTP requests to `httpjson`. A cache
-entry is written by `GenerationCache.put` and read back, as a
-`GenResponse`, by `GenerationCache.get` alone.
+the sending, sorting and retrying of HTTP requests to `httpjson`. The
+cache is one append-only file, read once when it is opened: a cache entry
+is appended by `GenerationCache.put` and read back, as a `GenResponse`, by
+`GenerationCache.get` alone.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import hashlib
 import json
 import logging
 import math
+import os
 import random
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -23,7 +26,7 @@ from typing import (
     Callable, ClassVar, Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable,
 )
 
-from .corpus import Example, write_text
+from .corpus import CorpusError, Example, write_text
 from .httpjson import (  # with the errors a RetryingClient raises
     EndpointError,
     JsonClient,
@@ -43,6 +46,8 @@ INSTRUCTION = (
 )
 
 DEFAULT_SHOT_COUNT = 10
+
+_KEY = re.compile("[0-9a-f]{64}")  # a cache key, GenRequest.cache_key
 
 
 @dataclass(frozen=True)
@@ -187,32 +192,85 @@ class EchoClient:
 
 
 class GenerationCache:
-    """Directory of JSON files keyed by request hash, one response each.
+    """Responses keyed by request hash, in one append-only file,
+    `<directory>/entries.log`.
 
     `put` writes an entry and `get` reads it back; no other code knows
-    its format. Entries are independent files, so a corrupt one only costs
-    itself: it reads as a miss and is rewritten on the next fetch. Writes
-    are serialized and land atomically. Gets happen as `dispatch` reads
-    the requests, under its queue's lock: a get takes some tens of
-    microseconds, mostly holding the GIL anyway, so the lock costs the
+    the format. Each line is a 64-hex key, a tab and the entry's JSON. The
+    file is read once, when the cache is opened, and the last line of a
+    key wins. A line that is not a key, a tab and UTF-8 text is skipped,
+    and an entry that is not usable reads as a miss, so it is fetched again
+    and its new line wins: a corrupt or torn line only costs itself. A put
+    appends one line, with one write, under a lock; an append after a torn
+    line starts on a new line. Gets happen as `dispatch` reads the
+    requests, under its queue's lock: a get is a dict lookup and the parse
+    of one entry, which holds the GIL anyway, so the lock costs the
     workers little.
+
+    A directory that has no `entries.log` yet but holds the one-file-per-
+    entry cache that came before it (`<key>.json`) is imported once, in
+    name order; no such file is read again.
     """
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self.path = self.directory / "entries.log"
+        if not self.path.exists():
+            self._import_entry_files()
+        self._fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            data = b"".join(iter(functools.partial(os.read, self._fd, 1 << 20), b""))
+        except OSError:
+            self.close()
+            raise
+        self._entries: dict[str, str] = {}  # key -> entry JSON, parsed by `get`
+        # Split at "\n" alone: U+2028, U+2029 and U+0085 stay unescaped in
+        # the JSON, and `bytes.split` leaves them inside their line.
+        for line in data.split(b"\n"):
+            key, tab, text = line.partition(b"\t")
+            try:
+                key, text = key.decode("ascii"), text.decode("utf-8")
+            except UnicodeDecodeError:
+                continue
+            if tab and _KEY.fullmatch(key):
+                self._entries[key] = text
+        self._torn = bool(data) and not data.endswith(b"\n")  # the last line is cut
         self._write_lock = threading.Lock()
 
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
+    def _import_entry_files(self) -> None:
+        lines = []
+        for path in sorted(self.directory.glob("*.json")):
+            if _KEY.fullmatch(path.stem):
+                try:
+                    text = path.read_bytes().decode("utf-8")
+                except (OSError, UnicodeDecodeError):
+                    continue
+                # JSON holds a raw newline only between tokens.
+                text = text.replace("\n", " ")
+                lines.append(f"{path.stem}\t{text}\n")
+        if lines:
+            write_text(self.path, "".join(lines))
+
+    def close(self) -> None:
+        os.close(self._fd)
+
+    def __enter__(self) -> "GenerationCache":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def get(self, key: str) -> GenResponse | None:
         """The response stored under `key`, marked `from_cache`, or None
         unless its entry is usable: a `raw_text` string, a finite `latency`
         number (default 0.0) and a `usage` dict (default empty)."""
+        text = self._entries.get(key)
+        if text is None:
+            return None
         try:
-            entry = json.loads(self._path(key).read_text(encoding="utf-8"))
-        except (OSError, ValueError):  # unreadable, not UTF-8 or not JSON
+            entry = json.loads(text)
+        except ValueError:
             return None
         if not isinstance(entry, dict) or not isinstance(entry.get("raw_text"), str):
             return None
@@ -223,11 +281,25 @@ class GenerationCache:
         return GenResponse(entry["raw_text"], latency, usage, from_cache=True)
 
     def put(self, key: str, req: GenRequest, resp: GenResponse) -> None:
-        """Store `resp`, the raw reply to `req`, under `key`."""
+        """Store `resp`, the raw reply to `req`, under `key`. An OSError, or
+        a reply that UTF-8 cannot encode (a lone surrogate), raises the
+        one-line CorpusError `cannot write file <path>`."""
         entry = {"model_id": req.model_id, "example_id": req.example_id,
                  "raw_text": resp.raw_text, "latency": resp.latency, "usage": resp.usage}
-        with self._write_lock:
-            write_text(self._path(key), json.dumps(entry, ensure_ascii=False))
+        text = json.dumps(entry, ensure_ascii=False)
+        try:
+            line = f"{key}\t{text}\n".encode("utf-8")
+            with self._write_lock:
+                if self._torn:
+                    line = b"\n" + line
+                self._torn = True  # until the whole line is written
+                written = os.write(self._fd, line)
+                if written < len(line):
+                    raise OSError(f"wrote {written} of {len(line)} bytes")
+                self._torn = False
+                self._entries[key] = text
+        except (OSError, UnicodeEncodeError) as exc:
+            raise CorpusError(f"cannot write file {self.path}: {exc}") from exc
 
 
 def _drop_fenced_blocks(text: str, markers_only: bool = False) -> list[str]:

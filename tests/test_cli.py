@@ -1,5 +1,7 @@
+import builtins
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -1604,9 +1606,118 @@ def test_generate_records_the_reply_post_processed_and_caches_it_raw(tmp_path, c
                        "--endpoint", url) == 0
     records = load_run(out / "runs.jsonl")
     assert [rec.generated for rec in records] == ["Returns the input."] * 5
-    entries = [json.loads(path.read_text(encoding="utf-8"))
-               for path in (out / "cache").iterdir()]
+    log = (out / "cache" / "entries.log").read_text(encoding="utf-8")
+    entries = [json.loads(line.partition("\t")[2]) for line in log.split("\n") if line]
     assert [entry["raw_text"] for entry in entries] == [reply] * 5
+
+
+def test_a_generate_opens_one_file_of_the_cache(tmp_path, corpus5, monkeypatch):
+    """The cache is one file, read once: a cold and then a warm chat
+    generate of many requests each open it once, not once per request."""
+    out = tmp_path / "out"
+    run_cli("--seed", 2, "--out", out, "transform", "--corpus", corpus5)
+    assert len(variant_rows(out)) > 1
+    cache_dir = os.path.join(out, "cache", "")
+    opened = []
+
+    def counted(real):
+        def wrapper(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and os.fspath(file).startswith(cache_dir):
+                opened.append(os.fspath(file))
+            return real(file, *args, **kwargs)
+        return wrapper
+
+    for module in (builtins, io, os):
+        monkeypatch.setattr(module, "open", counted(module.open))
+
+    def script(body, hit):
+        return 200, prompt_answer(body["messages"][0]["content"])
+
+    with serve(script) as (url, hits):
+        for run in ("cold", "warm"):
+            opened.clear()
+            assert run_cli("--seed", 2, "--jobs", 2, "--out", out, "generate", "--model", "m",
+                           "--endpoint", url) == 0
+            assert opened == [os.path.join(cache_dir, "entries.log")], run
+        assert len(hits) == len({row["code"] for row in variant_rows(out)})
+
+
+def test_a_cache_of_entry_files_is_imported_once(tmp_path, corpus5):
+    """A run directory whose cache holds one `<key>.json` file per entry,
+    as the cache did before its log, answers a warm generate with no
+    request. The files are folded into the log once, in name order, and
+    none is read again; a file that is not UTF-8 is skipped, and a newline
+    between JSON tokens does not split an entry."""
+    out = tmp_path / "out"
+    run_cli("--seed", 2, "--out", out, "transform", "--corpus", corpus5)
+    cache = out / "cache"
+
+    def entry(line):
+        key, _, text = line.partition("\t")
+        return key, json.loads(text)
+
+    def script(body, hit):
+        return 200, prompt_answer(body["messages"][0]["content"])
+
+    with serve(script) as (url, hits):
+        def generate():
+            assert run_cli("--seed", 2, "--jobs", 2, "--out", out, "generate", "--model", "m",
+                           "--endpoint", url) == 0
+            return (out / "runs.jsonl").read_bytes()
+
+        runs = generate()
+        sent = len(hits)
+        log = cache / "entries.log"
+        lines = log.read_text(encoding="utf-8").split("\n")[:-1]
+        log.unlink()
+        for line in lines:
+            key, _, text = line.partition("\t")
+            (cache / f"{key}.json").write_text(text, encoding="utf-8")
+        key, value = entry(lines[0])
+        (cache / f"{key}.json").write_text(json.dumps(value, indent=1) + "\n")
+        (cache / f"{'0' * 64}.json").write_bytes(b"\xff")
+        assert generate() == runs
+        assert len(hits) == sent
+        imported = log.read_text(encoding="utf-8").split("\n")[:-1]
+        assert [entry(line) for line in imported] == sorted(map(entry, lines))
+        for path in cache.glob("*.json"):
+            path.unlink()
+        assert generate() == runs
+        assert len(hits) == sent
+
+
+def test_an_echo_generate_starts_no_thread_and_scans_no_shot(tmp_path, corpus5, monkeypatch):
+    """The echo answers each request with a dict lookup and renders no
+    prompt: at the default --jobs 4 it starts no worker thread, and it
+    neither screens nor scans its --shots-corpus, whose unreadable lines
+    are still error rows."""
+    out = tmp_path / "out"
+    run_cli("--seed", 2, "--out", out, "transform", "--corpus", corpus5)
+    shots = tmp_path / "shots.jsonl"
+    shots.write_text(corpus5.read_text() + "not json\n")
+    scanned, started, patched = [], [], []
+    lexemes = sumprobe.pylex.lexemes
+    for name, module in list(sys.modules.items()):
+        if name == "sumprobe" or name.startswith("sumprobe."):
+            for alias, value in list(vars(module).items()):
+                if value is lexemes:
+                    monkeypatch.setattr(module, alias, lambda source: scanned.append(source))
+                    patched.append(name)
+    assert "sumprobe.corpus" in patched  # filter_corpus's default scan
+    real_start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    assert run_cli("--seed", 2, "--jobs", 4, "--out", out, "generate", "--model", "echo",
+                   "--mock", "echo", "--shots-corpus", shots) == 0
+    assert started == [] and scanned == []
+    assert len(load_run(out / "runs.jsonl")) == len(variant_rows(out))
+    (error,) = [json.loads(line)
+                for line in (out / "errors_generate.jsonl").read_text().splitlines()]
+    assert error["where"].endswith(":6")
 
 
 def test_generate_leaves_each_target_out_of_its_own_shots(tmp_path, corpus5):

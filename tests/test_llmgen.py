@@ -122,16 +122,37 @@ def test_generate_caches(tmp_path):
     assert not first.from_cache and second.from_cache
 
 
+def log_entries(directory):
+    """Each key's entry in `directory`'s cache log, as the cache reads it:
+    the last line of a key wins; an entry that is not JSON is None, and a
+    line that is not UTF-8 is skipped."""
+    entries = {}
+    for line in (directory / "entries.log").read_bytes().split(b"\n"):
+        key, tab, text = line.partition(b"\t")
+        try:
+            key, text = key.decode("ascii"), text.decode("utf-8")
+        except UnicodeDecodeError:
+            continue
+        if tab:
+            try:
+                entries[key] = json.loads(text)
+            except ValueError:
+                entries[key] = None
+    return entries
+
+
 def test_corrupt_cache_entry_only_costs_itself(tmp_path):
-    cache = GenerationCache(tmp_path / "cache")
     client = CountingClient()
     req_a = GenRequest("m", "prompt a")
     req_b = GenRequest("m", "prompt b")
-    generate(req_a, client, cache)
-    generate(req_b, client, cache)
-    (tmp_path / "cache" / f"{req_a.cache_key}.json").write_text("{corrupt")
-    assert generate(req_b, client, cache).from_cache
-    assert generate(req_a, client, cache).from_cache is False
+    with GenerationCache(tmp_path / "cache") as cache:
+        generate(req_a, client, cache)
+        generate(req_b, client, cache)
+    with (tmp_path / "cache" / "entries.log").open("ab") as log:
+        log.write(b"\xff not a line of the cache\n" + req_a.cache_key.encode() + b"\t{corrupt\n")
+    with GenerationCache(tmp_path / "cache") as cache:
+        assert generate(req_b, client, cache).from_cache
+        assert generate(req_a, client, cache).from_cache is False
     assert client.calls == 3
 
 
@@ -143,16 +164,49 @@ def test_corrupt_cache_entry_only_costs_itself(tmp_path):
     b'{"raw_text": "\xff"}',
 ])
 def test_malformed_cache_entry_is_requeried_and_rewritten(tmp_path, data):
-    cache = GenerationCache(tmp_path / "cache")
+    """As a key's last line, whether after a usable one or alone, a
+    malformed entry is a miss: it is fetched again and appended, and the
+    new line wins. A line that is not UTF-8 is skipped, so after a usable
+    line of its key it costs nothing."""
     client = CountingClient()
     req = GenRequest("m", "prompt")
-    generate(req, client, cache)
-    path = tmp_path / "cache" / f"{req.cache_key}.json"
-    path.write_bytes(data)
-    again = generate(req, client, cache)
-    assert not again.from_cache and client.calls == 2
-    assert json.loads(path.read_text(encoding="utf-8"))["raw_text"] == "a fine summary"
-    assert generate(req, client, cache).from_cache and client.calls == 2
+    directory = tmp_path / "cache"
+    with GenerationCache(directory) as cache:
+        generate(req, client, cache)
+    log = directory / "entries.log"
+    bad = req.cache_key.encode() + b"\t" + data + b"\n"
+    for lines, hit in ((log.read_bytes() + bad, b"\xff" in data), (bad, False)):
+        log.write_bytes(lines)
+        calls = client.calls + (not hit)
+        with GenerationCache(directory) as cache:
+            assert generate(req, client, cache).from_cache is hit and client.calls == calls
+            assert generate(req, client, cache).from_cache and client.calls == calls
+        assert log_entries(directory)[req.cache_key]["raw_text"] == "a fine summary"
+        with GenerationCache(directory) as cache:
+            assert generate(req, client, cache).from_cache and client.calls == calls
+
+
+def test_a_log_cut_mid_line_serves_every_whole_entry(tmp_path):
+    """A log whose last line was cut (a put that the process did not live
+    to finish) serves every whole entry; the cut one is a miss, and the
+    next put starts a line of its own, which reads back whole. Lines end
+    at "\\n" alone: U+2028, U+2029 and U+0085 stay inside their entry."""
+    client = CountingClient("a summary\u2028across\u2029line\x85breaks")
+    reqs = [GenRequest("m", f"prompt {i}") for i in range(3)]
+    directory = tmp_path / "cache"
+    with GenerationCache(directory) as cache:
+        for req in reqs:
+            generate(req, client, cache)
+    log = directory / "entries.log"
+    log.write_bytes(log.read_bytes()[:-20])
+    with GenerationCache(directory) as cache:
+        assert [generate(req, client, cache).from_cache for req in reqs] == [True, True, False]
+    assert client.calls == 4
+    with GenerationCache(directory) as cache:
+        assert all(generate(req, client, cache).from_cache for req in reqs)
+    assert client.calls == 4
+    assert [entry["raw_text"] for entry in log_entries(directory).values()] == [client.text] * 3
+    assert len(log.read_bytes().split(b"\n")) == 5  # 2 whole, 1 cut, 1 new, and ""
 
 
 def test_echo_client_returns_reference():
@@ -210,9 +264,7 @@ def test_generate_pipeline_with_http_client(tmp_path):
         assert resp.raw_text == "Builds the cache.\n\nExtra."
         cached = generate(req, client, cache)
         assert cached.from_cache and len(hits) == 1
-        entry = json.loads(
-            (tmp_path / "c" / f"{req.cache_key}.json").read_text()
-        )
+        entry = log_entries(tmp_path / "c")[req.cache_key]
         assert entry["raw_text"] == "Builds the cache.\n\nExtra."
 
 
@@ -251,7 +303,8 @@ def test_dispatch_shares_one_call_per_cache_key_only_with_a_cache(tmp_path):
     cold = dispatch(builds(reqs), client, cache, jobs=2)
     assert [r.text for r in cold] == ["a fine summary"] * 4
     assert client.calls == 2
-    assert len(list((tmp_path / "c").iterdir())) == 2
+    assert log_entries(tmp_path / "c").keys() == {req.cache_key for req in reqs}
+    assert len((tmp_path / "c" / "entries.log").read_bytes().splitlines()) == 2
     once = Counter({req.cache_key: 1 for req in reqs})
     assert cache.gets == cache.puts == once
     cache.gets.clear()
@@ -353,6 +406,30 @@ def test_dispatch_under_thread_contention():
         p: 3 if p == "dead" else 2 if int(p[1:]) % 3 == 0 else 1 for p in prompts
     }
     assert client.most_running <= 8
+
+
+def test_concurrent_puts_each_append_one_whole_line(tmp_path):
+    """Eight workers that switch threads as often as they can append one
+    whole line per distinct key, and a reopened cache answers them all."""
+    reqs = [GenRequest("m", f"p{i}") for i in range(300)]
+    client = CountingClient()
+    out = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with GenerationCache(tmp_path / "c") as cache:
+            worker = threading.Thread(
+                target=lambda: out.extend(dispatch(builds(reqs), client, cache, jobs=8)))
+            worker.start()
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive() and len(out) == len(reqs)
+    assert len((tmp_path / "c" / "entries.log").read_bytes().split(b"\n")) == len(reqs) + 1
+    assert log_entries(tmp_path / "c").keys() == {req.cache_key for req in reqs}
+    with GenerationCache(tmp_path / "c") as cache:
+        assert all(r.from_cache for r in dispatch(builds(reqs), client, cache, jobs=8))
+    assert client.calls == len(reqs)
 
 
 def test_dispatch_reads_and_builds_each_request_when_it_is_sent():

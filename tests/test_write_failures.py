@@ -1,15 +1,15 @@
 """A write that fails leaves every file of the run directory whole, and a
 rerun finishes the stage: each stage's k-th replaced file, for every k,
 raises OSError just before it would replace the old one. A failed
-generation-cache write costs only its own record."""
+generation-cache append, whole or part-way, costs only its own record."""
 
 import contextlib
 import errno
 import hashlib
 import io
 import json
+import os
 import shutil
-from pathlib import Path
 
 import pytest
 
@@ -111,25 +111,45 @@ def test_each_failed_write_leaves_whole_files_and_a_rerun_finishes(
 
 
 def cache_entries(out):
-    """Each cache entry without its `latency`, which times the call that
-    made it and so differs from run to run."""
+    """Each usable cache entry without its `latency`, which times the call
+    that made it and so differs from run to run, as the cache reads its
+    log: the last line of a key wins, and one that is not JSON is a miss."""
     entries = {}
-    for path in sorted((out / "cache").iterdir()):
-        entry = json.loads(path.read_text(encoding="utf-8"))
-        del entry["latency"]
-        entries[path.name] = entry
-    return entries
+    for line in (out / "cache" / "entries.log").read_bytes().split(b"\n"):
+        key, _, text = line.partition(b"\t")
+        try:
+            entries[key.decode()] = json.loads(text)
+        except ValueError:
+            entries[key.decode()] = None
+    for entry in entries.values():
+        if entry is not None:
+            del entry["latency"]
+    return {key: entry for key, entry in entries.items() if entry is not None}
 
 
-def test_each_failed_cache_write_costs_only_its_record(tmp_path, monkeypatch):
-    """A chat generate at --jobs 2 whose k-th cache write fails, for every k:
-    that record is one error row, no temporary file is left, every entry is
+def write_nothing(write, fd, line):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def write_part(write, fd, line):
+    write(fd, line[:len(line) // 2])
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def write_short(write, fd, line):
+    return write(fd, line[:len(line) // 2])
+
+
+def check_each_failed_cache_append(tmp_path, monkeypatch, fail, message):
+    """A chat generate at --jobs 2 whose k-th cache append is `fail(write,
+    fd, line)` in place of `os.write`, for every k: that record is one error
+    row that says `message`, no temporary file is left, every entry is
     absent or whole, and a rerun writes what an uninterrupted run does."""
     corpus, base = tmp_path / "corpus.jsonl", tmp_path / "base"
     write_corpus(corpus, 4, seed=5)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["--seed", "4", "--out", str(base), "transform", "--corpus", str(corpus)]) == 0
-    real = sumprobe.corpus._replacing
+    real = os.write
 
     def script(body, hit):
         prompt = body["messages"][0]["content"]
@@ -154,27 +174,26 @@ def test_each_failed_cache_write_costs_only_its_record(tmp_path, monkeypatch):
         for k in range(1, len(entries) + 1):
             out = tmp_path / f"out{k}"
             shutil.copytree(base, out)
-            puts = 0
+            log = out / "cache" / "entries.log"
+            appends = 0
 
-            @contextlib.contextmanager
-            def failing(path, what="file"):
-                nonlocal puts
-                with real(path, what) as fh:
-                    yield fh
-                    if Path(path).parent.name == "cache":
-                        puts += 1
-                        if puts == k:
-                            raise OSError(errno.ENOSPC, "No space left on device")
+            def failing(fd, data):
+                nonlocal appends
+                if log.exists() and os.path.samestat(os.fstat(fd), os.stat(log)):
+                    appends += 1
+                    if appends == k:
+                        return fail(real, fd, data)
+                return real(fd, data)
 
             with monkeypatch.context() as mp:
-                mp.setattr(sumprobe.corpus, "_replacing", failing)
+                mp.setattr(os, "write", failing)
                 assert generate(out) == 0
             (error,) = sumprobe.corpus.read_jsonl(out / "errors_generate.jsonl")
-            assert error["error"].startswith("cannot write ") and "No space" in error["error"]
+            assert error["error"].startswith("cannot write ") and message in error["error"]
             assert not list(out.rglob("*.tmp"))
             now = cache_entries(out)
             assert len(now) == len(entries) - 1
-            assert all(entries[name] == entry for name, entry in now.items())
+            assert all(entries[key] == entry for key, entry in now.items())
             kept = (out / "runs.jsonl").read_text(encoding="utf-8").splitlines()
             (lost,) = [line for line in runs if line not in kept]
             assert len(kept) == len(runs) - 1
@@ -187,3 +206,17 @@ def test_each_failed_cache_write_costs_only_its_record(tmp_path, monkeypatch):
             assert (out / "runs.jsonl").read_bytes() == (whole / "runs.jsonl").read_bytes()
             assert (out / "errors_generate.jsonl").read_bytes() == b""
             assert cache_entries(out) == entries
+
+
+def test_each_failed_cache_write_costs_only_its_record(tmp_path, monkeypatch):
+    check_each_failed_cache_append(tmp_path, monkeypatch, write_nothing, "No space")
+
+
+@pytest.mark.parametrize("fail,message", [
+    pytest.param(write_part, "No space", id="raises"),
+    pytest.param(write_short, "wrote ", id="returns-short"),
+])
+def test_a_cache_append_cut_part_way_costs_only_its_record(tmp_path, monkeypatch, fail, message):
+    """An append that writes part of its line leaves a torn line, which the
+    next append does not run into: it starts a line of its own."""
+    check_each_failed_cache_append(tmp_path, monkeypatch, fail, message)

@@ -11,8 +11,10 @@ run's output, its JSON result, is read.
 
 For each end-to-end metric it prints each side's median and quartiles, the
 number of pairs B won (ties count for neither side), the median of the
-pair ratios B/A, and whether the medians differ by more than the distance
-between A's quartiles. Then it lists every run that failed, reported
+pair ratios B/A, whether the medians differ by more than the distance
+between A's quartiles, and whether a claim that B is better holds: B won
+at least nine tenths of the pairs and the medians differ by more than that
+distance. Then it lists every run that failed, reported
 failed operations or ended `correct: false`. It exits 1 if there was such
 a run.
 """
@@ -53,7 +55,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def report(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
     """One line per end-to-end metric that both sides' runs report."""
     lines = [f"{'metric':<16} {'A median [q1, q3]':<30} {'B median [q1, q3]':<30} "
-             f"{'B wins':<7} {'B/A':>6}  gap > A's IQR"]
+             f"{'B wins':<7} {'B/A':>6}  {'gap > A IQR':<12} claim holds"]
     pairs = list(zip(runs["A"], runs["B"]))
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -67,8 +69,9 @@ def report(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
         ratio = statistics.median(b / a for a, b in both if a)
         gap = abs(b_q[1] - a_q[1]) > a_q[2] - a_q[0]
         a_cell, b_cell = (f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]" for q in (a_q, b_q))
+        holds = gap and wins >= 0.9 * len(both)
         lines.append(f"{name:<16} {a_cell:<30} {b_cell:<30} {f'{wins}/{len(both)}':<7} "
-                     f"{ratio:>6.3f}  {'yes' if gap else 'no'}")
+                     f"{ratio:>6.3f}  {'yes' if gap else 'no':<12} {'yes' if holds else 'no'}")
     return lines
 
 
