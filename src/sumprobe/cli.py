@@ -27,9 +27,10 @@ import functools
 import gc
 import logging
 import math
+import operator
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -308,56 +309,50 @@ def _present_variants(config: RunConfig) -> list[str]:
 def cmd_generate(config: RunConfig) -> int:
     if not config.model_id:
         raise HarnessError("generate needs a model id (--model or [model] id)")
-    shots: list[tuple[str, str]] = []
+    pool: list[Example] = []
     errors: list[dict] = []
     if config.train_path:
-        train_examples, line_errors = load_corpus(config.train_path)
+        pool, line_errors = load_corpus(config.train_path)
         errors = _line_error_rows("generate", line_errors)
-        if not config.mock:  # the echo renders no prompt, so it needs no shots
-            accepted, _ = filter_corpus(train_examples, config.min_tokens, config.max_tokens)
-            shots = llmgen.select_shots([ex for ex, _ in accepted], config.shots, config.seed)
-    elif not config.mock:
-        log.warning("no [corpus] train_path configured; prompting zero-shot")
-
-    if config.mock:
-        # Filled as the variants are read; transform leaves references
-        # untouched, so one map serves every variant.
-        references: dict[str, str] = {}
-        client: llmgen.CompletionClient = llmgen.EchoClient(references)
-    else:
-        if not config.endpoint:
-            raise HarnessError(
-                "generate needs an endpoint (--endpoint or [model] endpoint) "
-                "unless --mock echo is used"
-            )
-        client = llmgen.ChatCompletionsClient(
-            config.endpoint, api_key=os.environ.get(API_KEY_ENV)
-        )
     order: list[tuple[str, str]] = []  # (example id, variant) of each request
 
-    def requests():
+    def requests(prompt: Callable[[Example], str]) -> Iterator[llmgen.GenRequest]:
         # One variant file at a time, as the dispatcher asks for requests.
         for variant_value in _present_variants(config):
             for ex in load_variant(config.variants_dir, variant_value):
-                if config.mock:
-                    references[ex.id] = ex.reference
                 order.append((ex.id, variant_value))
                 yield llmgen.GenRequest(
                     model_id=config.model_id,
-                    prompt="" if config.mock else llmgen.build_prompt(ex, shots).render(),
+                    prompt=prompt(ex),
                     temperature=config.temperature,
                     max_tokens=config.gen_max_tokens,
                     example_id=ex.id,
                 )
 
     if config.mock:
-        # The echo answers by example id, which the cache key leaves out, and
-        # costs a dict lookup, so it runs uncached on this thread; it reads
-        # no prompt, so none is rendered for it.
-        results = llmgen.dispatch(requests(), client)
+        # The echo answers its prompt, the reference, and costs nothing, so
+        # it runs uncached on this thread; its replies stay verbatim.
+        results = llmgen.dispatch(requests(lambda ex: ex.reference), llmgen.EchoClient())
+        reply = operator.attrgetter("raw_text")
     else:
+        if not config.endpoint:
+            raise HarnessError(
+                "generate needs an endpoint (--endpoint or [model] endpoint) "
+                "unless --mock echo is used"
+            )
+        if not config.train_path:
+            log.warning("no [corpus] train_path configured; prompting zero-shot")
+        accepted, _ = filter_corpus(pool, config.min_tokens, config.max_tokens)
+        shots = llmgen.select_shots([ex for ex, _ in accepted], config.shots, config.seed)
+        client = llmgen.ChatCompletionsClient(
+            config.endpoint, api_key=os.environ.get(API_KEY_ENV)
+        )
         with llmgen.GenerationCache(config.cache_dir) as cache:
-            results = llmgen.dispatch(requests(), client, cache, config.jobs)
+            results = llmgen.dispatch(
+                requests(lambda ex: llmgen.build_prompt(ex, shots).render()),
+                client, cache, config.jobs,
+            )
+        reply = operator.attrgetter("text")
     new_records: list[RunRecord] = []
     for (example_id, variant_value), result in zip(order, results):
         if isinstance(result, Exception):
@@ -368,7 +363,7 @@ def cmd_generate(config: RunConfig) -> int:
                 example_id=example_id,
                 variant=variant_value,
                 model_id=config.model_id,
-                generated=result.raw_text if config.mock else result.text,  # echoes stay verbatim
+                generated=reply(result),
             ))
 
     # Earlier records are kept, other models' too, only for the (example,

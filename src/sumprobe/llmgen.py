@@ -1,5 +1,5 @@
 """Few-shot prompting of a chat-style completion endpoint, with a
-content-addressed response cache and a reference-echoing mock client.
+content-addressed response cache and a mock client that echoes its prompt.
 
 `dispatch` sends each distinct request once, through the cache, and leaves
 the sending, sorting and retrying of HTTP requests to `httpjson`. The
@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
-    Callable, ClassVar, Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable,
+    Callable, ClassVar, Iterable, Iterator, Protocol, Sequence, runtime_checkable,
 )
 
 from .corpus import CorpusError, Example, write_text
@@ -173,22 +173,14 @@ class ChatCompletionsClient(JsonClient):
 
 
 class EchoClient:
-    """Mock client returning each example's reference description verbatim.
+    """Mock client that answers each request with its prompt, verbatim.
 
-    Pins the pipeline's upper bound: downstream scores must be exactly 100.
+    Prompted with each example's reference, it pins the pipeline's upper
+    bound: downstream scores must be exactly 100.
     """
 
-    def __init__(self, references: Mapping[str, str]) -> None:
-        # Read at each request, so a caller may still add references.
-        self.references = references
-
     def complete(self, req: GenRequest) -> tuple[str, float, dict]:
-        try:
-            return self.references[req.example_id], 0.0, {}
-        except KeyError:
-            raise EndpointError(
-                f"echo client has no reference for example {req.example_id!r}"
-            ) from None
+        return req.prompt, 0.0, {}
 
 
 class GenerationCache:

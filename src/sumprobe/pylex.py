@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .errors import HarnessError
@@ -52,11 +52,6 @@ class LexToken(NamedTuple):
     category: Category
     start: int  # byte offset into the UTF-8 encoding of the source
     end: int
-
-
-# LexToken(*fields) without the Python-level __new__ frame: the lexer builds
-# one per token.
-_new_token = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -237,7 +232,7 @@ def lex(source: str, kinds: dict[str, Category] | None = None) -> tuple[LexToken
         sizes = (len(lexeme.encode("utf-8")) for lexeme in found)
     offsets = list(accumulate(sizes, initial=0))
     fields = zip(found, categories(found, kinds), offsets, offsets[1:])
-    return tuple(map(_new_token, repeat(LexToken), fields))
+    return tuple(map(LexToken._make, fields))
 
 
 def function_name_at(lexemes: Sequence[str]) -> int | None:

@@ -13,6 +13,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from sumprobe.corpus import load_run
+
 TOOL_PATH = Path(__file__).resolve().parent.parent / "tools" / "scale_run.py"
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_scale.json"
 
@@ -42,3 +44,18 @@ def test_a_run_with_rejects_is_byte_identical_to_the_golden_digests(tmp_path):
     check_run(golden, tmp_path)
     rejects = (tmp_path / "rejects.jsonl").read_text(encoding="utf-8")
     assert rejects.count('"reason": "unlexable"') == golden["examples"] // golden["unlexable_every"]
+
+
+def test_a_second_echo_model_doubles_the_records_and_scores_100(tmp_path):
+    tool = load_tool()
+    one, two = tmp_path / "one", tmp_path / "two"
+    _, digests_one = tool.run(100, 5, one, unlexable_every=7)
+    stages, digests_two = tool.run(100, 5, two, unlexable_every=7, models=2)
+    assert list(stages) == ["transform", "generate", "generate echo-2", "score", "analyze"]
+    shared = [path for path in digests_one if path.startswith("variants/")]
+    shared.append("rejects.jsonl")
+    assert [digests_two[path] for path in shared] == [digests_one[path] for path in shared]
+    records = load_run(two / "runs.jsonl")
+    assert len(records) == 2 * len(load_run(one / "runs.jsonl")) > 0
+    assert {rec.model_id for rec in records} == {"echo", "echo-2"}
+    assert all(rec.metrics.bleu4 == 100.0 for rec in records)

@@ -209,13 +209,12 @@ def test_a_log_cut_mid_line_serves_every_whole_entry(tmp_path):
     assert len(log.read_bytes().split(b"\n")) == 5  # 2 whole, 1 cut, 1 new, and ""
 
 
-def test_echo_client_returns_reference():
-    ex = make_example()
-    client = EchoClient({ex.id: ex.reference})
-    req = GenRequest("mock", "whatever", example_id=ex.id)
-    assert generate(req, client).text == ex.reference
-    with pytest.raises(EndpointError):
-        client.complete(GenRequest("mock", "x", example_id="unknown"))
+def test_echo_client_answers_its_prompt_verbatim():
+    prompt = "Saves the record.\n\n```python\nsave(record)\n```\nSecond paragraph."
+    resp = generate(GenRequest("mock", prompt, example_id="ex1"), EchoClient())
+    assert resp.raw_text == prompt
+    assert (resp.latency, resp.usage, resp.from_cache) == (0.0, {}, False)
+    assert resp.text == "Saves the record."  # what a chat model's record keeps
 
 
 # --- post-processing ----------------------------------------------------------

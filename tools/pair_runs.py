@@ -14,9 +14,17 @@ number of pairs B won (ties count for neither side), the median of the
 pair ratios B/A, whether the medians differ by more than the distance
 between A's quartiles, and whether a claim that B is better holds: B won
 at least nine tenths of the pairs and the medians differ by more than that
-distance. Then it lists every run that failed, reported
-failed operations or ended `correct: false`. It exits 1 if there was such
-a run.
+distance.
+
+Its last column says whether B stays within the metric's `bound`, read with
+`better` from the `end_to_end` list of A's BENCHMARK.json. It is `yes` when
+B's median is worse than A's by no more than `bound` × A's median, and `NO`
+when it is worse by more. It is `unresolved` when A's quartile distance
+exceeds `bound` × A's median, because then the runs spread too widely to
+tell, unless every B run beats every A run.
+
+Then it lists every run that failed, reported failed operations or ended
+`correct: false`. It exits 1 if there was such a run.
 """
 
 from __future__ import annotations
@@ -52,10 +60,20 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def within_bound(a: list[float], b: list[float], bound: float, higher: bool) -> str:
+    """`yes`, `NO` or `unresolved`, by the rule in the module docstring."""
+    a_q, b_med = quartiles(a), statistics.median(b)
+    worse = (a_q[1] - b_med) if higher else (b_med - a_q[1])
+    beats_all = min(b) > max(a) if higher else max(b) < min(a)
+    if a_q[2] - a_q[0] > bound * a_q[1] and not beats_all:
+        return "unresolved"
+    return "yes" if worse <= bound * a_q[1] else "NO"
+
+
 def report(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
     """One line per end-to-end metric that both sides' runs report."""
     lines = [f"{'metric':<16} {'A median [q1, q3]':<30} {'B median [q1, q3]':<30} "
-             f"{'B wins':<7} {'B/A':>6}  {'gap > A IQR':<12} claim holds"]
+             f"{'B wins':<7} {'B/A':>6}  {'gap > A IQR':<12} {'claim holds':<12} within bound"]
     pairs = list(zip(runs["A"], runs["B"]))
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -70,8 +88,11 @@ def report(metrics: list[dict], runs: dict[str, list[dict]]) -> list[str]:
         gap = abs(b_q[1] - a_q[1]) > a_q[2] - a_q[0]
         a_cell, b_cell = (f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]" for q in (a_q, b_q))
         holds = gap and wins >= 0.9 * len(both)
+        bounded = within_bound([a for a, _ in both], [b for _, b in both],
+                               metric["bound"], higher)
         lines.append(f"{name:<16} {a_cell:<30} {b_cell:<30} {f'{wins}/{len(both)}':<7} "
-                     f"{ratio:>6.3f}  {'yes' if gap else 'no':<12} {'yes' if holds else 'no'}")
+                     f"{ratio:>6.3f}  {'yes' if gap else 'no':<12} "
+                     f"{'yes' if holds else 'no':<12} {bounded}")
     return lines
 
 

@@ -5,10 +5,12 @@ file that a run reproduces byte for byte.
 
 The stages are `transform`, `generate` with the echo mock, `score` with the
 fallback tokenizer and the hashed one-hot embeddings, and `analyze`, all
-with `--jobs 1`. The corpus and the pipeline share one seed. Each stage
-starts after a `gc.collect()`. Its peak RSS is the process's peak so far
-(`ru_maxrss`), so a stage that needs less than an earlier one shows that
-earlier peak. Two checkouts that print the same digests for the same
+with `--jobs 1`. With `--models K`, generate runs K times, once per echo
+model: the first is `echo`, so a K=1 run is the default one, and the later
+ones are `echo-2` ... `echo-K`, each timed on its own. The corpus and the
+pipeline share one seed. Each stage starts after a `gc.collect()`. Its
+peak RSS is the process's peak so far (`ru_maxrss`), so a stage that needs
+less than an earlier one shows that earlier peak. Two checkouts that print the same digests for the same
 arguments wrote the same bytes.
 
 The digests cover every file under `variants/` and `report/`, plus
@@ -17,7 +19,7 @@ holds those of two 1,000-example runs, a clean corpus and one with an
 unlexable snippet on every seventh line (`run(..., unlexable_every=7)`),
 and a test checks them.
 
-Usage: python tools/scale_run.py [--examples N] [--seed S] [--out DIR]
+Usage: python tools/scale_run.py [--examples N] [--seed S] [--models K] [--out DIR]
 """
 
 from __future__ import annotations
@@ -53,12 +55,13 @@ def digests(out: Path) -> dict[str, str]:
 
 
 def run(
-    examples: int, seed: int, out: Path, unlexable_every: int = 0
+    examples: int, seed: int, out: Path, unlexable_every: int = 0, models: int = 1
 ) -> tuple[dict[str, dict[str, float]], dict[str, str]]:
     """Run every stage into `out`; returns (stage -> seconds and peak RSS
     in MiB, the digests). `unlexable_every` > 0 puts an unlexable snippet
-    on every such line of the corpus, which transform rejects. A stage that
-    does not exit 0 raises."""
+    on every such line of the corpus, which transform rejects. `models` > 1
+    adds the stages `generate echo-2` ... `generate echo-K` after
+    `generate`. A stage that does not exit 0 raises."""
     out.mkdir(parents=True, exist_ok=True)
     corpus = out / "corpus.jsonl"
     write_corpus(corpus, examples, seed=seed, unlexable_every=unlexable_every)
@@ -66,6 +69,8 @@ def run(
     stage_argv = {
         "transform": ["transform", "--corpus", str(corpus)],
         "generate": ["generate", "--model", "echo", "--mock", "echo"],
+        **{f"generate echo-{k}": ["generate", "--model", f"echo-{k}", "--mock", "echo"]
+           for k in range(2, models + 1)},
         "score": ["score"],
         "analyze": ["analyze"],
     }
@@ -89,15 +94,17 @@ def main_cli(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--examples", type=int, default=15_000, help="corpus size (15000)")
     parser.add_argument("--seed", type=int, default=3, help="corpus and pipeline seed (3)")
+    parser.add_argument("--models", type=int, default=1,
+                        help="echo models to generate, each timed (1)")
     parser.add_argument("--out", type=Path,
                         help="run directory, kept afterwards (default: a temporary one)")
     args = parser.parse_args(argv)
     with contextlib.ExitStack() as stack:
         out = args.out or Path(stack.enter_context(tempfile.TemporaryDirectory()))
-        stages, hashes = run(args.examples, args.seed, out)
-    print(f"{args.examples} examples, seed {args.seed}")
+        stages, hashes = run(args.examples, args.seed, out, models=args.models)
+    print(f"{args.examples} examples, seed {args.seed}, {args.models} echo model(s)")
     for name, figures in stages.items():
-        print(f"{name:10} {figures['s']:8.3f} s  peak RSS {figures['peak_rss_mb']:7.1f} MiB")
+        print(f"{name:18} {figures['s']:8.3f} s  peak RSS {figures['peak_rss_mb']:7.1f} MiB")
     for path, digest in hashes.items():
         print(f"{digest}  {path}")
     return 0
